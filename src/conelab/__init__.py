@@ -10,10 +10,10 @@ from .fieldlib import make_test_field, suite_cz, suite_extension, suite_hardy
 from .fields import (Field, GradientField, NormSpec, RadialSplit,
                      even_odd_split, gradient, hardy_quotient, lp_norm,
                      morrey_quotient, norm, poincare_ball_ratio,
-                     poincare_cap_ratio, radial_split, sobolev_norm)
+                     poincare_cap_ratio, radial_split)
 from .geometry import (BilipschitzConeMap, ConeBall, ConeDomain,
                        HomogeneousCutoff, ball_measure, contains,
-                       cutoff_value, doubling_ratio, psi_forward, psi_inverse)
+                       doubling_ratio)
 from .grids import PolarGrid
 from .rearrangement import (RearrangementTable, interpolation_norm, k_l1_linf,
                             k_l1_ln, k_sobolev_estimate, rearrange)

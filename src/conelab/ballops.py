@@ -95,9 +95,6 @@ class SheetBalls:
     def averager(self, intensity: np.ndarray) -> "BallAverager":
         return BallAverager(self, intensity)
 
-    def ball_averages(self, intensity: np.ndarray, rho: float) -> np.ndarray:
-        return self.averager(intensity).averages(rho)
-
     def ball_dilate(self, values: np.ndarray, rho: float) -> np.ndarray:
         """(nr, nt) array: max of `values` over the centers within rho of each
         node, with partial angular windows rounded down to powers of two (a

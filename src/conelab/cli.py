@@ -4,8 +4,7 @@ Subcommands: norm, hardy, split, cz, kfunc, extend, restrict, pierre,
 density, counterexample, verify-all.  Reports are CSV files plus one summary
 JSON under the configured output directory; identical configurations produce
 byte-identical outputs.  Exit codes: 0 all checks passed, 1 some check
-failed, 2 usage or configuration error.  CONELAB_THREADS caps the worker
-pool used for independent per-field sweeps.
+failed, 2 usage or configuration error.
 """
 
 from __future__ import annotations
@@ -14,7 +13,6 @@ import argparse
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -28,24 +26,6 @@ from .fields import (gradient, hardy_quotient, lp_norm,
 from .geometry import ConeDomain
 from .grids import PolarGrid
 from .report import write_csv, write_json
-
-INF = float("inf")
-
-
-def _pool_size() -> int:
-    try:
-        return max(1, int(os.environ.get("CONELAB_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
-def _pmap(fn, items):
-    n = _pool_size()
-    if n == 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=n) as pool:
-        return list(pool.map(fn, items))
-
 
 def _suite(name: str, grid):
     if name == "hardy":
@@ -85,7 +65,7 @@ def cmd_hardy(cfg: RunConfig, args) -> int:
         return 2
     bound = p / (n - p)
     fields = _suite(args.suite, grid)
-    quots = _pmap(lambda f: hardy_quotient(f, p), fields)
+    quots = [hardy_quotient(f, p) for f in fields]
     rows = [{"field": f.name, "p": p, "quotient": q, "bound": bound,
              "ok": q <= bound * 1.05} for f, q in zip(fields, quots)]
     write_csv(os.path.join(cfg.out_dir, f"hardy_n{n}_p{p:g}.csv"), rows,
@@ -163,26 +143,14 @@ def cmd_kfunc(cfg: RunConfig, args) -> int:
 
 def cmd_extend(cfg: RunConfig, args) -> int:
     grid = cfg.grid()
-    full = PolarGrid.fullplane_matching(grid)
     rows = []
-    for p in cfg.p_list:
-        for f in suite_extension(grid, p):
-            src = extension.source_norm(f, p)
-            try:
-                Ef, info = extension.extend(f, p, full)
-            except extension.ExtensionGateError as e:
-                rows.append({"field": f.name, "p": p, "source_norm": src,
-                             "target_norm": INF, "ratio": INF,
-                             "roundtrip_err": INF, "gate": "refused"})
-                continue
-            tgt = extension.wp_norm(Ef, p)
-            rows.append({"field": f.name, "p": p, "source_norm": src,
-                         "target_norm": tgt, "ratio": tgt / src,
-                         "roundtrip_err": extension.roundtrip_error(f, Ef, p),
-                         "gate": "accepted"})
-            if args.dump_fields:
-                save_field(Ef, os.path.join(cfg.out_dir,
-                                            f"extended_{f.name}_p{p:g}.txt"))
+    for row in extension.operator_norm_report(
+            ((p, suite_extension(grid, p)) for p in cfg.p_list), grid):
+        Ef = row.pop("extended")
+        if args.dump_fields and Ef is not None:
+            save_field(Ef, os.path.join(
+                cfg.out_dir, f"extended_{row['field']}_p{row['p']:g}.txt"))
+        rows.append(row)
     write_csv(os.path.join(cfg.out_dir, "extension.csv"), rows,
               ["field", "p", "source_norm", "target_norm", "ratio",
                "roundtrip_err", "gate"])

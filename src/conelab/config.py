@@ -1,4 +1,4 @@
-"""Run configuration: domain, grid, suites, sweep ranges, output directory.
+"""Run configuration: domain, grid, sweep ranges, output directory.
 
 Loaded from a JSON file; an empty or missing body means all defaults.
 Invalid values raise ConfigError, which the CLI maps to exit code 2.
@@ -29,7 +29,6 @@ class RunConfig:
     r_max: float = 40.0
     r_min: float | None = None
     q: float | None = None
-    suite: str = "hardy"
     eps_list: list = dfield(default_factory=lambda: [1e-2, 1e-3, 1e-4, 1e-5, 1e-6])
     k_list: list = dfield(default_factory=lambda: [2.0, 4.0, 8.0, 16.0])
     alpha_decades: int = 4
@@ -39,7 +38,6 @@ class RunConfig:
     t_points: int = 7
     p_list: list = dfield(default_factory=lambda: [1.0, 1.5, 3.0, float("inf")])
     out_dir: str = "out"
-    tolerances: dict = dfield(default_factory=dict)
 
     def __post_init__(self):
         if self.n not in (2, 3):
@@ -55,11 +53,6 @@ class RunConfig:
                 raise ConfigError(f"{name} must be nonempty")
         if self.t_lo <= 0 or self.t_hi <= self.t_lo or self.t_points < 2:
             raise ConfigError("invalid t sweep")
-        if any(v <= 0 for v in self.tolerances.values()):
-            raise ConfigError("tolerances must be positive")
-
-    def tolerance(self, key: str, default: float) -> float:
-        return float(self.tolerances.get(key, default))
 
     def domain(self) -> ConeDomain:
         return ConeDomain(self.n, self.omega, self.variant)

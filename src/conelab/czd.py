@@ -23,6 +23,7 @@ import numpy as np
 
 from .ballops import SheetBalls, distance_to_cells
 from .fields import Field, gradient, lp_norm
+from .grids import radial_difference_weights
 from .profiles import plateau
 from .rearrangement import rearrange_samples
 
@@ -237,11 +238,9 @@ def _sparse_patch(grid, rows, data_rows, absolute=False):
     r_ext[1:-1] = grid.r[rlo:rhi + 1]
     r_ext[0] = grid.r[rlo - 1] if rlo > 0 else grid.r[0] * q
     r_ext[-1] = grid.r[rhi + 1] if rhi < grid.nr - 1 else grid.r[-1] / q
-    h1 = (r_ext[1:-1] - r_ext[:-2])[:, None]
-    h2 = (r_ext[2:] - r_ext[1:-1])[:, None]
-    dr = (-h2 / (h1 * (h1 + h2)) * patch[:-2, 1:-1]
-          + (h2 - h1) / (h1 * h2) * patch[1:-1, 1:-1]
-          + h1 / (h2 * (h1 + h2)) * patch[2:, 1:-1])
+    a, b = radial_difference_weights(r_ext)
+    d = np.diff(patch[:, 1:-1], axis=0)
+    dr = a[:, None] * d[1:] + b[:, None] * d[:-1]
     dth = (patch[1:-1, 2:] - patch[1:-1, :-2]) / (2.0 * grid.dtheta)
     ang = dth / r_ext[1:-1, None]
     return patch[1:-1, 1:-1], np.sqrt(dr**2 + ang**2), rlo, jlo

@@ -14,13 +14,12 @@ integrability gate refuses inadmissible inputs with a divergence table.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dfield
 
 import numpy as np
 
 from .fields import (Field, gradient, integrability_gate, lp_norm,
                      radial_split)
-from .geometry import BilipschitzConeMap, HomogeneousCutoff, default_enlargement
+from .geometry import BilipschitzConeMap, cutoff_for_map, default_enlargement
 from .grids import PolarGrid
 
 INF = float("inf")
@@ -33,17 +32,6 @@ class ExtensionGateError(ValueError):
         super().__init__(message)
         self.growth = growth
         self.table = table
-
-
-@dataclass(eq=False)
-class ExtensionReport:
-    """Measured operator norms: one row per (field, exponent)."""
-
-    rows: list = dfield(default_factory=list)
-    sphere_measure_ratio: float = 0.0
-
-    def add(self, **kw):
-        self.rows.append(kw)
 
 
 def _wrap_angle(t):
@@ -93,25 +81,6 @@ def restrict(full: Field, cone_grid: PolarGrid) -> Field:
     return Field(cone_grid, np.stack(sheets), name=f"restricted({full.name})")
 
 
-def sup_trend_gate(vals: np.ndarray, grid: PolarGrid, threshold: float = 0.015,
-                   last: int = 4):
-    """Divergence gate for the sup of |v|/r: same decade-growth rule as the
-    integral gate, applied to running suprema over r >= r_min."""
-    weighted = (np.abs(vals) / grid.r[None, :, None]).max(axis=(0, 2))
-    run = np.maximum.accumulate(weighted[::-1])[::-1]
-    lo = math.ceil(math.log10(grid.r_min))
-    hi = math.floor(math.log10(grid.r_max)) - 1
-    r_mins = 10.0 ** np.arange(hi, lo - 1, -1.0)
-    idx = np.minimum(np.searchsorted(grid.r, r_mins, side="left"), len(run) - 1)
-    P = run[idx]
-    seg = P[-(last + 1):]
-    if seg[-1] == 0.0:
-        return True, 0.0, (r_mins, P)
-    rel = np.diff(seg) / np.maximum(seg[:-1], 1e-300)
-    growth = float(np.mean(rel))
-    return growth <= threshold, growth, (r_mins, P)
-
-
 def admissibility_gate(f: Field, p: float):
     """Membership gate for the extension at exponent p: below the dimension
     everything passes; at and above it the anti-radial part must carry a
@@ -124,8 +93,6 @@ def admissibility_gate(f: Field, p: float):
     # weight would amplify that noise into a spurious divergence verdict
     floor = 1e-13 * float(np.abs(f.values).max())
     vals = np.where(np.abs(fa.values) > floor, fa.values, 0.0)
-    if p == INF:
-        return sup_trend_gate(vals, f.grid)
     return integrability_gate(vals, f.grid, p)
 
 
@@ -149,7 +116,7 @@ def extend(f: Field, p: float, full_grid: PolarGrid | None = None,
     omega = grid.domain.omega
     eps = cmap.enlargement
     kappa = cmap.kappa
-    cutoff = HomogeneousCutoff(math.pi / 2, cmap.source_support_angle)
+    cutoff = cutoff_for_map(cmap)
     fa = split.antiradial
     for h in grid.halves:
         t = _wrap_angle(full.theta - grid.domain.axis_angle(h))
@@ -257,12 +224,14 @@ def source_norm(f: Field, p: float) -> float:
     return base
 
 
-def operator_norm_report(suite_by_p: dict, cone_grid: PolarGrid,
-                         full_grid: PolarGrid | None = None) -> ExtensionReport:
-    """Tabulate extension ratios and round-trip errors over {p: [fields]}."""
+def operator_norm_report(suites, cone_grid: PolarGrid,
+                         full_grid: PolarGrid | None = None):
+    """Extend and tabulate over (p, fields) pairs: yields one row per field
+    with its source and target norms, ratio, round-trip error and gate
+    verdict.  The row's "extended" entry holds the extended field (None when
+    the gate refused the input); fields with zero source norm are skipped."""
     full = full_grid or PolarGrid.fullplane_matching(cone_grid)
-    report = ExtensionReport(sphere_measure_ratio=cone_grid.domain.sphere_measure_ratio())
-    for p, fields in suite_by_p.items():
+    for p, fields in suites:
         for f in fields:
             src = source_norm(f, p)
             if src == 0.0:
@@ -270,15 +239,17 @@ def operator_norm_report(suite_by_p: dict, cone_grid: PolarGrid,
             try:
                 Ef, info = extend(f, p, full)
             except ExtensionGateError as e:
-                report.add(field=f.name, p=p, source_norm=src, target_norm=INF,
-                           ratio=INF, roundtrip_err=INF, gate="refused",
-                           gate_growth=e.growth)
+                yield {"field": f.name, "p": p, "source_norm": src,
+                       "target_norm": INF, "ratio": INF, "roundtrip_err": INF,
+                       "gate": "refused", "gate_growth": e.growth,
+                       "extended": None}
                 continue
             tgt = wp_norm(Ef, p)
-            report.add(field=f.name, p=p, source_norm=src, target_norm=tgt,
-                       ratio=tgt / src, roundtrip_err=roundtrip_error(f, Ef, p),
-                       gate="accepted", gate_growth=info["gate_growth"])
-    return report
+            yield {"field": f.name, "p": p, "source_norm": src,
+                   "target_norm": tgt, "ratio": tgt / src,
+                   "roundtrip_err": roundtrip_error(f, Ef, p),
+                   "gate": "accepted", "gate_growth": info["gate_growth"],
+                   "extended": Ef}
 
 
 def restriction_antiradial_ratio(full_field: Field, cone_grid: PolarGrid) -> dict:

@@ -178,10 +178,6 @@ def norm(obj, spec: NormSpec) -> float:
     return base + lp_norm(fa, spec.p, weight="inv_r")
 
 
-def sobolev_norm(f: Field, spec: NormSpec) -> float:
-    return norm(f, spec)
-
-
 def hardy_quotient(f: Field, p: float) -> float:
     """||f/r||_p divided by the L^p norm of the radial derivative."""
     den = lp_norm_radial_derivative(f, p)
@@ -333,7 +329,8 @@ def morrey_quotient(f: Field, p: float, eps: float) -> float:
 
 def partial_norm_power_table(f_vals: np.ndarray, grid: PolarGrid, p: float,
                              weight: str = "inv_r", decades: int | None = None):
-    """Partial integrals P(r_min') = int_{r >= r_min'} |v/r|^p dlambda per decade.
+    """Partial integrals P(r_min') = int_{r >= r_min'} |v/r|^p dlambda per decade;
+    at p = inf, the running sup of |v/r| over r >= r_min'.
 
     Returns (r_mins, P) with r_mins descending by decades from just below
     r_max down to the grid's inner radius.
@@ -341,9 +338,12 @@ def partial_norm_power_table(f_vals: np.ndarray, grid: PolarGrid, p: float,
     vals = np.abs(f_vals)
     if weight == "inv_r":
         vals = vals / grid.r[None, :, None]
-    per_ring = (vals**p * grid.cell_measure[None, :, :]).sum(axis=(0, 2))
-    # cumulative from the outside in: P[k] = integral over rings >= k
-    tail = np.cumsum(per_ring[::-1])[::-1]
+    # cumulative from the outside in: P[k] = integral (or sup) over rings >= k
+    if p == INF:
+        tail = np.maximum.accumulate(vals.max(axis=(0, 2))[::-1])[::-1]
+    else:
+        per_ring = (vals**p * grid.cell_measure[None, :, :]).sum(axis=(0, 2))
+        tail = np.cumsum(per_ring[::-1])[::-1]
     lo = math.ceil(math.log10(grid.r_min))
     hi = math.floor(math.log10(grid.r_max)) - 1
     if decades is not None:
@@ -367,11 +367,12 @@ def decade_growth(r_mins: np.ndarray, P: np.ndarray, last: int = 4) -> float:
 
 def integrability_gate(f_vals: np.ndarray, grid: PolarGrid, p: float,
                        threshold: float = 0.015, last: int = 4):
-    """Decide whether the 1/r-weighted L^p integral trends finite.
+    """Decide whether the 1/r-weighted L^p integral (sup at p = inf) trends
+    finite.
 
-    Divergent iff the partial integrals keep growing by more than `threshold`
-    per decade of the truncation radius over the last `last` decades.  Returns
-    (accepted, growth_per_decade, table).
+    Divergent iff the partial integrals (running suprema) keep growing by more
+    than `threshold` per decade of the truncation radius over the last `last`
+    decades.  Returns (accepted, growth_per_decade, table).
     """
     r_mins, P = partial_norm_power_table(f_vals, grid, p)
     growth = decade_growth(r_mins, P, last=last)

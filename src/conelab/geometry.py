@@ -315,14 +315,6 @@ class BilipschitzConeMap:
                            self.target_half_angle + self.enlargement)
 
 
-def psi_forward(m: BilipschitzConeMap, point):
-    return m.forward(point)
-
-
-def psi_inverse(m: BilipschitzConeMap, point):
-    return m.inverse(point)
-
-
 @dataclass(frozen=True)
 class HomogeneousCutoff:
     """Degree-0 homogeneous cutoff m(x): depends only on the polar angle.
@@ -350,10 +342,6 @@ class HomogeneousCutoff:
         theta = np.arccos(np.clip(cos_t, -1.0, 1.0))
         vals = self.profile(theta)
         return np.where(r > 0, vals, 0.0)
-
-
-def cutoff_value(m: HomogeneousCutoff, point):
-    return m(np.asarray(point, dtype=float))
 
 
 def cutoff_for_map(m: BilipschitzConeMap) -> HomogeneousCutoff:

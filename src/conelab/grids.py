@@ -19,6 +19,16 @@ import numpy as np
 from .geometry import ConeDomain
 
 
+def radial_difference_weights(r: np.ndarray):
+    """Second-order nonuniform 3-point weights at the interior nodes of r in
+    forward/backward difference form: the derivative at r[k] is
+    a[k-1] * (f[k+1] - f[k]) + b[k-1] * (f[k] - f[k-1]), which annihilates
+    constants exactly even where the cells are tiny."""
+    h1 = r[1:-1] - r[:-2]
+    h2 = r[2:] - r[1:-1]
+    return h1 / (h2 * (h1 + h2)), h2 / (h1 * (h1 + h2))
+
+
 @dataclass(frozen=True, eq=False)
 class PolarGrid:
     """Tensor grid in (r, theta) carrying one or two angular sheets.
@@ -192,14 +202,9 @@ class PolarGrid:
 
     @cached_property
     def _radial_stencil(self):
-        """Second-order nonuniform 3-point stencil in forward/backward
-        difference form (annihilates constants exactly even where the inner
-        cells are tiny); one-sided at both ends."""
+        """radial_difference_weights in the interior; one-sided at both ends."""
         r = self.r
-        h1 = r[1:-1] - r[:-2]
-        h2 = r[2:] - r[1:-1]
-        a_int = h1 / (h2 * (h1 + h2))          # weight of f_{k+1} - f_k
-        b_int = h2 / (h1 * (h1 + h2))          # weight of f_k - f_{k-1}
+        a_int, b_int = radial_difference_weights(r)
         ha, hb = r[1] - r[0], r[2] - r[1]
         lo = ((2 * ha + hb) / (ha * (ha + hb)),     # weight of f_1 - f_0
               -ha / (hb * (ha + hb)))               # weight of f_2 - f_1

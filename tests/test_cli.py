@@ -5,7 +5,7 @@ import os
 import pytest
 
 from conelab.cli import main
-from conelab.config import ConfigError, RunConfig, load_config
+from conelab.config import ConfigError, load_config
 
 SMALL = {"nr": 220, "nt": 48, "r_min": 4e-8, "alpha_decades": 2,
          "alpha_points": 3, "t_points": 3, "eps_list": [1e-2, 1e-3],
@@ -45,9 +45,12 @@ class TestConfig:
 
     def test_unknown_key_rejected(self, tmp_path):
         p = tmp_path / "c.json"
-        p.write_text(json.dumps({"bogus": 1}))
-        with pytest.raises(ConfigError):
-            load_config(str(p))
+        for data in ({"bogus": 1}, {"tolerances": {"x": 1}}, {"suite": "cz"}):
+            p.write_text(json.dumps(data))
+            with pytest.raises(ConfigError):
+                load_config(str(p))
+            assert main(["--config", str(p), "--out", str(tmp_path / "o"),
+                         "norm"]) == 2
 
     def test_missing_file(self):
         with pytest.raises(ConfigError):
@@ -58,10 +61,6 @@ class TestConfig:
         p.write_text(json.dumps({"p_list": [1, "inf"]}))
         cfg = load_config(str(p))
         assert cfg.p_list[-1] == float("inf")
-
-    def test_tolerance_validation(self):
-        with pytest.raises(ConfigError):
-            RunConfig(tolerances={"x": -1.0})
 
 
 class TestCommands:
@@ -80,25 +79,18 @@ class TestCommands:
         assert rc == 2
 
     def test_determinism(self, tmp_path, small_config):
-        outs = []
+        commands = (["hardy", "--p", "1", "--suite", "radial"],
+                    ["verify-all", "--checks", "hardy-bound,pierre-2d"],
+                    ["extend", "--dump-fields"])
+        runs = []
         for d in ("a", "b"):
             out = tmp_path / d
-            main(["--config", small_config, "--out", str(out),
-                  "hardy", "--p", "1", "--suite", "radial"])
-            outs.append((out / "hardy_n2_p1.csv").read_bytes())
-        assert outs[0] == outs[1]
-
-    def test_worker_pool_keeps_output_identical(self, tmp_path, small_config,
-                                                monkeypatch):
-        ref = tmp_path / "ref"
-        main(["--config", small_config, "--out", str(ref),
-              "hardy", "--p", "1", "--suite", "radial"])
-        monkeypatch.setenv("CONELAB_THREADS", "4")
-        par = tmp_path / "par"
-        main(["--config", small_config, "--out", str(par),
-              "hardy", "--p", "1", "--suite", "radial"])
-        assert (ref / "hardy_n2_p1.csv").read_bytes() == \
-            (par / "hardy_n2_p1.csv").read_bytes()
+            for cmd in commands:
+                main(["--config", small_config, "--out", str(out)] + cmd)
+            runs.append({p.name: p.read_bytes() for p in out.iterdir()})
+        assert "verify_all.csv" in runs[0]
+        assert any(name.startswith("extended_") for name in runs[0])
+        assert runs[0] == runs[1]
 
     def test_norm_and_split(self, tmp_path, small_config):
         out = tmp_path / "out"

@@ -2,10 +2,13 @@
 import numpy as np
 import pytest
 
+from conelab import czd
+from conelab.acceptance import AcceptanceContext
 from conelab.ballops import SheetBalls, distance_to_cells
-from conelab.czd import (CZParams, DegenerateLevelError, combined_intensity,
-                         decompose, glue_good_parts, k_upper_via_cz,
-                         maximal_function, verify)
+from conelab.config import RunConfig
+from conelab.czd import (CZParams, DegenerateLevelError, _sparse_patch,
+                         combined_intensity, decompose, glue_good_parts,
+                         k_upper_via_cz, maximal_function, verify)
 from conelab.fieldlib import make_test_field
 from conelab.grids import PolarGrid
 from conelab.rearrangement import k_component_lower_bound
@@ -177,3 +180,59 @@ class TestKUpper:
                 M = maximal_function(logfield, h)
                 lam = float(czgrid.cell_measure[M > alpha].sum())
                 assert lam <= t * (1 + 1e-12)
+
+
+def _sparse_patch_nodewise(grid, rows, data_rows, absolute=False):
+    """Reference patch gradient: the 3-point radial stencil written as
+    weights of f[k-1], f[k], f[k+1] on the same zero-extended patch."""
+    rlo = min(r for r, _, _ in rows)
+    rhi = max(r for r, _, _ in rows)
+    jlo = max(0, min(lo for _, lo, _ in rows) - 1)
+    jhi = min(grid.nt - 1, max(hi for _, _, hi in rows) + 1)
+    patch = np.zeros((rhi - rlo + 3, jhi - jlo + 3))
+    for (ring, lo, hi), vals in zip(rows, data_rows):
+        patch[ring - rlo + 1, lo - jlo + 1:hi - jlo + 2] = \
+            np.abs(vals) if absolute else vals
+    r_ext = np.empty(rhi - rlo + 3)
+    r_ext[1:-1] = grid.r[rlo:rhi + 1]
+    r_ext[0] = grid.r[rlo - 1] if rlo > 0 else grid.r[0] * grid.q
+    r_ext[-1] = grid.r[rhi + 1] if rhi < grid.nr - 1 else grid.r[-1] / grid.q
+    h1 = (r_ext[1:-1] - r_ext[:-2])[:, None]
+    h2 = (r_ext[2:] - r_ext[1:-1])[:, None]
+    dr = (-h2 / (h1 * (h1 + h2)) * patch[:-2, 1:-1]
+          + (h2 - h1) / (h1 * h2) * patch[1:-1, 1:-1]
+          + h1 / (h2 * (h1 + h2)) * patch[2:, 1:-1])
+    dth = (patch[1:-1, 2:] - patch[1:-1, :-2]) / (2.0 * grid.dtheta)
+    ang = dth / r_ext[1:-1, None]
+    return patch[1:-1, 1:-1], np.sqrt(dr**2 + ang**2), rlo, jlo
+
+
+class TestSparsePatch:
+    def test_radial_derivative_matches_grid(self, czgrid):
+        # a radial field has no angular term away from the ghost columns
+        sheet = make_test_field("radial_exp", czgrid).sheet("plus")
+        lo, hi = 40, 200
+        rows = [(k, 0, czgrid.nt - 1) for k in range(lo, hi + 1)]
+        _, gmag, rlo, jlo = _sparse_patch(czgrid, rows, sheet[lo:hi + 1])
+        assert (rlo, jlo) == (lo, 0)
+        want = np.abs(czgrid.d_dr(sheet[None])[0])[lo + 1:hi, 1:-1]
+        np.testing.assert_allclose(gmag[1:-1, 1:-1], want, rtol=1e-12)
+
+    def test_verify_matches_nodewise_stencil(self, monkeypatch):
+        # the cz-prop41 sweep on a small grid, verified with both stencils
+        cfg = RunConfig(nr=220, nt=48, r_min=4e-8)
+        for f in AcceptanceContext(cfg).alpha_suite():
+            amax = float(maximal_function(f, "plus").max())
+            for alpha in np.geomspace(0.5 * amax * 10.0**-cfg.alpha_decades,
+                                      0.5 * amax, cfg.alpha_points):
+                res = decompose(f, CZParams(alpha=float(alpha)), "plus")
+                got = verify(res)
+                with monkeypatch.context() as m:
+                    m.setattr(czd, "_sparse_patch", _sparse_patch_nodewise)
+                    want = verify(res)
+                assert got.keys() == want.keys()
+                for key, val in want.items():
+                    if isinstance(val, float):
+                        assert got[key] == pytest.approx(val, rel=1e-12, abs=0)
+                    else:
+                        assert got[key] == val

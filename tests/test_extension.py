@@ -9,7 +9,7 @@ from conelab.extension import (ExtensionGateError, admissibility_gate,
                                operator_norm_report, restrict,
                                restriction_antiradial_ratio, roundtrip_error,
                                source_norm, wp_norm)
-from conelab.fieldlib import make_test_field, suite_fullplane
+from conelab.fieldlib import make_test_field, suite_extension, suite_fullplane
 from conelab.fields import Field, lp_norm, radial_split
 from conelab.geometry import ConeDomain
 from conelab.grids import PolarGrid
@@ -144,14 +144,25 @@ class TestExtend:
         assert not admissibility_gate(j, INF)[0]
 
     def test_report_rows(self, cone_grid, full_grid):
-        rep = operator_norm_report(
-            {2.0: [make_test_field("logcounter", cone_grid, beta=1.0),
-                   make_test_field("logcounter", cone_grid, beta=0.25)]},
-            cone_grid, full_grid)
-        gates = {r["field"]: r["gate"] for r in rep.rows}
-        assert gates["logcounter(b=1)"] == "accepted"
-        assert gates["logcounter(b=0.25)"] == "refused"
-        assert 0 < rep.sphere_measure_ratio < 1
+        rows = list(operator_norm_report(
+            [(2.0, [make_test_field("logcounter", cone_grid, beta=1.0),
+                    make_test_field("logcounter", cone_grid, beta=0.25)])],
+            cone_grid, full_grid))
+        by_field = {r["field"]: r for r in rows}
+        accepted = by_field["logcounter(b=1)"]
+        refused = by_field["logcounter(b=0.25)"]
+        assert accepted["gate"] == "accepted"
+        assert accepted["extended"].grid is full_grid
+        assert refused["gate"] == "refused" and refused["extended"] is None
+        assert refused["ratio"] == INF and refused["gate_growth"] > 0.015
+
+    def test_sup_gate_verdicts(self, grid_small):
+        fields = (suite_extension(grid_small, INF)
+                  + [make_test_field("jump", grid_small)])
+        verdicts = {f.name: admissibility_gate(f, INF)[0] for f in fields}
+        assert verdicts == {"radial_exp": True, "radial_power(a=2)": True,
+                            "angular_bump": True, "lipschitz_compact": True,
+                            "jump": False}
 
 
 class TestPierre:

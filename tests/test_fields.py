@@ -10,8 +10,7 @@ from conelab.fields import (Field, NormSpec, cap_mean, even_odd_split,
                             gradient, hardy_quotient, integrability_gate,
                             load_field, lp_norm, morrey_quotient, norm,
                             partial_norm_power_table, poincare_ball_ratio,
-                            poincare_cap_ratio, radial_split, save_field,
-                            sobolev_norm)
+                            poincare_cap_ratio, radial_split, save_field)
 from conelab.geometry import ConeBall
 from conelab.grids import PolarGrid
 
@@ -305,6 +304,17 @@ class TestDivergenceTables:
             f = make_test_field("logcounter", grid_default, beta=beta)
             verdicts[beta] = integrability_gate(f.values, grid_default, 2.0)[0]
         assert verdicts == {0.25: False, 0.5: False, 1.0: True}
+
+    def test_sup_table_matches_bruteforce(self, grid_small):
+        # p = inf: the running sup of |v|/r over the rings with r >= r_min'
+        g = grid_small
+        for f in (make_test_field("jump", g),
+                  make_test_field("logcounter", g, beta=0.25)):
+            v = radial_split(f).antiradial.values
+            r_mins, P = partial_norm_power_table(v, g, INF)
+            w = np.abs(v) / g.r[None, :, None]
+            for r0, got in zip(r_mins, P):
+                assert got == w[:, g.r >= r0, :].max()
 
 
 class TestFieldPlumbing:

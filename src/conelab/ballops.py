@@ -2,10 +2,16 @@
 
 On a geometric-radial/uniform-angular sheet, the cells inside a Euclidean ball
 form, in every radial ring, a contiguous angular index window whose half-width
-follows from the law of cosines.  Ball averages then reduce to per-ring prefix
-sums, ball dilations to per-ring sliding maxima, and exact distances to a
-pruned sweep over ring pairs.  Everything here works per half-cone sheet on
-planar (n=2) grids, which is where the decomposition machinery runs.
+follows from the law of cosines.  For one radius, the balls around all center
+rings split into full rings (a range per center, served by row totals) and
+partial rings, listed as flat (center ring, ring, half-width) pairs.  Ball
+averages gather window sums of every pair from per-ring prefix sums in one
+pass, and ball dilations take every pair's row of stacked power-of-two sliding
+maxima; both accumulate per center with unbuffered ufunc.at in pair order, so
+the sums are added in the same order as a loop over rings would add them.
+Exact distances come from a pruned sweep over ring pairs.  Everything here
+works per half-cone sheet on planar (n=2) grids, which is where the
+decomposition machinery runs.
 """
 
 from __future__ import annotations
@@ -16,6 +22,9 @@ import numpy as np
 from scipy.ndimage import maximum_filter1d
 
 from .grids import PolarGrid
+
+# Pairs per gather: bounds the (pairs, nt) temporaries of the largest radii.
+_PAIR_BLOCK = 256
 
 
 class SheetBalls:
@@ -33,14 +42,16 @@ class SheetBalls:
 
     # -- window geometry ----------------------------------------------------
 
-    def ring_span(self, R: float, rho: float) -> tuple[int, int]:
-        """Index range [lo, hi] of rings whose radius lies within rho of R."""
-        lo = int(np.searchsorted(self.r, R - rho, side="right"))
-        hi = int(np.searchsorted(self.r, R + rho, side="left")) - 1
+    def ring_span(self, R, rho: float):
+        """Index range [lo, hi] of rings whose radius lies within rho of R;
+        R may be one radius or an array of them."""
+        lo = np.searchsorted(self.r, R - rho, side="right")
+        hi = np.searchsorted(self.r, R + rho, side="left") - 1
         return lo, hi
 
-    def half_widths(self, R: float, rho: float, rings: np.ndarray) -> np.ndarray:
-        """Angular index half-width per ring: offsets |dj| <= w lie in the ball."""
+    def half_widths(self, R, rho: float, rings: np.ndarray) -> np.ndarray:
+        """Angular index half-width per ring: offsets |dj| <= w lie in the ball.
+        R is the center radius, one for all rings or one per ring."""
         rr = self.r[rings]
         arg = (rr * rr + R * R - rho * rho) / (2.0 * rr * R)
         phi = np.arccos(np.clip(arg, -1.0, 1.0))
@@ -65,32 +76,66 @@ class SheetBalls:
 
     # -- bulk operations ----------------------------------------------------
 
-    def full_ring_range(self, R: float, rho: float, lo: int, hi: int) -> tuple[int, int]:
-        """Sub-range [flo, fhi] of [lo, hi] whose rings lie entirely in the ball
-        (every node of the ring's arc within rho of the center): the quadratic
-        r'^2 - 2 R cos(2 omega_span) r' + R^2 - rho^2 <= 0 cuts an interval."""
+    def full_ring_range(self, rho: float, lo: np.ndarray, hi: np.ndarray):
+        """Per center ring k: the sub-range [flo, fhi] of [lo, hi] whose rings
+        lie entirely in B(r_k, rho) (every node of the ring's arc within rho of
+        the center): the quadratic r'^2 - 2 R cos(2 omega_span) r' + R^2 - rho^2
+        <= 0 cuts an interval.  Without a real root the range is (lo, lo - 1)."""
+        R = self.r
         span = float(self.theta[-1] - self.theta[0])
         co = math.cos(min(math.pi, span))
         disc = R * R * co * co - R * R + rho * rho
-        if disc <= 0.0:
-            return lo, lo - 1
-        root = math.sqrt(disc)
-        r_lo, r_hi = R * co - root, R * co + root
-        flo = int(np.searchsorted(self.r, r_lo, side="left"))
-        fhi = int(np.searchsorted(self.r, r_hi, side="right")) - 1
-        return max(flo, lo), min(fhi, hi)
+        root = np.sqrt(np.maximum(disc, 0.0))
+        flo = np.searchsorted(self.r, R * co - root, side="left")
+        fhi = np.searchsorted(self.r, R * co + root, side="right") - 1
+        none = disc <= 0.0
+        return (np.where(none, lo, np.maximum(flo, lo)),
+                np.where(none, lo - 1, np.minimum(fhi, hi)))
 
-    def _window_sums(self, cum: np.ndarray, rings: np.ndarray, ws: np.ndarray):
-        """Sum over each center j of rows `rings` windowed by half-widths ws.
+    def cut_rings(self, rho: float):
+        """Ring geometry of the balls B(r_k, rho) around every center ring k.
 
-        cum has shape (nr, nt+1) with a leading zero column.
+        Returns (flo, fhi, parts): the per-center full-ring range and, for the
+        partial rings below it and above it, one (centers, rings, ws) triple of
+        flat pair arrays each, sorted by center and then by ring.
         """
-        j = np.arange(self.nt)
-        lo = np.clip(j[None, :] - ws[:, None], 0, self.nt)
-        hi = np.clip(j[None, :] + ws[:, None] + 1, 0, self.nt)
-        rows = cum[rings]
-        return (np.take_along_axis(rows, hi, axis=1)
-                - np.take_along_axis(rows, lo, axis=1)).sum(axis=0)
+        lo, hi = self.ring_span(self.r, rho)
+        flo, fhi = self.full_ring_range(rho, lo, hi)
+        parts = []
+        for a, b in ((lo, flo - 1), (fhi + 1, hi)):
+            counts = np.maximum(b - a + 1, 0)
+            centers = np.repeat(np.arange(self.nr), counts)
+            first = np.cumsum(counts) - counts
+            rings = a[centers] + np.arange(len(centers)) - first[centers]
+            parts.append((centers, rings,
+                          self.half_widths(self.r[centers], rho, rings)))
+        return flo, fhi, parts
+
+    def _pair_cells(self, centers: np.ndarray) -> np.ndarray:
+        """Flat indices of the (center, j) nodes of each pair, one row per pair."""
+        return centers[:, None] * self.nt + np.arange(self.nt)
+
+    def _window_sums(self, cums, centers: np.ndarray, rings: np.ndarray,
+                     ws: np.ndarray) -> list:
+        """Per prefix-sum array in `cums`, an (nr, nt) array: at each node
+        (k, j), the sum over center k's pairs of the pair ring's window
+        [j - w, j + w], added in pair order.
+
+        Each cum has shape (nr, nt+1) with a leading zero column.
+        """
+        nt = self.nt
+        j = np.arange(nt)
+        outs = [np.zeros(self.nr * nt) for _ in cums]
+        for i0 in range(0, len(rings), _PAIR_BLOCK):
+            blk = slice(i0, i0 + _PAIR_BLOCK)
+            w = ws[blk, None]
+            row = rings[blk, None] * (nt + 1)
+            lo = row + np.maximum(j - w, 0)
+            hi = row + np.minimum(j + w + 1, nt)
+            cells = self._pair_cells(centers[blk]).ravel()
+            for cum, out in zip(cums, outs):
+                np.add.at(out, cells, (cum.take(hi) - cum.take(lo)).ravel())
+        return [out.reshape(self.nr, nt) for out in outs]
 
     def averager(self, intensity: np.ndarray) -> "BallAverager":
         return BallAverager(self, intensity)
@@ -99,31 +144,28 @@ class SheetBalls:
         """(nr, nt) array: max of `values` over the centers within rho of each
         node, with partial angular windows rounded down to powers of two (a
         minorant of the exact ball dilation)."""
+        flo, fhi, parts = self.cut_rings(rho)
+        # reduceat over the bounds flo, fhi+1, ... : even slots hold the max
+        # over rings [flo, fhi]; the -inf pad keeps the bound fhi+1 = nr valid
+        rowmax = np.append(values.max(axis=1), -np.inf)
+        base = np.maximum.reduceat(rowmax, np.stack([flo, fhi + 1], axis=1).ravel())
+        out = np.repeat(np.where(fhi >= flo, base[::2], -np.inf), self.nt)
         qmax = max(1, int(math.ceil(math.log2(self.nt))) + 1)
         sizes = [0] + [2**q for q in range(qmax)]
         filt = np.empty((len(sizes), self.nr, self.nt))
         filt[0] = values
         for i, s in enumerate(sizes[1:], start=1):
             filt[i] = maximum_filter1d(values, size=2 * s + 1, axis=1, mode="nearest")
-        rowmax = _RangeMax(values.max(axis=1))
-        out = np.empty((self.nr, self.nt))
-        for k in range(self.nr):
-            R = float(self.r[k])
-            lo, hi = self.ring_span(R, rho)
-            flo, fhi = self.full_ring_range(R, rho, lo, hi)
-            base = rowmax.query(flo, fhi) if fhi >= flo else -np.inf
-            row = np.full(self.nt, base)
-            for a, b in ((lo, flo - 1), (fhi + 1, hi)):
-                if b < a:
-                    continue
-                rings = np.arange(a, b + 1)
-                ws = self.half_widths(R, rho, rings)
-                qidx = np.zeros(len(ws), dtype=np.int64)
-                pos = ws > 0
-                qidx[pos] = np.floor(np.log2(ws[pos])).astype(np.int64) + 1
-                np.maximum(row, filt[qidx, rings].max(axis=0), out=row)
-            out[k] = row
-        return out
+        rows = filt.reshape(-1, self.nt)
+        for centers, rings, ws in parts:
+            qidx = np.zeros(len(ws), dtype=np.int64)
+            pos = ws > 0
+            qidx[pos] = np.floor(np.log2(ws[pos])).astype(np.int64) + 1
+            for i0 in range(0, len(rings), _PAIR_BLOCK):
+                blk = slice(i0, i0 + _PAIR_BLOCK)
+                np.maximum.at(out, self._pair_cells(centers[blk]).ravel(),
+                              rows[qidx[blk] * self.nr + rings[blk]].ravel())
+        return out.reshape(self.nr, self.nt)
 
     def dyadic_radii(self) -> np.ndarray:
         """Ball radius family r_max * 2^{-m} down to the inner grid scale."""
@@ -141,29 +183,6 @@ class SheetBalls:
             np.maximum(out, self.ball_dilate(avg, rho), out=out)
         return out
 
-class _RangeMax:
-    """O(1) range-maximum queries over a 1D array via a dyadic sparse table."""
-
-    def __init__(self, vals: np.ndarray):
-        n = len(vals)
-        levels = max(1, n.bit_length())
-        self.table = [np.asarray(vals, dtype=float)]
-        for lev in range(1, levels):
-            prev = self.table[-1]
-            step = 1 << (lev - 1)
-            if len(prev) <= step:
-                break
-            self.table.append(np.maximum(prev[:-step], prev[step:]))
-
-    def query(self, a: int, b: int) -> float:
-        """Max over indices [a, b] inclusive."""
-        if b < a:
-            return -np.inf
-        lev = (b - a + 1).bit_length() - 1
-        lev = min(lev, len(self.table) - 1)
-        step = 1 << lev
-        return float(max(self.table[lev][a], self.table[lev][b - step + 1]))
-
 
 class BallAverager:
     """Reusable prefix sums for ball averages of one intensity array."""
@@ -180,27 +199,19 @@ class BallAverager:
         self.row_den = np.concatenate([[0.0], np.cumsum(meas.sum(axis=1))])
 
     def averages(self, rho: float) -> np.ndarray:
+        """(nr, nt) array: measure-weighted mean of the intensity over the
+        cells of B(node, rho), for every node of the sheet."""
         sh = self.sheet
-        out = np.empty((sh.nr, sh.nt))
-        for k in range(sh.nr):
-            R = float(sh.r[k])
-            lo, hi = sh.ring_span(R, rho)
-            flo, fhi = sh.full_ring_range(R, rho, lo, hi)
-            if fhi >= flo:
-                num = np.full(sh.nt, self.row_num[fhi + 1] - self.row_num[flo])
-                den = np.full(sh.nt, self.row_den[fhi + 1] - self.row_den[flo])
-            else:
-                num = np.zeros(sh.nt)
-                den = np.zeros(sh.nt)
-            for a, b in ((lo, flo - 1), (fhi + 1, hi)):
-                if b < a:
-                    continue
-                rings = np.arange(a, b + 1)
-                ws = sh.half_widths(R, rho, rings)
-                num += sh._window_sums(self.num_c, rings, ws)
-                den += sh._window_sums(self.den_c, rings, ws)
-            out[k] = num / den
-        return out
+        flo, fhi, parts = sh.cut_rings(rho)
+        full = fhi >= flo
+        num = np.where(full, self.row_num[fhi + 1] - self.row_num[flo], 0.0)[:, None]
+        den = np.where(full, self.row_den[fhi + 1] - self.row_den[flo], 0.0)[:, None]
+        for centers, rings, ws in parts:
+            pnum, pden = sh._window_sums((self.num_c, self.den_c),
+                                         centers, rings, ws)
+            num = num + pnum
+            den = den + pden
+        return num / den
 
 
 def distance_to_cells(sheet: SheetBalls, target_mask: np.ndarray,

@@ -93,8 +93,15 @@ def cmd_split(cfg: RunConfig, args) -> int:
     return 0
 
 
+def _planar_grid(cfg: RunConfig, command: str) -> PolarGrid:
+    """The configured grid; `command` works on planar (n = 2) grids only."""
+    if cfg.n != 2:
+        raise ConfigError(f"{command} needs a planar grid (n = 2), got n = {cfg.n}")
+    return cfg.grid()
+
+
 def cmd_cz(cfg: RunConfig, args) -> int:
-    grid = cfg.grid()
+    grid = _planar_grid(cfg, "cz")
     kw = {}
     if args.field == "logcounter":
         kw["beta"] = args.beta
@@ -126,7 +133,7 @@ def cmd_cz(cfg: RunConfig, args) -> int:
 
 
 def cmd_kfunc(cfg: RunConfig, args) -> int:
-    grid = cfg.grid()
+    grid = _planar_grid(cfg, "kfunc")
     ts = np.geomspace(cfg.t_lo, cfg.t_hi, cfg.t_points)
     for f in suite_cz(grid):
         rows = []
@@ -142,7 +149,7 @@ def cmd_kfunc(cfg: RunConfig, args) -> int:
 
 
 def cmd_extend(cfg: RunConfig, args) -> int:
-    grid = cfg.grid()
+    grid = _planar_grid(cfg, "extend")
     rows = []
     for row in extension.operator_norm_report(
             ((p, suite_extension(grid, p)) for p in cfg.p_list), grid):
@@ -161,7 +168,7 @@ def cmd_extend(cfg: RunConfig, args) -> int:
 
 
 def cmd_restrict(cfg: RunConfig, args) -> int:
-    grid = cfg.grid()
+    grid = _planar_grid(cfg, "restrict")
     full = PolarGrid.fullplane_matching(grid)
     rows = [extension.restriction_antiradial_ratio(F, grid)
             for F in suite_fullplane(full)]

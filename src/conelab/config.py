@@ -48,6 +48,14 @@ class RunConfig:
             raise ConfigError(f"unknown variant {self.variant!r}")
         if self.nr < 3 or self.nt < 3:
             raise ConfigError("grid must have at least 3 nodes per direction")
+        if not self.r_max > 0:
+            raise ConfigError("r_max must be positive")
+        if self.r_min is not None and not 0 < self.r_min < self.r_max:
+            raise ConfigError("r_min must lie in (0, r_max)")
+        if not all(p >= 1 for p in self.p_list):
+            raise ConfigError("every p in p_list must be >= 1")
+        if self.alpha_points < 2:
+            raise ConfigError("alpha_points must be at least 2")
         for name in ("eps_list", "k_list", "p_list"):
             if not getattr(self, name):
                 raise ConfigError(f"{name} must be nonempty")

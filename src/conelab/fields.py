@@ -14,6 +14,7 @@ from dataclasses import dataclass, field as dfield
 import numpy as np
 
 from .grids import PolarGrid
+from .report import _atomic_write
 
 INF = float("inf")
 
@@ -421,8 +422,7 @@ def save_field(f: Field, path: str) -> None:
             th = g.global_theta(g.halves[i])
             for j in range(g.nt):
                 lines.append(f"{r!r} {float(th[j])!r} {float(f.values[i, k, j])!r}")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _atomic_write(path, "\n".join(lines) + "\n")
 
 
 def load_field(path: str) -> Field:

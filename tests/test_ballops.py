@@ -1,0 +1,173 @@
+"""Ball-window layer against brute-force balls and the per-ring loop it replaced."""
+
+import math
+
+import numpy as np
+import pytest
+from scipy.ndimage import maximum_filter1d
+
+from conelab.acceptance import AcceptanceContext
+from conelab.ballops import SheetBalls
+from conelab.config import RunConfig
+from conelab.czd import combined_intensity
+from conelab.grids import PolarGrid
+
+
+# -- reference: one center ring at a time ------------------------------------
+
+def loop_full_ring_range(sheet, R, rho, lo, hi):
+    span = float(sheet.theta[-1] - sheet.theta[0])
+    co = math.cos(min(math.pi, span))
+    disc = R * R * co * co - R * R + rho * rho
+    if disc <= 0.0:
+        return lo, lo - 1
+    root = math.sqrt(disc)
+    flo = int(np.searchsorted(sheet.r, R * co - root, side="left"))
+    fhi = int(np.searchsorted(sheet.r, R * co + root, side="right")) - 1
+    return max(flo, lo), min(fhi, hi)
+
+
+def loop_partial_parts(sheet, k, rho):
+    """(flo, fhi) and the (rings, half-widths) below and above the full range."""
+    R = float(sheet.r[k])
+    lo, hi = (int(i) for i in sheet.ring_span(R, rho))
+    flo, fhi = loop_full_ring_range(sheet, R, rho, lo, hi)
+    parts = []
+    for a, b in ((lo, flo - 1), (fhi + 1, hi)):
+        if b >= a:
+            rings = np.arange(a, b + 1)
+            parts.append((rings, sheet.half_widths(R, rho, rings)))
+    return flo, fhi, parts
+
+
+def loop_window_sums(sheet, cum, rings, ws):
+    j = np.arange(sheet.nt)
+    lo = np.clip(j[None, :] - ws[:, None], 0, sheet.nt)
+    hi = np.clip(j[None, :] + ws[:, None] + 1, 0, sheet.nt)
+    rows = cum[rings]
+    return (np.take_along_axis(rows, hi, axis=1)
+            - np.take_along_axis(rows, lo, axis=1)).sum(axis=0)
+
+
+def loop_averages(sheet, intensity, rho):
+    av = sheet.averager(intensity)
+    out = np.empty((sheet.nr, sheet.nt))
+    for k in range(sheet.nr):
+        flo, fhi, parts = loop_partial_parts(sheet, k, rho)
+        if fhi >= flo:
+            num = np.full(sheet.nt, av.row_num[fhi + 1] - av.row_num[flo])
+            den = np.full(sheet.nt, av.row_den[fhi + 1] - av.row_den[flo])
+        else:
+            num = np.zeros(sheet.nt)
+            den = np.zeros(sheet.nt)
+        for rings, ws in parts:
+            num += loop_window_sums(sheet, av.num_c, rings, ws)
+            den += loop_window_sums(sheet, av.den_c, rings, ws)
+        out[k] = num / den
+    return out
+
+
+def loop_dilate(sheet, values, rho):
+    qmax = max(1, int(math.ceil(math.log2(sheet.nt))) + 1)
+    sizes = [0] + [2**q for q in range(qmax)]
+    filt = np.empty((len(sizes), sheet.nr, sheet.nt))
+    filt[0] = values
+    for i, s in enumerate(sizes[1:], start=1):
+        filt[i] = maximum_filter1d(values, size=2 * s + 1, axis=1, mode="nearest")
+    rowmax = values.max(axis=1)
+    out = np.empty((sheet.nr, sheet.nt))
+    for k in range(sheet.nr):
+        flo, fhi, parts = loop_partial_parts(sheet, k, rho)
+        row = np.full(sheet.nt, rowmax[flo:fhi + 1].max() if fhi >= flo else -np.inf)
+        for rings, ws in parts:
+            qidx = np.zeros(len(ws), dtype=np.int64)
+            pos = ws > 0
+            qidx[pos] = np.floor(np.log2(ws[pos])).astype(np.int64) + 1
+            np.maximum(row, filt[qidx, rings].max(axis=0), out=row)
+        out[k] = row
+    return out
+
+
+def loop_maximal(sheet, intensity):
+    out = np.array(intensity, dtype=float)
+    for rho in sheet.dyadic_radii():
+        avg = loop_averages(sheet, intensity, rho)
+        np.maximum(out, loop_dilate(sheet, avg, rho), out=out)
+    return out
+
+
+# -- brute force: exact Euclidean balls over the sheet's nodes ----------------
+
+def node_distances(grid):
+    pts = grid.points("plus").reshape(-1, 2)
+    return np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=2)
+
+
+@pytest.fixture(scope="module")
+def tiny(dom2):
+    grid = PolarGrid.cone(dom2, nr=40, nt=12, r_max=4.0, r_min=4e-3)
+    return grid, SheetBalls(grid), node_distances(grid)
+
+
+@pytest.fixture(scope="module")
+def radii(tiny):
+    _, sheet, _ = tiny
+    extra = np.random.default_rng(1).uniform(5e-3, 6.0, 6)
+    return np.concatenate([sheet.dyadic_radii(), extra])
+
+
+class TestAverages:
+    def test_matches_bruteforce_balls(self, tiny, radii):
+        grid, sheet, dist = tiny
+        x = np.random.default_rng(2).uniform(0.1, 5.0, (grid.nr, grid.nt))
+        meas = grid.cell_measure.ravel()
+        av = sheet.averager(x)
+        ties = 0
+        for rho in radii:
+            got = av.averages(rho).ravel()
+            ok = []
+            # a node on the sphere to rounding may fall on either side
+            for inside in (dist < rho * (1 - 1e-12), dist < rho * (1 + 1e-12)):
+                brute = (inside @ (x.ravel() * meas)) / (inside @ meas)
+                ok.append(np.abs(got - brute) <= 1e-12 * brute)
+            assert np.all(ok[0] | ok[1])
+            ties += int(np.sum(~(ok[0] & ok[1])))
+        assert ties <= 8
+
+    def test_equals_ring_loop(self, tiny, radii):
+        grid, sheet, _ = tiny
+        x = np.random.default_rng(3).uniform(0.1, 5.0, (grid.nr, grid.nt))
+        av = sheet.averager(x)
+        for rho in radii:
+            assert np.array_equal(av.averages(rho), loop_averages(sheet, x, rho))
+
+
+class TestDilate:
+    @pytest.mark.parametrize("shape", [(40, 12), (220, 48)])
+    def test_equals_ring_loop(self, dom2, shape):
+        grid = PolarGrid.cone(dom2, nr=shape[0], nt=shape[1], r_max=40.0,
+                              r_min=4e-8 if shape[0] > 40 else 4e-2)
+        sheet = SheetBalls(grid)
+        v = np.random.default_rng(4).random((grid.nr, grid.nt))
+        for rho in sheet.dyadic_radii():
+            assert np.array_equal(sheet.ball_dilate(v, rho),
+                                  loop_dilate(sheet, v, rho))
+
+    def test_minorant_of_exact_dilation(self, tiny, radii):
+        grid, sheet, dist = tiny
+        v = np.random.default_rng(5).random((grid.nr, grid.nt))
+        for rho in radii:
+            exact = np.where(dist < rho, v.ravel()[None, :], -np.inf).max(axis=1)
+            dil = sheet.ball_dilate(v, rho).ravel()
+            assert np.all(dil <= exact)
+            assert np.all(dil >= v.ravel())
+
+
+class TestMaximal:
+    def test_equals_ring_loop_on_alpha_suite(self):
+        ctx = AcceptanceContext(RunConfig(nr=220, nt=48, r_min=4e-8))
+        sheet = SheetBalls(ctx.grid2)
+        for f in ctx.alpha_suite():
+            for half in ("plus", "minus"):
+                x = combined_intensity(f, half)
+                assert np.array_equal(sheet.maximal(x), loop_maximal(sheet, x))

@@ -52,6 +52,16 @@ class TestConfig:
             assert main(["--config", str(p), "--out", str(tmp_path / "o"),
                          "norm"]) == 2
 
+    @pytest.mark.parametrize("data", [{"r_max": -1}, {"r_min": 100},
+                                      {"p_list": [0.5]}, {"alpha_points": 1}])
+    def test_out_of_range_exits_2(self, tmp_path, capsys, data):
+        p = tmp_path / "c.json"
+        p.write_text(json.dumps(data))
+        out = tmp_path / "o"
+        assert main(["--config", str(p), "--out", str(out), "norm"]) == 2
+        assert len(capsys.readouterr().err.strip().splitlines()) == 1
+        assert not out.exists()
+
     def test_missing_file(self):
         with pytest.raises(ConfigError):
             load_config("/nonexistent/path.json")
@@ -91,6 +101,15 @@ class TestCommands:
         assert "verify_all.csv" in runs[0]
         assert any(name.startswith("extended_") for name in runs[0])
         assert runs[0] == runs[1]
+
+    @pytest.mark.parametrize("command", ["cz", "kfunc", "extend", "restrict"])
+    def test_planar_commands_refuse_n3(self, tmp_path, capsys, command):
+        cfgp = tmp_path / "c.json"
+        cfgp.write_text(json.dumps({**SMALL, "n": 3}))
+        assert main(["--config", str(cfgp), "--out", str(tmp_path / "o"),
+                     command]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and "n = 2" in err[0]
 
     def test_norm_and_split(self, tmp_path, small_config):
         out = tmp_path / "out"
@@ -135,9 +154,10 @@ class TestCommands:
         assert abs(float(data["measured_slope"]) - 0.5) < 0.1
 
     def test_extend_and_restrict(self, tmp_path, small_config):
-        out = tmp_path / "out"
+        out = tmp_path / "new" / "out"      # --dump-fields creates it
         assert main(["--config", small_config, "--out", str(out),
-                     "extend"]) == 0
+                     "extend", "--dump-fields"]) == 0
+        assert any(p.name.startswith("extended_") for p in out.iterdir())
         head = (out / "extension.csv").read_text().splitlines()[0]
         assert head == ("field,p,source_norm,target_norm,ratio,"
                         "roundtrip_err,gate")

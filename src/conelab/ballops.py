@@ -2,16 +2,16 @@
 
 On a geometric-radial/uniform-angular sheet, the cells inside a Euclidean ball
 form, in every radial ring, a contiguous angular index window whose half-width
-follows from the law of cosines.  For one radius, the balls around all center
-rings split into full rings (a range per center, served by row totals) and
-partial rings, listed as flat (center ring, ring, half-width) pairs.  Ball
-averages gather window sums of every pair from per-ring prefix sums in one
-pass, and ball dilations take every pair's row of stacked power-of-two sliding
-maxima; both accumulate per center with unbuffered ufunc.at in pair order, so
-the sums are added in the same order as a loop over rings would add them.
-Exact distances come from a pruned sweep over ring pairs.  Everything here
-works per half-cone sheet on planar (n=2) grids, which is where the
-decomposition machinery runs.
+follows from the law of cosines; `ball_windows` lists these rows for a whole
+set of balls at once.  For one radius, the balls around all center rings split
+into full rings (a range per center, served by row totals) and partial rings,
+listed as flat (center ring, ring, half-width) pairs.  Ball averages gather
+window sums of every pair from per-ring prefix sums in one pass, and ball
+dilations take every pair's row of stacked power-of-two sliding maxima; both
+accumulate per center with unbuffered ufunc.at in pair order, so the sums are
+added in the same order as a loop over rings would add them.  Exact distances
+come from a pruned sweep over ring pairs.  Everything here works per half-cone
+sheet on planar (n=2) grids, where the decomposition machinery runs.
 """
 
 from __future__ import annotations
@@ -25,6 +25,15 @@ from .grids import PolarGrid
 
 # Pairs per gather: bounds the (pairs, nt) temporaries of the largest radii.
 _PAIR_BLOCK = 256
+
+
+def expand_ranges(lo: np.ndarray, hi: np.ndarray):
+    """Flatten the integer ranges [lo[i], hi[i]] (empty where hi < lo) into
+    (owner, value) arrays, grouped by range and ascending within each."""
+    counts = np.maximum(hi - lo + 1, 0)
+    owner = np.repeat(np.arange(len(counts)), counts)
+    first = np.cumsum(counts) - counts
+    return owner, lo[owner] + np.arange(len(owner)) - first[owner]
 
 
 class SheetBalls:
@@ -42,16 +51,16 @@ class SheetBalls:
 
     # -- window geometry ----------------------------------------------------
 
-    def ring_span(self, R, rho: float):
-        """Index range [lo, hi] of rings whose radius lies within rho of R;
-        R may be one radius or an array of them."""
+    def ring_span(self, R, rho):
+        """Index range [lo, hi] of rings whose radius lies within rho of R
+        (scalars or arrays)."""
         lo = np.searchsorted(self.r, R - rho, side="right")
         hi = np.searchsorted(self.r, R + rho, side="left") - 1
         return lo, hi
 
-    def half_widths(self, R, rho: float, rings: np.ndarray) -> np.ndarray:
+    def half_widths(self, R, rho, rings: np.ndarray) -> np.ndarray:
         """Angular index half-width per ring: offsets |dj| <= w lie in the ball.
-        R is the center radius, one for all rings or one per ring."""
+        R and rho (center and ball radius) are one for all rings or one per ring."""
         rr = self.r[rings]
         arg = (rr * rr + R * R - rho * rho) / (2.0 * rr * R)
         phi = np.arccos(np.clip(arg, -1.0, 1.0))
@@ -68,10 +77,20 @@ class SheetBalls:
         for ring, w in zip(rings, ws):
             yield int(ring), max(0, j - int(w)), min(self.nt - 1, j + int(w))
 
-    def row_distances(self, k: int, j: int, ring: int, jlo: int, jhi: int) -> np.ndarray:
-        """Distances from node (k, j) to the nodes (ring, jlo..jhi)."""
-        R, rr = float(self.r[k]), float(self.r[ring])
-        dth = np.abs(self.theta[jlo:jhi + 1] - self.theta[j])
+    def ball_windows(self, ks: np.ndarray, js: np.ndarray, rhos: np.ndarray):
+        """Rows of every ball B(node_{ks[i],js[i]}, rhos[i]) at once, as flat
+        (ball, ring, jlo, jhi) arrays grouped by ball and then by ring; each
+        ball's rows are the ones `ball_rows` yields."""
+        R = self.r[ks]
+        ball, ring = expand_ranges(*self.ring_span(R, rhos))
+        w = self.half_widths(R[ball], rhos[ball], ring)
+        return (ball, ring, np.maximum(js[ball] - w, 0),
+                np.minimum(js[ball] + w, self.nt - 1))
+
+    def node_distances(self, k, j, ring, col) -> np.ndarray:
+        """Elementwise distance from node (k, j) to node (ring, col)."""
+        R, rr = self.r[k], self.r[ring]
+        dth = np.abs(self.theta[col] - self.theta[j])
         return np.sqrt(np.maximum(R * R + rr * rr - 2.0 * R * rr * np.cos(dth), 0.0))
 
     # -- bulk operations ----------------------------------------------------
@@ -103,10 +122,7 @@ class SheetBalls:
         flo, fhi = self.full_ring_range(rho, lo, hi)
         parts = []
         for a, b in ((lo, flo - 1), (fhi + 1, hi)):
-            counts = np.maximum(b - a + 1, 0)
-            centers = np.repeat(np.arange(self.nr), counts)
-            first = np.cumsum(counts) - counts
-            rings = a[centers] + np.arange(len(centers)) - first[centers]
+            centers, rings = expand_ranges(a, b)
             parts.append((centers, rings,
                           self.half_widths(self.r[centers], rho, rings)))
         return flo, fhi, parts

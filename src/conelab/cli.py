@@ -93,15 +93,15 @@ def cmd_split(cfg: RunConfig, args) -> int:
     return 0
 
 
-def _planar_grid(cfg: RunConfig, command: str) -> PolarGrid:
-    """The configured grid; `command` works on planar (n = 2) grids only."""
+def _require_planar(cfg: RunConfig, command: str) -> None:
+    """`command` works on planar (n = 2) grids only."""
     if cfg.n != 2:
         raise ConfigError(f"{command} needs a planar grid (n = 2), got n = {cfg.n}")
-    return cfg.grid()
 
 
 def cmd_cz(cfg: RunConfig, args) -> int:
-    grid = _planar_grid(cfg, "cz")
+    _require_planar(cfg, "cz")
+    grid = cfg.grid()
     kw = {}
     if args.field == "logcounter":
         kw["beta"] = args.beta
@@ -113,7 +113,12 @@ def cmd_cz(cfg: RunConfig, args) -> int:
                           0.5 * amax, cfg.alpha_points)
     rows, ok = [], True
     for alpha in alphas:
-        res = czd.decompose(f, czd.CZParams(alpha=float(alpha)), "plus")
+        try:
+            res = czd.decompose(f, czd.CZParams(alpha=float(alpha)), "plus")
+        except czd.DegenerateLevelError as e:
+            raise ConfigError(
+                f"alpha_decades = {cfg.alpha_decades} takes alpha = {alpha:.3e} below "
+                f"the maximal function's minimum on {f.name}; lower alpha_decades") from e
         rep = czd.verify(res)
         rows.append({k: rep[k] for k in
                      ("alpha", "n_balls", "overlap_N", "rec_err",
@@ -133,7 +138,8 @@ def cmd_cz(cfg: RunConfig, args) -> int:
 
 
 def cmd_kfunc(cfg: RunConfig, args) -> int:
-    grid = _planar_grid(cfg, "kfunc")
+    _require_planar(cfg, "kfunc")
+    grid = cfg.grid()
     ts = np.geomspace(cfg.t_lo, cfg.t_hi, cfg.t_points)
     for f in suite_cz(grid):
         rows = []
@@ -149,7 +155,8 @@ def cmd_kfunc(cfg: RunConfig, args) -> int:
 
 
 def cmd_extend(cfg: RunConfig, args) -> int:
-    grid = _planar_grid(cfg, "extend")
+    _require_planar(cfg, "extend")
+    grid = cfg.grid()
     rows = []
     for row in extension.operator_norm_report(
             ((p, suite_extension(grid, p)) for p in cfg.p_list), grid):
@@ -168,7 +175,8 @@ def cmd_extend(cfg: RunConfig, args) -> int:
 
 
 def cmd_restrict(cfg: RunConfig, args) -> int:
-    grid = _planar_grid(cfg, "restrict")
+    _require_planar(cfg, "restrict")
+    grid = cfg.grid()
     full = PolarGrid.fullplane_matching(grid)
     rows = [extension.restriction_antiradial_ratio(F, grid)
             for F in suite_fullplane(full)]
@@ -178,6 +186,7 @@ def cmd_restrict(cfg: RunConfig, args) -> int:
 
 
 def cmd_pierre(cfg: RunConfig, args) -> int:
+    _require_planar(cfg, "pierre")
     dom = ConeDomain(2, math.pi / 4, "quadrant")
     grid = PolarGrid.cone(dom, nr=cfg.nr, nt=cfg.nt, r_max=min(cfg.r_max, 4.0),
                           r_min=1e-7 * min(cfg.r_max, 4.0))
@@ -218,6 +227,7 @@ def cmd_density(cfg: RunConfig, args) -> int:
 
 
 def cmd_counterexample(cfg: RunConfig, args) -> int:
+    _require_planar(cfg, "counterexample")
     dom = ConeDomain(2, cfg.omega)
     grid = PolarGrid.cone(dom, nr=cfg.nr, nt=cfg.nt, r_max=cfg.r_max,
                           r_min=1e-12)

@@ -52,6 +52,12 @@ class RunConfig:
             raise ConfigError("r_max must be positive")
         if self.r_min is not None and not 0 < self.r_min < self.r_max:
             raise ConfigError("r_min must lie in (0, r_max)")
+        if self.q is not None and not 0 < self.q < 1:
+            raise ConfigError("q must lie in (0, 1)")
+        if not all(0 < eps < 1 for eps in self.eps_list):
+            raise ConfigError("every eps in eps_list must lie in (0, 1)")
+        if not all(k >= 1 for k in self.k_list):
+            raise ConfigError("every k in k_list must be >= 1")
         if not all(p >= 1 for p in self.p_list):
             raise ConfigError("every p in p_list must be >= 1")
         if self.alpha_points < 2:

@@ -17,11 +17,11 @@ reach 2 and a partition of unity of this form cannot be guaranteed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dfield
+from dataclasses import dataclass
 
 import numpy as np
 
-from .ballops import SheetBalls, distance_to_cells
+from .ballops import SheetBalls, distance_to_cells, expand_ranges
 from .fields import Field, gradient, lp_norm
 from .grids import radial_difference_weights
 from .profiles import plateau
@@ -67,22 +67,24 @@ class CZParams:
 
 
 @dataclass(eq=False)
-class WhitneyBall:
-    k: int
-    j: int
-    r_c: float
-    th_c: float
-    radius: float            # plain radius = d(x_i, F)/2
-    s: float                 # underline radius = radius/c1
-    type1: bool = False
-    mean: float = 0.0
-    rows: list = dfield(default_factory=list)   # (ring, jlo, jhi) of bump support
-    chi: list = dfield(default_factory=list)    # partition weights per row
-    b: list = dfield(default_factory=list)      # bad-part values per row
+class WhitneyCover:
+    """Whitney balls in selection order (center node k, j; plain radius d(x_i, F)/2;
+    type-1 flag; mean of f over the plain ball), then the partition-support cells
+    grouped by ball, ring and column (owning ball, node ring/col, chi and b)."""
 
-    @property
-    def vertex_distance(self) -> float:
-        return max(self.r_c - self.radius, 0.0)
+    k: np.ndarray
+    j: np.ndarray
+    radius: np.ndarray
+    type1: np.ndarray
+    mean: np.ndarray
+    ball: np.ndarray
+    ring: np.ndarray
+    col: np.ndarray
+    chi: np.ndarray
+    b: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.k)
 
 
 @dataclass(eq=False)
@@ -93,7 +95,7 @@ class CZResult:
     maximal: np.ndarray
     level_set: np.ndarray
     dist: np.ndarray
-    balls: list
+    balls: WhitneyCover
     good: np.ndarray
     bad: np.ndarray
     chi_sum: np.ndarray
@@ -104,7 +106,21 @@ class CZResult:
 
     def cover_rows(self):
         """Rows `x_r x_theta r_i type` for the cover dump."""
-        return [(b.r_c, b.th_c, b.radius, 1 if b.type1 else 2) for b in self.balls]
+        c = self.balls
+        return list(zip(self.grid.r[c.k].tolist(), self.grid.theta[c.j].tolist(),
+                        c.radius.tolist(), np.where(c.type1, 1, 2).tolist()))
+
+
+def _ball_sums(values: np.ndarray, ball, ring, lo, hi, n: int) -> np.ndarray:
+    """Per ball 0..n-1, the sum of values over its rows (ring, lo..hi): rows
+    are summed first, 256 at a time to bound the expanded cells, and the row
+    sums are then added per ball in row order."""
+    sums = np.empty(len(ring))
+    for i in range(0, len(ring), 256):
+        blk = slice(i, i + 256)
+        row, col = expand_ranges(lo[blk], hi[blk])
+        sums[blk] = np.bincount(row, values[ring[blk][row], col], len(sums[blk]))
+    return np.bincount(ball, sums, n)
 
 
 def combined_intensity(f: Field, half: str, include_weight: bool = True,
@@ -148,9 +164,6 @@ def decompose(f: Field, params: CZParams, half: str = "plus") -> CZResult:
     vals = f.sheet(half)
     M = maximal_function(f, half, params.include_weight, params.include_gradient)
     U = M > params.alpha
-    if not U.any():
-        return CZResult(f, half, params, M, U, np.full(U.shape, np.inf), [],
-                        np.array(vals), np.zeros_like(vals), np.zeros_like(vals))
     if U.all():
         raise DegenerateLevelError(
             "alpha below the maximal function's grid minimum; no complement")
@@ -158,92 +171,96 @@ def decompose(f: Field, params: CZParams, half: str = "plus") -> CZResult:
     d = distance_to_cells(sheet, ~U, U)
     s_arr = d / (2.0 * params.c1)
 
+    # greedy selection: sequential, its order defines the cover
     ks, js = np.nonzero(U)
-    dvals = d[ks, js]
-    order = np.lexsort((js, ks, -dvals))
+    order = np.lexsort((js, ks, -d[ks, js]))
     covered = np.zeros(U.shape, dtype=bool)
     blocked = np.zeros(U.shape, dtype=bool)
     cov = 0.95 * params.support_dilate
     block_reach = 2.0 * (2.0 * params.c1 / (2.0 * params.c1 - 1.0))
-    balls: list[WhitneyBall] = []
+    chosen = []
     for idx in order:
         k, j = int(ks[idx]), int(js[idx])
         if covered[k, j] or blocked[k, j]:
             continue
-        d_i = float(d[k, j])
-        r_i = 0.5 * d_i
-        s_i = r_i / params.c1
-        ball = WhitneyBall(k, j, float(grid.r[k]), float(grid.theta[j]), r_i, s_i)
-        balls.append(ball)
+        chosen.append(idx)
+        s_i = 0.5 * float(d[k, j]) / params.c1
         for ring, lo, hi in sheet.ball_rows(k, j, cov * s_i):
             covered[ring, lo:hi + 1] = True
         for ring, lo, hi in sheet.ball_rows(k, j, block_reach * s_i):
-            dd = sheet.row_distances(k, j, ring, lo, hi)
-            hit = dd < s_arr[ring, lo:hi + 1] + s_i
-            blocked[ring, lo:hi + 1] |= hit
+            dd = sheet.node_distances(k, j, ring, np.arange(lo, hi + 1))
+            blocked[ring, lo:hi + 1] |= dd < s_arr[ring, lo:hi + 1] + s_i
+    bk, bj = ks[chosen], js[chosen]
+    radius = 0.5 * d[bk, bj]
+    s = radius / params.c1
 
-    # partition of unity on U
-    den = np.zeros(U.shape)
-    for ball in balls:
-        supp = params.support_dilate * ball.s
-        for ring, lo, hi in sheet.ball_rows(ball.k, ball.j, supp):
-            dd = sheet.row_distances(ball.k, ball.j, ring, lo, hi)
-            psi = params.bump(dd / ball.s)
-            ball.rows.append((ring, lo, hi))
-            ball.chi.append(psi)
-            den[ring, lo:hi + 1] += psi
+    # partition of unity on U: bump weights on the support cells, summed in ball order
+    wball, wring, wlo, whi = sheet.ball_windows(bk, bj, params.support_dilate * s)
+    row, col = expand_ranges(wlo, whi)
+    ball, ring = wball[row], wring[row]
+    psi = params.bump(sheet.node_distances(bk[ball], bj[ball], ring, col) / s[ball])
+    cell = ring * grid.nt + col
+    chi = psi / np.bincount(cell, psi, U.size)[cell]
 
-    meas = grid.cell_measure
-    bad = np.zeros_like(vals)
-    for ball in balls:
-        ball.type1 = 4.0 * ball.radius <= ball.vertex_distance
-        num = tot = 0.0
-        for ring, lo, hi in sheet.ball_rows(ball.k, ball.j, ball.radius):
-            num += float((vals[ring, lo:hi + 1] * meas[ring, lo:hi + 1]).sum())
-            tot += float(meas[ring, lo:hi + 1].sum())
-        ball.mean = num / tot
-        shift = ball.mean if ball.type1 else 0.0
-        for i, (ring, lo, hi) in enumerate(ball.rows):
-            chi = ball.chi[i] / den[ring, lo:hi + 1]
-            ball.chi[i] = chi
-            brow = (vals[ring, lo:hi + 1] - shift) * chi
-            ball.b.append(brow)
-            bad[ring, lo:hi + 1] += brow
-
-    chi_sum = np.zeros_like(den)
-    for ball in balls:
-        for i, (ring, lo, hi) in enumerate(ball.rows):
-            chi_sum[ring, lo:hi + 1] += ball.chi[i]
-    good = vals - bad
-    return CZResult(f, half, params, M, U, d, balls, good, bad, chi_sum)
+    type1 = 4.0 * radius <= np.maximum(grid.r[bk] - radius, 0.0)
+    plain = sheet.ball_windows(bk, bj, radius)
+    mean = (_ball_sums(vals * grid.cell_measure, *plain, len(bk))
+            / _ball_sums(grid.cell_measure, *plain, len(bk)))
+    b = (vals[ring, col] - np.where(type1, mean, 0.0)[ball]) * chi
+    bad = np.bincount(cell, b, U.size).reshape(U.shape)
+    chi_sum = np.bincount(cell, chi, U.size).reshape(U.shape)
+    cover = WhitneyCover(bk, bj, radius, type1, mean, ball, ring, col, chi, b)
+    return CZResult(f, half, params, M, U, d, cover, vals - bad, bad, chi_sum)
 
 
 # -- verification ---------------------------------------------------------------
 
 
-def _sparse_patch(grid, rows, data_rows, absolute=False):
+def _sparse_patch(grid, ring, col, values):
     """Zero-extended local patch (values and |grad|) of a sheet function given
-    by sparse rows.  Returns (vals, grad_mag, rlo, jlo): interior arrays with
-    origin cell (rlo, jlo); ghost cells use the geometric radial continuation."""
-    rlo = min(r for r, _, _ in rows)
-    rhi = max(r for r, _, _ in rows)
-    jlo = max(0, min(lo for _, lo, _ in rows) - 1)
-    jhi = min(grid.nt - 1, max(hi for _, _, hi in rows) + 1)
+    on the cells (ring, col).  Returns (vals, grad_mag, rlo, jlo): interior
+    arrays with origin cell (rlo, jlo); ghost cells use the geometric radial
+    continuation."""
+    rlo, rhi = int(ring.min()), int(ring.max())
+    jlo = max(0, int(col.min()) - 1)
+    jhi = min(grid.nt - 1, int(col.max()) + 1)
     patch = np.zeros((rhi - rlo + 3, jhi - jlo + 3))
-    for (ring, lo, hi), vals in zip(rows, data_rows):
-        patch[ring - rlo + 1, lo - jlo + 1:hi - jlo + 2] = \
-            np.abs(vals) if absolute else vals
-    q = grid.q
+    patch[ring - rlo + 1, col - jlo + 1] = values
     r_ext = np.empty(rhi - rlo + 3)
     r_ext[1:-1] = grid.r[rlo:rhi + 1]
-    r_ext[0] = grid.r[rlo - 1] if rlo > 0 else grid.r[0] * q
-    r_ext[-1] = grid.r[rhi + 1] if rhi < grid.nr - 1 else grid.r[-1] / q
+    r_ext[0] = grid.r[rlo - 1] if rlo > 0 else grid.r[0] * grid.q
+    r_ext[-1] = grid.r[rhi + 1] if rhi < grid.nr - 1 else grid.r[-1] / grid.q
     a, b = radial_difference_weights(r_ext)
     d = np.diff(patch[:, 1:-1], axis=0)
     dr = a[:, None] * d[1:] + b[:, None] * d[:-1]
     dth = (patch[1:-1, 2:] - patch[1:-1, :-2]) / (2.0 * grid.dtheta)
     ang = dth / r_ext[1:-1, None]
     return patch[1:-1, 1:-1], np.sqrt(dr**2 + ang**2), rlo, jlo
+
+
+def _window_counts(grid, ring, lo, hi) -> np.ndarray:
+    """Number of rows (ring, lo..hi) that contain each cell of the sheet."""
+    diff = np.zeros((grid.nr, grid.nt + 1), dtype=np.int64)
+    np.add.at(diff, (ring, lo), 1)
+    np.add.at(diff, (ring, hi + 1), -1)
+    return np.cumsum(diff, axis=1)[:, :-1]
+
+
+def _neighbor_constants(rc, tc, rad, means, alpha, block=None):
+    """Max radius ratio and max |mean_i - mean_j| / (min(r_i, r_j) alpha) over
+    intersecting plain balls, `block` rows (default: about 2^18 pairs) at a
+    time.  A ball paired with itself gives (1, 0), the values without any."""
+    block = block or max(1, (1 << 18) // max(len(rad), 1))
+    ratio_max, mean_const = 1.0, 0.0
+    for i0 in range(0, len(rad), block):
+        i = slice(i0, i0 + block)
+        d2 = rc[i, None]**2 + rc**2 - 2.0 * rc[i, None] * rc * np.cos(tc[i, None] - tc)
+        ii, jj = np.nonzero(np.sqrt(np.maximum(d2, 0.0)) < rad[i, None] + rad)
+        ii += i0
+        ratio_max = max(ratio_max, float(np.max(rad[ii] / rad[jj])))
+        mean_const = max(mean_const, float(np.max(
+            np.abs(means[ii] - means[jj]) / (np.minimum(rad[ii], rad[jj]) * alpha))))
+    return ratio_max, mean_const
 
 
 def verify(result: CZResult, params: CZParams | None = None) -> dict:
@@ -260,6 +277,8 @@ def verify(result: CZResult, params: CZParams | None = None) -> dict:
     params = params or result.params
     grid = result.grid
     sheet = SheetBalls(grid)
+    cover = result.balls
+    n = len(cover)
     vals = result.field.sheet(result.half)
     meas = grid.cell_measure
     alpha = params.alpha
@@ -277,87 +296,52 @@ def verify(result: CZResult, params: CZParams | None = None) -> dict:
     intensity = combined_intensity(result.field, result.half,
                                    params.include_weight, params.include_gradient)
     denom = float(np.sum(intensity**params.p * meas))
-    sum_ball_measure = 0.0
-    overlap = np.zeros(grid.shape[1:], dtype=np.int32)
-    underline_paint = np.zeros(grid.shape[1:], dtype=np.int32)
-    covered_by_plain = np.zeros(grid.shape[1:], dtype=bool)
-    overline_all_meet = True
-    type2_geometry_ok = True
-    eb_ratio = 0.0
-    chi_grad = 0.0
-    F = ~result.level_set
-    for ball in result.balls:
-        for ring, lo, hi in sheet.ball_rows(ball.k, ball.j, ball.radius):
-            sum_ball_measure += float(meas[ring, lo:hi + 1].sum())
-            overlap[ring, lo:hi + 1] += 1
-            covered_by_plain[ring, lo:hi + 1] = True
-            if not ball.type1 and grid.r[ring] > 6.0 * ball.radius * (1 + 1e-12):
-                type2_geometry_ok = False
-        for ring, lo, hi in sheet.ball_rows(ball.k, ball.j, ball.s):
-            underline_paint[ring, lo:hi + 1] += 1
-        meets = False
-        for ring, lo, hi in sheet.ball_rows(ball.k, ball.j,
-                                            params.c2 * ball.s):
-            if F[ring, lo:hi + 1].any():
-                meets = True
-                break
-        overline_all_meet &= meets
-        if ball.rows:
-            babs, bmag, rlo, jlo = _sparse_patch(grid, ball.rows, ball.b,
-                                                 absolute=True)
-            _, cmag, _, _ = _sparse_patch(grid, ball.rows, ball.chi)
-            chi_grad = max(chi_grad, float(cmag.max()) * ball.radius)
-            num = tot = 0.0
-            nk, nj = bmag.shape
-            for ring, lo, hi in sheet.ball_rows(ball.k, ball.j, ball.radius):
-                tot += float(meas[ring, lo:hi + 1].sum())
-                if not (rlo <= ring < rlo + nk):
-                    continue
-                a, z = max(lo, jlo), min(hi, jlo + nj - 1)
-                if z < a:
-                    continue
-                vb = babs[ring - rlo, a - jlo:z - jlo + 1]
-                vg = bmag[ring - rlo, a - jlo:z - jlo + 1]
-                contrib = vb * (1.0 + 1.0 / grid.r[ring]) + vg
-                num += float((contrib * meas[ring, a:z + 1]).sum())
-            eb_ratio = max(eb_ratio, num / tot / alpha)
 
-    eB_ratio = sum_ball_measure * alpha**params.p / denom if denom > 0 else 0.0
-    if result.balls:
-        part_err = float(np.abs(result.chi_sum
-                                - result.level_set.astype(float)).max())
-    else:
-        part_err = 0.0
+    # set properties: one pass over the window rows of each radius kind
+    s = cover.radius / result.params.c1
+    pball, pring, plo, phi = sheet.ball_windows(cover.k, cover.j, cover.radius)
+    ball_measure = _ball_sums(meas, pball, pring, plo, phi, n)
+    overlap = _window_counts(grid, pring, plo, phi)
+    type2_geometry_ok = not np.any(~cover.type1[pball] & (
+        grid.r[pring] > 6.0 * cover.radius[pball] * (1 + 1e-12)))
+    underline = _window_counts(grid, *sheet.ball_windows(cover.k, cover.j, s)[1:])
+    oball, oring, olo, ohi = sheet.ball_windows(cover.k, cover.j, params.c2 * s)
+    f_count = np.pad(np.cumsum(~result.level_set, axis=1), ((0, 0), (1, 0)))
+    meets = np.bincount(oball, f_count[oring, ohi + 1] - f_count[oring, olo], n) > 0
 
-    # neighbor comparability over intersecting plain balls
-    ratio_max, mean_const = 1.0, 0.0
-    if len(result.balls) > 1:
-        rc = np.array([b.r_c for b in result.balls])
-        tc = np.array([b.th_c for b in result.balls])
-        rad = np.array([b.radius for b in result.balls])
-        means = np.array([b.mean for b in result.balls])
-        d2 = (rc[:, None]**2 + rc[None, :]**2
-              - 2.0 * rc[:, None] * rc[None, :] * np.cos(tc[:, None] - tc[None, :]))
-        inter = np.sqrt(np.maximum(d2, 0.0)) < rad[:, None] + rad[None, :]
-        np.fill_diagonal(inter, False)
-        ii, jj = np.nonzero(inter)
-        if len(ii):
-            ratio_max = float(np.max(rad[ii] / rad[jj]))
-            mean_const = float(np.max(np.abs(means[ii] - means[jj])
-                                      / (np.minimum(rad[ii], rad[jj]) * alpha)))
+    # bad-part averages and partition gradients: one local patch per ball
+    eb_ratio = chi_grad = 0.0
+    cells, rows = (np.searchsorted(a, np.arange(n + 1)) for a in (cover.ball, pball))
+    for i in range(n):
+        cs = slice(cells[i], cells[i + 1])
+        ring, col = cover.ring[cs], cover.col[cs]
+        babs, bmag, rlo, jlo = _sparse_patch(grid, ring, col, np.abs(cover.b[cs]))
+        cmag = _sparse_patch(grid, ring, col, cover.chi[cs])[1]
+        chi_grad = max(chi_grad, float(cmag.max()) * float(cover.radius[i]))
+        # the patch rings lie inside the plain ball's, from its row p0 on
+        nk, nj = bmag.shape
+        p0, cols = rows[i] + rlo - pring[rows[i]], np.arange(jlo, jlo + nj)
+        plain = (plo[p0:p0 + nk, None] <= cols) & (cols <= phi[p0:p0 + nk, None])
+        contrib = babs * (1.0 + 1.0 / grid.r[rlo:rlo + nk, None]) + bmag
+        num = float((contrib * meas[rlo:rlo + nk, jlo:jlo + nj])[plain].sum())
+        eb_ratio = max(eb_ratio, num / float(ball_measure[i]) / alpha)
+
+    eB_ratio = float(ball_measure.sum()) * alpha**params.p / denom if denom > 0 else 0.0
+    ratio_max, mean_const = _neighbor_constants(
+        grid.r[cover.k], grid.theta[cover.j], cover.radius, cover.mean, alpha)
 
     return {
         "alpha": alpha,
-        "n_balls": len(result.balls),
+        "n_balls": n,
         "rec_err": rec_err,
         "eg_ratio": eg_ratio,
         "eb_ratio": eb_ratio,
         "eB_ratio": eB_ratio,
-        "overlap_N": int(overlap.max()) if result.balls else 0,
-        "underline_disjoint": bool(underline_paint.max() <= 1),
-        "plain_cover_exact": bool(np.all(covered_by_plain[result.level_set])),
-        "overline_meets_complement": bool(overline_all_meet),
-        "partition_err": part_err,
+        "overlap_N": int(overlap.max()),
+        "underline_disjoint": bool(underline.max() <= 1),
+        "plain_cover_exact": bool(np.all(overlap[result.level_set] > 0)),
+        "overline_meets_complement": bool(meets.all()),
+        "partition_err": float(np.abs(result.chi_sum - result.level_set).max()),
         "type2_geometry_ok": type2_geometry_ok,
         "neighbor_radius_ratio": ratio_max,
         "mean_comparability": mean_const,

@@ -1,4 +1,4 @@
-"""Smooth cutoff profiles shared by cutoffs, partitions of unity and mollifier-style bumps.
+"""Smooth cutoff profiles shared by cutoffs and partitions of unity.
 
 All cutoffs in this package are built from one fixed quintic smoothstep so
 that results are reproducible: any C^1 profile with the right support works
@@ -26,8 +26,3 @@ def plateau(s, flat_end, support_end):
         raise ValueError("support_end must exceed flat_end")
     s = np.asarray(s, dtype=float)
     return 1.0 - smoothstep((s - flat_end) / (support_end - flat_end))
-
-
-def symmetric_bump(s, half_width):
-    """Even bump in s: 1 at 0, 0 for |s| >= half_width, smooth."""
-    return plateau(np.abs(s), 0.25 * half_width, half_width)

@@ -163,6 +163,42 @@ class TestDilate:
             assert np.all(dil >= v.ravel())
 
 
+class TestWindows:
+    @pytest.mark.parametrize("shape", [(40, 12), (220, 48)])
+    def test_equals_ball_rows(self, dom2, shape):
+        grid = PolarGrid.cone(dom2, nr=shape[0], nt=shape[1], r_max=40.0,
+                              r_min=4e-8 if shape[0] > 40 else 4e-2)
+        sheet = SheetBalls(grid)
+        rng = np.random.default_rng(6)
+        ks = rng.integers(0, grid.nr, 200)
+        js = rng.integers(0, grid.nt, 200)
+        rhos = grid.r[ks] * np.exp(rng.uniform(-6.0, 1.5, 200))
+        ball, ring, lo, hi = sheet.ball_windows(ks, js, rhos)
+        want = [(i, *row) for i, (k, j, rho) in enumerate(zip(ks, js, rhos))
+                for row in sheet.ball_rows(int(k), int(j), float(rho))]
+        assert list(zip(ball.tolist(), ring.tolist(), lo.tolist(), hi.tolist())) == want
+        empty = sheet.ball_windows(ks[:0], js[:0], rhos[:0])
+        assert all(len(a) == 0 for a in empty)
+
+    def test_cells_are_bruteforce_balls(self, tiny, radii):
+        grid, sheet, dist = tiny
+        ks, js = np.divmod(np.arange(grid.nr * grid.nt), grid.nt)
+        for rho in radii:
+            ball, ring, lo, hi = sheet.ball_windows(ks, js, np.full(len(ks), rho))
+            mask = np.zeros(dist.shape, dtype=bool)
+            for b, k, a, z in zip(ball, ring, lo, hi):
+                mask[b, k * grid.nt + a:k * grid.nt + z + 1] = True
+            # a node on the sphere to rounding may fall on either side
+            assert np.all(mask >= (dist < rho * (1 - 1e-12)))
+            assert np.all(mask <= (dist < rho * (1 + 1e-12)))
+
+    def test_node_distances(self, tiny):
+        grid, sheet, dist = tiny
+        ks, js = np.divmod(np.arange(grid.nr * grid.nt), grid.nt)
+        got = sheet.node_distances(ks[:, None], js[:, None], ks, js)
+        np.testing.assert_allclose(got, dist, rtol=1e-12, atol=1e-12 * grid.r_max)
+
+
 class TestMaximal:
     def test_equals_ring_loop_on_alpha_suite(self):
         ctx = AcceptanceContext(RunConfig(nr=220, nt=48, r_min=4e-8))

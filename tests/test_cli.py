@@ -53,7 +53,10 @@ class TestConfig:
                          "norm"]) == 2
 
     @pytest.mark.parametrize("data", [{"r_max": -1}, {"r_min": 100},
-                                      {"p_list": [0.5]}, {"alpha_points": 1}])
+                                      {"p_list": [0.5]}, {"alpha_points": 1},
+                                      {"q": 1.5}, {"q": -0.5}, {"q": 1.0},
+                                      {"eps_list": [2.0]}, {"eps_list": [-0.1]},
+                                      {"k_list": [0]}, {"k_list": [2, 0.5]}])
     def test_out_of_range_exits_2(self, tmp_path, capsys, data):
         p = tmp_path / "c.json"
         p.write_text(json.dumps(data))
@@ -102,7 +105,8 @@ class TestCommands:
         assert any(name.startswith("extended_") for name in runs[0])
         assert runs[0] == runs[1]
 
-    @pytest.mark.parametrize("command", ["cz", "kfunc", "extend", "restrict"])
+    @pytest.mark.parametrize("command", ["cz", "kfunc", "extend", "restrict",
+                                         "pierre", "counterexample"])
     def test_planar_commands_refuse_n3(self, tmp_path, capsys, command):
         cfgp = tmp_path / "c.json"
         cfgp.write_text(json.dumps({**SMALL, "n": 3}))
@@ -133,6 +137,17 @@ class TestCommands:
         assert covers
         head = (out / covers[0]).read_text().splitlines()[0]
         assert head == "x_r,x_theta,r_i,type"
+
+    @pytest.mark.parametrize("field", ["angular_bump", "radial_power", "radial_exp"])
+    def test_cz_sweep_below_maximal_minimum_exits_2(self, tmp_path, capsys, field):
+        cfgp = tmp_path / "c.json"
+        cfgp.write_text(json.dumps({"nr": 120, "nt": 24, "r_min": 4e-6}))
+        out = tmp_path / "out"
+        assert main(["--config", str(cfgp), "--out", str(out),
+                     "cz", "--field", field, "--dump-cover"]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and "alpha_decades" in err[0]
+        assert not out.exists()
 
     def test_density_command(self, tmp_path, small_config):
         out = tmp_path / "out"

@@ -1,4 +1,6 @@
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -70,8 +72,14 @@ class TestDecompose:
     def test_empty_level_set(self, logfield):
         amax = float(maximal_function(logfield, "plus").max())
         res = decompose(logfield, CZParams(alpha=2 * amax), "plus")
-        assert not res.balls
+        assert not res.balls and len(res.balls.ring) == 0
         assert np.array_equal(res.good, logfield.sheet("plus"))
+        assert res.cover_rows() == []
+        rep = verify(res)
+        assert rep["n_balls"] == rep["overlap_N"] == 0
+        assert rep["partition_err"] == rep["eb_ratio"] == 0.0
+        assert (rep["neighbor_radius_ratio"], rep["mean_comparability"]) == (1.0, 0.0)
+        assert rep["underline_disjoint"] and rep["overline_meets_complement"]
 
     def test_degenerate_level(self, logfield):
         with pytest.raises(DegenerateLevelError):
@@ -89,28 +97,47 @@ class TestDecompose:
         assert err <= 1e-12 * np.abs(vals).max()
 
     def test_radii_are_half_distance(self, logresult):
-        for b in logresult.balls[:50]:
-            assert b.radius == pytest.approx(
-                0.5 * logresult.dist[b.k, b.j], rel=1e-14)
+        c = logresult.balls
+        np.testing.assert_allclose(c.radius, 0.5 * logresult.dist[c.k, c.j],
+                                   rtol=1e-14)
 
-    def test_type_rule(self, logresult):
-        for b in logresult.balls:
-            assert b.type1 == (4.0 * b.radius <= b.vertex_distance)
+    def test_type_rule(self, logresult, czgrid):
+        c = logresult.balls
+        vertex_distance = np.maximum(czgrid.r[c.k] - c.radius, 0.0)
+        assert np.array_equal(c.type1, 4.0 * c.radius <= vertex_distance)
 
     def test_support_inside_plain_ball(self, logresult, czgrid):
-        sheet = SheetBalls(czgrid)
-        for b in logresult.balls[:40]:
-            for ring, lo, hi in b.rows:
-                dd = sheet.row_distances(b.k, b.j, ring, lo, hi)
-                assert dd.max() < b.radius
+        c = logresult.balls
+        dd = SheetBalls(czgrid).node_distances(c.k[c.ball], c.j[c.ball],
+                                               c.ring, c.col)
+        assert np.all(dd < c.radius[c.ball])
+
+    def test_support_grouped_by_ball_ring_col(self, logresult, czgrid):
+        c = logresult.balls
+        key = (c.ball * czgrid.nr + c.ring) * czgrid.nt + c.col
+        assert np.all(np.diff(key) > 0)
+        assert np.array_equal(np.unique(c.ball), np.arange(len(c)))
 
     def test_bad_parts_formula(self, logfield, logresult):
         vals = logfield.sheet("plus")
-        for b in logresult.balls[:30]:
-            shift = b.mean if b.type1 else 0.0
-            for (ring, lo, hi), chi, brow in zip(b.rows, b.chi, b.b):
-                expect = (vals[ring, lo:hi + 1] - shift) * chi
-                assert np.allclose(brow, expect, atol=1e-14)
+        c = logresult.balls
+        shift = np.where(c.type1, c.mean, 0.0)[c.ball]
+        expect = (vals[c.ring, c.col] - shift) * c.chi
+        assert np.allclose(c.b, expect, atol=1e-14)
+
+    def test_overline_meets_complement_at_row_ends(self, logresult, czgrid):
+        # F made of only the first (or only the last) cell of every overline row
+        sheet, c = SheetBalls(czgrid), logresult.balls
+        rows = [row for k, j, s in zip(c.k, c.j, c.radius / logresult.params.c1)
+                for row in sheet.ball_rows(int(k), int(j), logresult.params.c2 * s)]
+        for end in (1, 2):
+            F = np.zeros(czgrid.shape[1:], dtype=bool)
+            for row in rows:
+                F[row[0], row[end]] = True
+            res = dataclasses.replace(logresult, level_set=~F)
+            assert verify(res)["overline_meets_complement"]
+        res = dataclasses.replace(logresult, level_set=np.ones_like(F))
+        assert not verify(res)["overline_meets_complement"]
 
     def test_verify_report(self, logresult):
         rep = verify(logresult)
@@ -182,7 +209,73 @@ class TestKUpper:
                 assert lam <= t * (1 + 1e-12)
 
 
-def _sparse_patch_nodewise(grid, rows, data_rows, absolute=False):
+# -- reference: the per-ball cover that WhitneyCover replaced -----------------
+
+
+def _row_distances(sheet, k, j, ring, jlo, jhi):
+    R, rr = float(sheet.r[k]), float(sheet.r[ring])
+    dth = np.abs(sheet.theta[jlo:jhi + 1] - sheet.theta[j])
+    return np.sqrt(np.maximum(R * R + rr * rr - 2.0 * R * rr * np.cos(dth), 0.0))
+
+
+def _decompose_per_ball(f, params, half="plus"):
+    """Per-ball decomposition with per-row lists: (balls, good, bad, chi_sum);
+    each ball is a dict with k, j, radius, s, type1, mean, rows, chi, b."""
+    grid = f.grid
+    sheet = SheetBalls(grid)
+    vals = f.sheet(half)
+    U = maximal_function(f, half) > params.alpha
+    d = distance_to_cells(sheet, ~U, U)
+    s_arr = d / (2.0 * params.c1)
+    ks, js = np.nonzero(U)
+    order = np.lexsort((js, ks, -d[ks, js]))
+    covered = np.zeros(U.shape, dtype=bool)
+    blocked = np.zeros(U.shape, dtype=bool)
+    cov = 0.95 * params.support_dilate
+    block_reach = 2.0 * (2.0 * params.c1 / (2.0 * params.c1 - 1.0))
+    balls = []
+    for idx in order:
+        k, j = int(ks[idx]), int(js[idx])
+        if covered[k, j] or blocked[k, j]:
+            continue
+        r_i = 0.5 * float(d[k, j])
+        s_i = r_i / params.c1
+        balls.append(dict(k=k, j=j, radius=r_i, s=s_i, rows=[], chi=[], b=[]))
+        for ring, lo, hi in sheet.ball_rows(k, j, cov * s_i):
+            covered[ring, lo:hi + 1] = True
+        for ring, lo, hi in sheet.ball_rows(k, j, block_reach * s_i):
+            dd = _row_distances(sheet, k, j, ring, lo, hi)
+            blocked[ring, lo:hi + 1] |= dd < s_arr[ring, lo:hi + 1] + s_i
+    den = np.zeros(U.shape)
+    for ball in balls:
+        for ring, lo, hi in sheet.ball_rows(ball["k"], ball["j"],
+                                            params.support_dilate * ball["s"]):
+            psi = params.bump(_row_distances(sheet, ball["k"], ball["j"],
+                                             ring, lo, hi) / ball["s"])
+            ball["rows"].append((ring, lo, hi))
+            ball["chi"].append(psi)
+            den[ring, lo:hi + 1] += psi
+    meas = grid.cell_measure
+    bad = np.zeros_like(vals)
+    chi_sum = np.zeros_like(den)
+    for ball in balls:
+        ball["type1"] = 4.0 * ball["radius"] <= max(
+            float(grid.r[ball["k"]]) - ball["radius"], 0.0)
+        num = tot = 0.0
+        for ring, lo, hi in sheet.ball_rows(ball["k"], ball["j"], ball["radius"]):
+            num += float((vals[ring, lo:hi + 1] * meas[ring, lo:hi + 1]).sum())
+            tot += float(meas[ring, lo:hi + 1].sum())
+        ball["mean"] = num / tot
+        shift = ball["mean"] if ball["type1"] else 0.0
+        for i, (ring, lo, hi) in enumerate(ball["rows"]):
+            ball["chi"][i] = ball["chi"][i] / den[ring, lo:hi + 1]
+            ball["b"].append((vals[ring, lo:hi + 1] - shift) * ball["chi"][i])
+            bad[ring, lo:hi + 1] += ball["b"][i]
+            chi_sum[ring, lo:hi + 1] += ball["chi"][i]
+    return balls, vals - bad, bad, chi_sum
+
+
+def _sparse_patch_nodewise(grid, rows, data_rows):
     """Reference patch gradient: the 3-point radial stencil written as
     weights of f[k-1], f[k], f[k+1] on the same zero-extended patch."""
     rlo = min(r for r, _, _ in rows)
@@ -191,8 +284,7 @@ def _sparse_patch_nodewise(grid, rows, data_rows, absolute=False):
     jhi = min(grid.nt - 1, max(hi for _, _, hi in rows) + 1)
     patch = np.zeros((rhi - rlo + 3, jhi - jlo + 3))
     for (ring, lo, hi), vals in zip(rows, data_rows):
-        patch[ring - rlo + 1, lo - jlo + 1:hi - jlo + 2] = \
-            np.abs(vals) if absolute else vals
+        patch[ring - rlo + 1, lo - jlo + 1:hi - jlo + 2] = vals
     r_ext = np.empty(rhi - rlo + 3)
     r_ext[1:-1] = grid.r[rlo:rhi + 1]
     r_ext[0] = grid.r[rlo - 1] if rlo > 0 else grid.r[0] * grid.q
@@ -207,32 +299,128 @@ def _sparse_patch_nodewise(grid, rows, data_rows, absolute=False):
     return patch[1:-1, 1:-1], np.sqrt(dr**2 + ang**2), rlo, jlo
 
 
+def _dense_neighbor_constants(balls, grid, alpha):
+    if len(balls) < 2:
+        return 1.0, 0.0
+    rc = np.array([float(grid.r[b["k"]]) for b in balls])
+    tc = np.array([float(grid.theta[b["j"]]) for b in balls])
+    rad = np.array([b["radius"] for b in balls])
+    means = np.array([b["mean"] for b in balls])
+    d2 = (rc[:, None]**2 + rc[None, :]**2
+          - 2.0 * rc[:, None] * rc[None, :] * np.cos(tc[:, None] - tc[None, :]))
+    inter = np.sqrt(np.maximum(d2, 0.0)) < rad[:, None] + rad[None, :]
+    np.fill_diagonal(inter, False)
+    ii, jj = np.nonzero(inter)
+    if not len(ii):
+        return 1.0, 0.0
+    return (float(np.max(rad[ii] / rad[jj])),
+            float(np.max(np.abs(means[ii] - means[jj])
+                         / (np.minimum(rad[ii], rad[jj]) * alpha))))
+
+
+def _verify_per_ball(res, balls):
+    """The fields of `verify` that depend on the cover, measured ball by ball
+    on the per-ball reference cover with the node-wise stencil."""
+    grid, params = res.grid, res.params
+    sheet = SheetBalls(grid)
+    meas = grid.cell_measure
+    alpha = params.alpha
+    intensity = combined_intensity(res.field, res.half)
+    denom = float(np.sum(intensity**params.p * meas))
+    sum_ball_measure = eb_ratio = chi_grad = 0.0
+    overlap = np.zeros(grid.shape[1:], dtype=np.int32)
+    underline_paint = np.zeros(grid.shape[1:], dtype=np.int32)
+    type2_ok = overline_all_meet = True
+    F = ~res.level_set
+    for ball in balls:
+        k, j, rad = ball["k"], ball["j"], ball["radius"]
+        for ring, lo, hi in sheet.ball_rows(k, j, rad):
+            sum_ball_measure += float(meas[ring, lo:hi + 1].sum())
+            overlap[ring, lo:hi + 1] += 1
+            if not ball["type1"] and grid.r[ring] > 6.0 * rad * (1 + 1e-12):
+                type2_ok = False
+        for ring, lo, hi in sheet.ball_rows(k, j, ball["s"]):
+            underline_paint[ring, lo:hi + 1] += 1
+        overline_all_meet &= any(
+            F[ring, lo:hi + 1].any()
+            for ring, lo, hi in sheet.ball_rows(k, j, params.c2 * ball["s"]))
+        babs, bmag, rlo, jlo = _sparse_patch_nodewise(
+            grid, ball["rows"], [np.abs(b) for b in ball["b"]])
+        _, cmag, _, _ = _sparse_patch_nodewise(grid, ball["rows"], ball["chi"])
+        chi_grad = max(chi_grad, float(cmag.max()) * rad)
+        num = tot = 0.0
+        nk, nj = bmag.shape
+        for ring, lo, hi in sheet.ball_rows(k, j, rad):
+            tot += float(meas[ring, lo:hi + 1].sum())
+            a, z = max(lo, jlo), min(hi, jlo + nj - 1)
+            if not (rlo <= ring < rlo + nk) or z < a:
+                continue
+            contrib = (babs[ring - rlo, a - jlo:z - jlo + 1] * (1.0 + 1.0 / grid.r[ring])
+                       + bmag[ring - rlo, a - jlo:z - jlo + 1])
+            num += float((contrib * meas[ring, a:z + 1]).sum())
+        eb_ratio = max(eb_ratio, num / tot / alpha)
+    ratio_max, mean_const = _dense_neighbor_constants(balls, grid, alpha)
+    return {
+        "n_balls": len(balls),
+        "eb_ratio": eb_ratio,
+        "eB_ratio": sum_ball_measure * alpha**params.p / denom,
+        "overlap_N": int(overlap.max()),
+        "underline_disjoint": bool(underline_paint.max() <= 1),
+        "plain_cover_exact": bool(np.all(overlap[res.level_set] > 0)),
+        "overline_meets_complement": bool(overline_all_meet),
+        "type2_geometry_ok": type2_ok,
+        "neighbor_radius_ratio": ratio_max,
+        "mean_comparability": mean_const,
+        "chi_grad_scaled": chi_grad,
+    }
+
+
 class TestSparsePatch:
     def test_radial_derivative_matches_grid(self, czgrid):
         # a radial field has no angular term away from the ghost columns
         sheet = make_test_field("radial_exp", czgrid).sheet("plus")
         lo, hi = 40, 200
-        rows = [(k, 0, czgrid.nt - 1) for k in range(lo, hi + 1)]
-        _, gmag, rlo, jlo = _sparse_patch(czgrid, rows, sheet[lo:hi + 1])
+        ring, col = np.indices((hi - lo + 1, czgrid.nt)).reshape(2, -1)
+        _, gmag, rlo, jlo = _sparse_patch(czgrid, ring + lo, col,
+                                          sheet[lo:hi + 1].ravel())
         assert (rlo, jlo) == (lo, 0)
         want = np.abs(czgrid.d_dr(sheet[None])[0])[lo + 1:hi, 1:-1]
         np.testing.assert_allclose(gmag[1:-1, 1:-1], want, rtol=1e-12)
 
-    def test_verify_matches_nodewise_stencil(self, monkeypatch):
-        # the cz-prop41 sweep on a small grid, verified with both stencils
+    def test_verify_matches_nodewise_stencil(self):
+        # the cz-prop41 sweep on a small grid: the flat cover and its verifier
+        # against the per-ball cover, verified with the node-wise stencil
         cfg = RunConfig(nr=220, nt=48, r_min=4e-8)
         for f in AcceptanceContext(cfg).alpha_suite():
             amax = float(maximal_function(f, "plus").max())
+            scale = float(np.abs(f.sheet("plus")).max())
             for alpha in np.geomspace(0.5 * amax * 10.0**-cfg.alpha_decades,
                                       0.5 * amax, cfg.alpha_points):
                 res = decompose(f, CZParams(alpha=float(alpha)), "plus")
                 got = verify(res)
-                with monkeypatch.context() as m:
-                    m.setattr(czd, "_sparse_patch", _sparse_patch_nodewise)
-                    want = verify(res)
-                assert got.keys() == want.keys()
+                balls, good, bad, chi_sum = _decompose_per_ball(f, res.params)
+                want = _verify_per_ball(res, balls)
+                assert got["rec_err"] <= 1e-12
                 for key, val in want.items():
                     if isinstance(val, float):
                         assert got[key] == pytest.approx(val, rel=1e-12, abs=0)
                     else:
                         assert got[key] == val
+                assert res.cover_rows() == [
+                    (float(f.grid.r[b["k"]]), float(f.grid.theta[b["j"]]),
+                     b["radius"], 1 if b["type1"] else 2) for b in balls]
+                assert np.array_equal(res.chi_sum, chi_sum)
+                assert np.abs(res.good - good).max() <= 1e-12 * scale
+                assert np.abs(res.bad - bad).max() <= 1e-12 * scale
+
+
+class TestNeighborConstants:
+    def test_blocks_match_dense(self, logresult, czgrid):
+        c = logresult.balls
+        args = (czgrid.r[c.k], czgrid.theta[c.j], c.radius, c.mean, 1.7)
+        balls = [dict(k=k, j=j, radius=r, mean=m)
+                 for k, j, r, m in zip(c.k, c.j, c.radius, c.mean)]
+        dense = _dense_neighbor_constants(balls, czgrid, 1.7)
+        assert len(c) > 7 and dense[1] > 0
+        for block in (1, 7, len(c) - 1, len(c)):
+            assert czd._neighbor_constants(*args, block=block) == dense

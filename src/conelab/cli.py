@@ -17,12 +17,11 @@ import sys
 import numpy as np
 
 from . import acceptance, czd, density, extension
-from . import rearrangement as rar
 from .config import ConfigError, RunConfig, load_config
 from .fieldlib import make_test_field, suite_cz, suite_extension, suite_fullplane, suite_hardy
-from .fields import (gradient, hardy_quotient, lp_norm,
-                     log_log_increment_slope, partial_norm_power_table,
-                     radial_split, save_field)
+from .fields import (GATE_DECADES, cap_mean, decade_radii, gradient,
+                     hardy_rows, log_log_increment_slope, lp_norm,
+                     partial_norm_power_table, radial_split, save_field)
 from .geometry import ConeDomain
 from .grids import PolarGrid
 from .report import write_csv, write_json
@@ -63,11 +62,11 @@ def cmd_hardy(cfg: RunConfig, args) -> int:
         print(f"the weighted bound needs p < n (got p={p}, n={n})",
               file=sys.stderr)
         return 2
-    bound = p / (n - p)
     fields = _suite(args.suite, grid)
-    quots = [hardy_quotient(f, p) for f in fields]
-    rows = [{"field": f.name, "p": p, "quotient": q, "bound": bound,
-             "ok": q <= bound * 1.05} for f, q in zip(fields, quots)]
+    try:
+        rows = list(hardy_rows(fields, p))
+    except ValueError as e:
+        raise ConfigError(f"{e}; refine the grid (nr, r_min)") from e
     write_csv(os.path.join(cfg.out_dir, f"hardy_n{n}_p{p:g}.csv"), rows,
               ["field", "p", "quotient", "bound", "ok"])
     return 0 if all(r["ok"] for r in rows) else 1
@@ -78,7 +77,6 @@ def cmd_split(cfg: RunConfig, args) -> int:
     rows = []
     for f in _suite(args.suite, grid):
         sp = radial_split(f)
-        from .fields import cap_mean
         resid = float(np.abs(cap_mean(sp.antiradial)).max())
         rows.append({"field": f.name,
                      "ring_mean_residual": resid,
@@ -108,29 +106,22 @@ def cmd_cz(cfg: RunConfig, args) -> int:
     elif args.field == "radial_power" and args.a is not None:
         kw["a"] = args.a
     f = make_test_field(args.field, grid, **kw)
-    amax = float(czd.maximal_function(f, "plus").max())
-    alphas = np.geomspace(0.5 * amax * 10.0**-cfg.alpha_decades,
-                          0.5 * amax, cfg.alpha_points)
     rows, ok = [], True
-    for alpha in alphas:
-        try:
-            res = czd.decompose(f, czd.CZParams(alpha=float(alpha)), "plus")
-        except czd.DegenerateLevelError as e:
-            raise ConfigError(
-                f"alpha_decades = {cfg.alpha_decades} takes alpha = {alpha:.3e} below "
-                f"the maximal function's minimum on {f.name}; lower alpha_decades") from e
-        rep = czd.verify(res)
-        rows.append({k: rep[k] for k in
-                     ("alpha", "n_balls", "overlap_N", "rec_err",
-                      "eg_ratio", "eb_ratio", "eB_ratio")})
-        ok &= (rep["underline_disjoint"] and rep["plain_cover_exact"]
-               and rep["overline_meets_complement"])
-        if args.dump_cover:
-            cover = [{"x_r": r, "x_theta": t, "r_i": ri, "type": ty}
-                     for r, t, ri, ty in res.cover_rows()]
-            write_csv(os.path.join(cfg.out_dir,
-                                   f"cover_{f.name}_a{alpha:.3e}.csv"),
-                      cover, ["x_r", "x_theta", "r_i", "type"])
+    try:
+        for rep in czd.level_sweep(f, cfg.alpha_decades, cfg.alpha_points):
+            res = rep.pop("decomposition")
+            rows.append(rep)
+            ok &= (rep["underline_disjoint"] and rep["plain_cover_exact"]
+                   and rep["overline_meets_complement"])
+            if args.dump_cover:
+                cover = [{"x_r": r, "x_theta": t, "r_i": ri, "type": ty}
+                         for r, t, ri, ty in res.cover_rows()]
+                write_csv(os.path.join(cfg.out_dir,
+                                       f"cover_{f.name}_a{rep['alpha']:.3e}.csv"),
+                          cover, ["x_r", "x_theta", "r_i", "type"])
+    except czd.DegenerateLevelError as e:
+        raise ConfigError(f"alpha_decades = {cfg.alpha_decades} takes {e} on "
+                          f"{f.name}; lower alpha_decades") from e
     write_csv(os.path.join(cfg.out_dir, f"cz_{f.name}.csv"), rows,
               ["alpha", "n_balls", "overlap_N", "rec_err", "eg_ratio",
                "eb_ratio", "eB_ratio"])
@@ -140,15 +131,8 @@ def cmd_cz(cfg: RunConfig, args) -> int:
 def cmd_kfunc(cfg: RunConfig, args) -> int:
     _require_planar(cfg, "kfunc")
     grid = cfg.grid()
-    ts = np.geomspace(cfg.t_lo, cfg.t_hi, cfg.t_points)
     for f in suite_cz(grid):
-        rows = []
-        for t in ts:
-            up = czd.k_upper_via_cz(f, float(t))
-            est = rar.k_sobolev_estimate(f, float(t))
-            rows.append({"t": float(t), "K_estimate": est,
-                         "K_upper_cz": up["value"],
-                         "ratio": up["value"] / est})
+        rows = list(czd.k_band(f, cfg.t_lo, cfg.t_hi, cfg.t_points))
         write_csv(os.path.join(cfg.out_dir, f"kfunc_{f.name}.csv"), rows,
                   ["t", "K_estimate", "K_upper_cz", "ratio"])
     return 0
@@ -157,6 +141,10 @@ def cmd_kfunc(cfg: RunConfig, args) -> int:
 def cmd_extend(cfg: RunConfig, args) -> int:
     _require_planar(cfg, "extend")
     grid = cfg.grid()
+    if max(cfg.p_list) >= grid.n and len(decade_radii(grid)) <= GATE_DECADES:
+        raise ConfigError(
+            f"r_min = {grid.r_min:.3g} leaves fewer than {GATE_DECADES + 1} decades "
+            f"below r_max for the membership gate at p >= {grid.n}; lower r_min")
     rows = []
     for row in extension.operator_norm_report(
             ((p, suite_extension(grid, p)) for p in cfg.p_list), grid):
@@ -190,23 +178,11 @@ def cmd_pierre(cfg: RunConfig, args) -> int:
     dom = ConeDomain(2, math.pi / 4, "quadrant")
     grid = PolarGrid.cone(dom, nr=cfg.nr, nt=cfg.nt, r_max=min(cfg.r_max, 4.0),
                           r_min=1e-7 * min(cfg.r_max, 4.0))
-    full = PolarGrid.fullplane_matching(grid)
-    rows = []
-    for f in [make_test_field("radial_exp", grid),
-              make_test_field("angular_bump", grid),
-              make_test_field("lipschitz_compact", grid),
-              make_test_field("jump", grid)]:
-        Ef = extension.extend_pierre_2d(f, full)
-        back = extension.restrict(Ef, grid)
-        for p in cfg.p_list:
-            if p > 2.0 and f.vertex_limits not in ((0.0, 0.0), (1.0, 1.0)):
-                continue
-            src = extension.source_norm(f, p)
-            rows.append({"field": f.name, "p": p, "source_norm": src,
-                         "target_norm": extension.wp_norm(Ef, p),
-                         "ratio": extension.wp_norm(Ef, p) / src,
-                         "roundtrip_err": extension.wp_norm(back - f, p) / src,
-                         "gate": "accepted"})
+    fields = [make_test_field(name, grid) for name in
+              ("radial_exp", "angular_bump", "lipschitz_compact", "jump")]
+    # the explicit formula has no membership gate: every input is accepted
+    rows = [{**row, "gate": "accepted"} for row in extension.quadrant_report(
+        fields, cfg.p_list, PolarGrid.fullplane_matching(grid))]
     write_csv(os.path.join(cfg.out_dir, "pierre.csv"), rows,
               ["field", "p", "source_norm", "target_norm", "ratio",
                "roundtrip_err", "gate"])
@@ -215,6 +191,10 @@ def cmd_pierre(cfg: RunConfig, args) -> int:
 
 def cmd_density(cfg: RunConfig, args) -> int:
     grid = cfg.grid()
+    if min(cfg.eps_list) / 2.0 <= grid.r_min:
+        raise ConfigError(
+            f"eps_list goes down to {min(cfg.eps_list):g}, which the grid does not "
+            f"resolve (eps/2 <= r_min = {grid.r_min:.3g}); raise eps_list or lower r_min")
     f = make_test_field(args.field, grid)
     mode = args.mode
     rows = density.convergence_table(
@@ -234,13 +214,11 @@ def cmd_counterexample(cfg: RunConfig, args) -> int:
     beta = float(args.beta)
     f = make_test_field("logcounter", grid, beta=beta)
     r_mins, P = partial_norm_power_table(f.values, grid, 2.0)
-    sel = r_mins <= 1e-4 * (1 + 1e-9)
     rows = [{"r_min": float(r), "partial_weighted_sq": float(v)}
             for r, v in zip(r_mins, P)]
     out = {"beta": beta, "expected_slope": 1.0 - 2.0 * beta}
     if beta < 0.5:
-        out["measured_slope"] = log_log_increment_slope(r_mins[sel], P[sel],
-                                                        skip=0)
+        out["measured_slope"] = log_log_increment_slope(r_mins, P)
     else:
         out["last_decade_increment"] = float((P[-1] - P[-2]) / P[-2])
     write_csv(os.path.join(cfg.out_dir, f"counterexample_b{beta:g}.csv"),
@@ -321,7 +299,7 @@ def main(argv=None) -> int:
         cfg = load_config(args.config)
         if args.out:
             cfg.out_dir = args.out
-        if getattr(args, "n", None):
+        if getattr(args, "n", None) is not None:
             cfg = RunConfig(**{**cfg.as_dict(), "n": args.n})
     except ConfigError as e:
         print(f"configuration error: {e}", file=sys.stderr)

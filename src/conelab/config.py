@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import os
 from dataclasses import dataclass, field as dfield, asdict
 
@@ -40,6 +41,15 @@ class RunConfig:
     out_dir: str = "out"
 
     def __post_init__(self):
+        for name in ("nr", "nt", "alpha_points", "t_points"):
+            v = getattr(self, name)
+            if not isinstance(v, numbers.Integral) or isinstance(v, bool):
+                raise ConfigError(f"{name} must be an integer")
+        for name in ("eps_list", "k_list", "p_list"):
+            v = getattr(self, name)
+            if not isinstance(v, list) or not v or not all(
+                    isinstance(x, numbers.Real) and not isinstance(x, bool) for x in v):
+                raise ConfigError(f"{name} must be a nonempty list of numbers")
         if self.n not in (2, 3):
             raise ConfigError("n must be 2 or 3")
         if not 0.0 < self.omega < math.pi / 2:
@@ -54,18 +64,21 @@ class RunConfig:
             raise ConfigError("r_min must lie in (0, r_max)")
         if self.q is not None and not 0 < self.q < 1:
             raise ConfigError("q must lie in (0, 1)")
+        inner = (self.r_max * self.q ** (self.nr - 1) if self.q is not None
+                 else self.r_min or 1e-12 * self.r_max)
+        if not inner >= 1e-100 * self.r_max:
+            raise ConfigError("the innermost radius (r_min, or r_max q^(nr-1)) must be "
+                              "at least 1e-100 r_max, where cell measures stay positive")
         if not all(0 < eps < 1 for eps in self.eps_list):
             raise ConfigError("every eps in eps_list must lie in (0, 1)")
         if not all(k >= 1 for k in self.k_list):
             raise ConfigError("every k in k_list must be >= 1")
         if not all(p >= 1 for p in self.p_list):
             raise ConfigError("every p in p_list must be >= 1")
+        self.p_list = [float(p) for p in self.p_list]
         if self.alpha_points < 2:
             raise ConfigError("alpha_points must be at least 2")
-        for name in ("eps_list", "k_list", "p_list"):
-            if not getattr(self, name):
-                raise ConfigError(f"{name} must be nonempty")
-        if self.t_lo <= 0 or self.t_hi <= self.t_lo or self.t_points < 2:
+        if not 0 < self.t_lo < self.t_hi or self.t_points < 2:
             raise ConfigError("invalid t sweep")
 
     def domain(self) -> ConeDomain:
@@ -99,8 +112,8 @@ def load_config(path: str | None) -> RunConfig:
     unknown = set(data) - set(known)
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    if "p_list" in data:
-        data["p_list"] = [float("inf") if p in ("inf", "Infinity") else float(p)
+    if isinstance(data.get("p_list"), list):
+        data["p_list"] = [float("inf") if p in ("inf", "Infinity") else p
                           for p in data["p_list"]]
     try:
         return RunConfig(**data)

@@ -25,7 +25,8 @@ from .ballops import SheetBalls, distance_to_cells, expand_ranges
 from .fields import Field, gradient, lp_norm
 from .grids import radial_difference_weights
 from .profiles import plateau
-from .rearrangement import rearrange_samples
+from .rearrangement import (k_component_lower_bound, k_sobolev_estimate,
+                            rearrange_samples)
 
 INF = float("inf")
 
@@ -41,8 +42,6 @@ class CZParams:
     alpha: float
     c1: float = 3.0
     p: float = 2.0
-    include_weight: bool = True
-    include_gradient: bool = True
 
     def __post_init__(self):
         if self.alpha <= 0:
@@ -123,35 +122,29 @@ def _ball_sums(values: np.ndarray, ball, ring, lo, hi, n: int) -> np.ndarray:
     return np.bincount(ball, sums, n)
 
 
-def combined_intensity(f: Field, half: str, include_weight: bool = True,
-                       include_gradient: bool = True) -> np.ndarray:
+def combined_intensity(f: Field, half: str) -> np.ndarray:
+    """|f| + |f|/r + |grad f| on one sheet."""
     vals = np.abs(f.sheet(half))
-    out = np.array(vals)
-    if include_weight:
-        out += vals / f.grid.r[:, None]
-    if include_gradient:
-        out += gradient(f).magnitude()[f.grid.half_index(half)]
-    return out
+    return (vals + vals / f.grid.r[:, None]
+            + gradient(f).magnitude()[f.grid.half_index(half)])
 
 
-def maximal_function(f: Field, half: str = "plus", include_weight: bool = True,
-                     include_gradient: bool = True) -> np.ndarray:
+def maximal_function(f: Field, half: str = "plus") -> np.ndarray:
     """Discrete uncentered maximal function of the combined intensity on one
     sheet (dyadic radii, grid-node centers, single-cell floor).  Cached."""
-    key = ("maximal", half, include_weight, include_gradient)
+    key = ("maximal", half)
     if key in f._cache:
         return f._cache[key]
-    intensity = combined_intensity(f, half, include_weight, include_gradient)
-    M = SheetBalls(f.grid).maximal(intensity)
+    M = SheetBalls(f.grid).maximal(combined_intensity(f, half))
     f._cache[key] = M
     return M
 
 
-def maximal_table(f: Field, half: str, **kw):
-    key = ("maximal_table", half, tuple(sorted(kw.items())))
+def maximal_table(f: Field, half: str):
+    key = ("maximal_table", half)
     if key in f._cache:
         return f._cache[key]
-    M = maximal_function(f, half, **kw)
+    M = maximal_function(f, half)
     table = rearrange_samples(M, f.grid.cell_measure)
     f._cache[key] = table
     return table
@@ -162,11 +155,11 @@ def decompose(f: Field, params: CZParams, half: str = "plus") -> CZResult:
     grid = f.grid
     sheet = SheetBalls(grid)
     vals = f.sheet(half)
-    M = maximal_function(f, half, params.include_weight, params.include_gradient)
+    M = maximal_function(f, half)
     U = M > params.alpha
     if U.all():
         raise DegenerateLevelError(
-            "alpha below the maximal function's grid minimum; no complement")
+            f"alpha = {params.alpha:.3e} below the maximal function's minimum")
 
     d = distance_to_cells(sheet, ~U, U)
     s_arr = d / (2.0 * params.c1)
@@ -263,7 +256,7 @@ def _neighbor_constants(rc, tc, rad, means, alpha, block=None):
     return ratio_max, mean_const
 
 
-def verify(result: CZResult, params: CZParams | None = None) -> dict:
+def verify(result: CZResult) -> dict:
     """Measure the decomposition estimates and check the exact set properties.
 
     Returns a report dict with the measured ratios:
@@ -274,7 +267,7 @@ def verify(result: CZResult, params: CZParams | None = None) -> dict:
       overlap_N max number of plain balls containing one cell
     plus exactness flags and the measured neighbor/mean comparability constants.
     """
-    params = params or result.params
+    params = result.params
     grid = result.grid
     sheet = SheetBalls(grid)
     cover = result.balls
@@ -293,12 +286,11 @@ def verify(result: CZResult, params: CZParams | None = None) -> dict:
     eg = np.abs(result.good) * (1.0 + (1.0 / grid.r)[:, None]) + gmag
     eg_ratio = float(eg.max()) / alpha
 
-    intensity = combined_intensity(result.field, result.half,
-                                   params.include_weight, params.include_gradient)
+    intensity = combined_intensity(result.field, result.half)
     denom = float(np.sum(intensity**params.p * meas))
 
     # set properties: one pass over the window rows of each radius kind
-    s = cover.radius / result.params.c1
+    s = cover.radius / params.c1
     pball, pring, plo, phi = sheet.ball_windows(cover.k, cover.j, cover.radius)
     ball_measure = _ball_sums(meas, pball, pring, plo, phi, n)
     overlap = _window_counts(grid, pring, plo, phi)
@@ -350,6 +342,17 @@ def verify(result: CZResult, params: CZParams | None = None) -> dict:
     }
 
 
+def level_sweep(f: Field, decades: float, points: int):
+    """Decompose and verify the plus sheet of f at `points` levels, geometric
+    from 0.5 max M 10^-decades up to 0.5 max M.  Yields each level's `verify`
+    report with the decomposition under "decomposition"; a level below the
+    maximal function's minimum raises DegenerateLevelError."""
+    amax = float(maximal_function(f, "plus").max())
+    for alpha in np.geomspace(0.5 * amax * 10.0**-decades, 0.5 * amax, points):
+        res = decompose(f, CZParams(alpha=float(alpha)), "plus")
+        yield {**verify(res), "decomposition": res}
+
+
 def glue_good_parts(res_plus: CZResult, res_minus: CZResult):
     """Join the two half-cone good parts into one double-cone field.
 
@@ -393,7 +396,7 @@ def hardy_sobolev_sup(f: Field) -> float:
             + lp_norm(gradient(f), INF))
 
 
-def k_upper_via_cz(f: Field, t: float, c1: float = 3.0, p: float = 2.0) -> dict:
+def k_upper_via_cz(f: Field, t: float) -> dict:
     """Constructive upper bound for the interpolation K-functional at t:
     run the decomposition at alpha(t) = max over sheets of the rearranged
     maximal function at t, and price the split ||b||_1-side + t ||g||_inf-side."""
@@ -408,7 +411,7 @@ def k_upper_via_cz(f: Field, t: float, c1: float = 3.0, p: float = 2.0) -> dict:
         g_norm = hardy_sobolev_sup(g)
         return {"t": t, "alpha": alpha, "value": b_norm + t * g_norm,
                 "b_norm": b_norm, "g_norm": g_norm, "n_balls": 0}
-    params = CZParams(alpha=alpha, c1=c1, p=p)
+    params = CZParams(alpha=alpha)
     res_p = decompose(f, params, "plus")
     res_m = decompose(f, params, "minus")
     g, _ = glue_good_parts(res_p, res_m)
@@ -418,3 +421,15 @@ def k_upper_via_cz(f: Field, t: float, c1: float = 3.0, p: float = 2.0) -> dict:
     return {"t": t, "alpha": alpha, "value": b_norm + t * g_norm,
             "b_norm": b_norm, "g_norm": g_norm,
             "n_balls": len(res_p.balls) + len(res_m.balls)}
+
+
+def k_band(f: Field, t_lo: float, t_hi: float, points: int):
+    """Rows over a geometric t grid: the constructive upper bound of
+    `k_upper_via_cz`, the rearrangement estimate, their ratio and the
+    component lower bound of K(f, t)."""
+    for t in np.geomspace(t_lo, t_hi, points):
+        t = float(t)
+        up = k_upper_via_cz(f, t)["value"]
+        est = k_sobolev_estimate(f, t)
+        yield {"t": t, "K_estimate": est, "K_upper_cz": up, "ratio": up / est,
+               "K_lower": k_component_lower_bound(f, t)}

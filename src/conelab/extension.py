@@ -60,10 +60,9 @@ def _interp_clamped(theta, values, query):
     return values[:, idx] * (1.0 - frac) + values[:, idx + 1] * frac
 
 
-def cone_map_for(grid: PolarGrid, enlargement: float | None = None) -> BilipschitzConeMap:
+def cone_map_for(grid: PolarGrid) -> BilipschitzConeMap:
     omega = grid.domain.omega
-    eps = default_enlargement(omega) if enlargement is None else enlargement
-    return BilipschitzConeMap(math.pi / 2, omega, eps)
+    return BilipschitzConeMap(math.pi / 2, omega, default_enlargement(omega))
 
 
 def restrict(full: Field, cone_grid: PolarGrid) -> Field:
@@ -96,8 +95,7 @@ def admissibility_gate(f: Field, p: float):
     return integrability_gate(vals, f.grid, p)
 
 
-def extend(f: Field, p: float, full_grid: PolarGrid | None = None,
-           enlargement: float | None = None) -> tuple[Field, dict]:
+def extend(f: Field, p: float, full_grid: PolarGrid | None = None) -> tuple[Field, dict]:
     """Extension operator at exponent p; raises ExtensionGateError on inputs
     whose anti-radial weighted norm trends divergent (no extension exists)."""
     grid = f.grid
@@ -112,7 +110,7 @@ def extend(f: Field, p: float, full_grid: PolarGrid | None = None,
     split = radial_split(f)
     vals = np.broadcast_to(split.profile[:, None], (grid.nr, full.nt)).copy()
 
-    cmap = cone_map_for(grid, enlargement)
+    cmap = cone_map_for(grid)
     omega = grid.domain.omega
     eps = cmap.enlargement
     kappa = cmap.kappa
@@ -147,12 +145,11 @@ def enlarged_support_mask(full: PolarGrid, cone: PolarGrid,
     return mask
 
 
-def antiradial_extension_only(f: Field, full_grid: PolarGrid | None = None,
-                              enlargement: float | None = None) -> Field:
+def antiradial_extension_only(f: Field, full_grid: PolarGrid | None = None) -> Field:
     """The cutoff-reflection part alone (no radial term), for support checks."""
     grid = f.grid
     full = full_grid or PolarGrid.fullplane_matching(grid)
-    Ef, _ = extend(f, 1.0, full, enlargement)
+    Ef, _ = extend(f, 1.0, full)
     split = radial_split(f)
     vals = Ef.values[0] - split.profile[:, None]
     return Field(full, vals[None], name=f"xi({f.name})")
@@ -250,6 +247,24 @@ def operator_norm_report(suites, cone_grid: PolarGrid,
                    "roundtrip_err": roundtrip_error(f, Ef, p),
                    "gate": "accepted", "gate_growth": info["gate_growth"],
                    "extended": Ef}
+
+
+def quadrant_report(fields, ps, full_grid: PolarGrid):
+    """The explicit quadrant extension of each field and its restriction back:
+    yields one row per field and exponent with the source and target norms,
+    ratio and round-trip error, and the extended field under "extended".
+    Above p = 2 only fields with vertex limits (0, 0) or (1, 1) are
+    tabulated."""
+    for f in fields:
+        Ef = extend_pierre_2d(f, full_grid)
+        diff = restrict(Ef, f.grid) - f
+        for p in ps:
+            if p > 2.0 and f.vertex_limits not in ((0.0, 0.0), (1.0, 1.0)):
+                continue
+            src, tgt = source_norm(f, p), wp_norm(Ef, p)
+            yield {"field": f.name, "p": p, "source_norm": src,
+                   "target_norm": tgt, "ratio": tgt / src,
+                   "roundtrip_err": wp_norm(diff, p) / src, "extended": Ef}
 
 
 def restriction_antiradial_ratio(full_field: Field, cone_grid: PolarGrid) -> dict:

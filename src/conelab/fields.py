@@ -17,6 +17,7 @@ from .grids import PolarGrid
 from .report import _atomic_write
 
 INF = float("inf")
+GATE_DECADES = 4      # the integrability gate averages growth over these
 
 
 @dataclass(frozen=True, eq=False)
@@ -183,8 +184,18 @@ def hardy_quotient(f: Field, p: float) -> float:
     """||f/r||_p divided by the L^p norm of the radial derivative."""
     den = lp_norm_radial_derivative(f, p)
     if den == 0.0:
-        raise ValueError("zero gradient")
+        raise ValueError(f"{f.name} has no radial derivative on this grid")
     return lp_norm(f, p, weight="inv_r") / den
+
+
+def hardy_rows(fields, p: float):
+    """Rows (field, p, quotient, bound, ok): each field's weighted quotient
+    against the sharp constant p/(n-p), ok within 5% quadrature slack."""
+    for f in fields:
+        bound = p / (f.grid.n - p)
+        q = hardy_quotient(f, p)
+        yield {"field": f.name, "p": p, "quotient": q, "bound": bound,
+               "ok": q <= bound * 1.05}
 
 
 def lp_norm_radial_derivative(f: Field, p: float) -> float:
@@ -193,25 +204,20 @@ def lp_norm_radial_derivative(f: Field, p: float) -> float:
     return lp_norm(rad, p)
 
 
-def cap_mean(f: Field, halves=None) -> np.ndarray:
-    """(nr,) mean of f over the sphere of each radius restricted to the cone.
-
-    halves selects the sheets entering the mean (default: all sheets), using
-    the same angular weights as volume integrals.
-    """
+def cap_mean(f: Field) -> np.ndarray:
+    """(nr,) mean of f over the sphere of each radius restricted to the cone,
+    with the same angular weights as volume integrals."""
     g = f.grid
-    idx = range(g.nhalves) if halves is None else [g.half_index(h) for h in halves]
     w = g.angular_weight
-    tot = len(idx) * float(np.sum(w))
     acc = np.zeros(g.nr)
-    for i in idx:
+    for i in range(g.nhalves):
         acc += f.values[i] @ w
-    return acc / tot
+    return acc / (g.nhalves * float(np.sum(w)))
 
 
-def radial_split(f: Field, halves=None) -> RadialSplit:
+def radial_split(f: Field) -> RadialSplit:
     """Split into the per-ring cap mean and the mean-zero remainder."""
-    prof = cap_mean(f, halves)
+    prof = cap_mean(f)
     fr = f.with_values(np.broadcast_to(prof[None, :, None], f.grid.shape),
                        name=f.name + "_radial" if f.name else "",
                        vertex_limits=None)
@@ -329,7 +335,7 @@ def morrey_quotient(f: Field, p: float, eps: float) -> float:
 
 
 def partial_norm_power_table(f_vals: np.ndarray, grid: PolarGrid, p: float,
-                             weight: str = "inv_r", decades: int | None = None):
+                             weight: str = "inv_r"):
     """Partial integrals P(r_min') = int_{r >= r_min'} |v/r|^p dlambda per decade;
     at p = inf, the running sup of |v/r| over r >= r_min'.
 
@@ -345,54 +351,50 @@ def partial_norm_power_table(f_vals: np.ndarray, grid: PolarGrid, p: float,
     else:
         per_ring = (vals**p * grid.cell_measure[None, :, :]).sum(axis=(0, 2))
         tail = np.cumsum(per_ring[::-1])[::-1]
-    lo = math.ceil(math.log10(grid.r_min))
-    hi = math.floor(math.log10(grid.r_max)) - 1
-    if decades is not None:
-        lo = max(lo, hi - decades + 1)
-    r_mins = 10.0 ** np.arange(hi, lo - 1, -1.0)
+    r_mins = decade_radii(grid)
     idx = np.searchsorted(grid.r, r_mins, side="left")
     P = tail[np.minimum(idx, len(tail) - 1)]
     return r_mins, P
 
 
-def decade_growth(r_mins: np.ndarray, P: np.ndarray, last: int = 4) -> float:
-    """Mean relative growth of P per decade of r_min over the last `last` decades."""
-    if len(P) < last + 1:
-        raise ValueError("table too short")
-    seg = P[-(last + 1):]
-    if seg[-1] == 0.0:
-        return 0.0
-    rel = np.diff(seg) / np.maximum(seg[:-1], 1e-300)
-    return float(np.mean(rel))
+def decade_radii(grid: PolarGrid) -> np.ndarray:
+    """Truncation radii of the partial-integral tables: powers of ten,
+    descending from just below r_max down to the grid's inner radius."""
+    lo = math.ceil(math.log10(grid.r_min))
+    hi = math.floor(math.log10(grid.r_max)) - 1
+    return 10.0 ** np.arange(hi, lo - 1, -1.0)
 
 
-def integrability_gate(f_vals: np.ndarray, grid: PolarGrid, p: float,
-                       threshold: float = 0.015, last: int = 4):
+def integrability_gate(f_vals: np.ndarray, grid: PolarGrid, p: float):
     """Decide whether the 1/r-weighted L^p integral (sup at p = inf) trends
     finite.
 
     Divergent iff the partial integrals (running suprema) keep growing by more
-    than `threshold` per decade of the truncation radius over the last `last`
-    decades.  Returns (accepted, growth_per_decade, table).
+    than 1.5% per decade of the truncation radius, on average over the last
+    GATE_DECADES decades.  Returns (accepted, growth_per_decade, table).
     """
     r_mins, P = partial_norm_power_table(f_vals, grid, p)
-    growth = decade_growth(r_mins, P, last=last)
-    return growth <= threshold, growth, (r_mins, P)
+    if len(P) <= GATE_DECADES:
+        raise ValueError("table too short")
+    seg = P[-(GATE_DECADES + 1):]
+    growth = 0.0 if seg[-1] == 0.0 else float(
+        np.mean(np.diff(seg) / np.maximum(seg[:-1], 1e-300)))
+    return growth <= 0.015, growth, (r_mins, P)
 
 
-def log_log_increment_slope(r_mins: np.ndarray, P: np.ndarray,
-                            skip: int = 1) -> float:
-    """Growth exponent s of P(r_min) ~ A + B|ln r_min|^s via increments.
+def log_log_increment_slope(r_mins: np.ndarray, P: np.ndarray) -> float:
+    """Growth exponent s of P(r_min) ~ A + B|ln r_min|^s via increments,
+    fitted over the vertex tail r_min <= 1e-4 of the table.
 
     Regressing ln(P(u_{k+1}) - P(u_k)) on ln u removes the additive constant A
     that biases a direct log-log fit; the slope is s - 1.
     """
-    u = np.abs(np.log(r_mins))
-    dP = np.diff(P)
+    tail = r_mins <= 1e-4 * (1 + 1e-9)
+    u = np.abs(np.log(r_mins[tail]))
+    dP = np.diff(P[tail])
     du = np.diff(u)
     um = 0.5 * (u[1:] + u[:-1])
     good = dP > 0
-    good[:skip] = False
     if good.sum() < 3:
         raise ValueError("not enough growing increments to fit")
     x = np.log(um[good])

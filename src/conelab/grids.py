@@ -168,11 +168,6 @@ class PolarGrid:
         """(nr, nt) Lebesgue measure of each cell (per sheet)."""
         return np.outer(self.radial_weight, self.angular_weight)
 
-    @cached_property
-    def ring_measure(self) -> np.ndarray:
-        """(nr,) measure of one sheet's full ring at each radial cell."""
-        return self.radial_weight * float(np.sum(self.angular_weight))
-
     def total_measure(self) -> float:
         return float(self.nhalves * np.sum(self.cell_measure))
 

@@ -194,11 +194,10 @@ def k_component_lower_bound(f: Field, t: float) -> float:
                      tg.f_star_integral(t)))
 
 
-def interpolation_norm(f: Field, theta: float, p: float,
-                       t_lo: float = 1e-6, t_hi: float = 1e6,
-                       points: int = 240, per_decade: int = 20) -> float:
-    """(int_0^inf (t^{-theta} K(f,t))^p dt/t)^{1/p} on a geometric t-grid with
-    analytic endpoint tails from the K asymptotics.
+def interpolation_norm(f: Field, theta: float, p: float) -> float:
+    """(int_0^inf (t^{-theta} K(f,t))^p dt/t)^{1/p} on a geometric t-grid
+    covering [1e-6, 1e6] (at least 240 points, 20 per decade) with analytic
+    endpoint tails from the K asymptotics.
 
     K(t) = t * (sup side) holds exactly only below the smallest cell measure,
     so the numeric grid is extended down to that scale before the linear
@@ -214,9 +213,9 @@ def interpolation_norm(f: Field, theta: float, p: float,
     if not tables:
         return 0.0
     first_step = min(float(t.cum[0]) for t in tables)
-    floor = min(t_lo, 0.5 * first_step)
-    ceil_ = max(t_hi, 2.0 * max(t.total_measure for t in tables))
-    n_pts = max(points, int(per_decade * math.log10(ceil_ / floor)))
+    floor = min(1e-6, 0.5 * first_step)
+    ceil_ = max(1e6, 2.0 * max(t.total_measure for t in tables))
+    n_pts = max(240, int(20 * math.log10(ceil_ / floor)))
     ts = np.geomspace(floor, ceil_, n_pts)
     K = (tf.f_star_integral(ts) + tw.f_star_integral(ts) + tg.f_star_integral(ts))
     integrand = (ts**-theta * K) ** p / ts

@@ -80,7 +80,9 @@ def _atomic_write(path: str, text: str) -> None:
 
 
 def write_csv(path: str, rows: list[dict], columns: list[str] | None = None) -> None:
-    """Write dict rows with a fixed column order (union of keys by default)."""
+    """Write dict rows with a fixed column order (union of keys by default).
+    A NaN cell raises ValueError and nothing is written; inf stays, the
+    marker of a row the membership gate refused."""
     if columns is None:
         columns = []
         for r in rows:
@@ -89,7 +91,10 @@ def write_csv(path: str, rows: list[dict], columns: list[str] | None = None) -> 
                     columns.append(k)
     lines = [",".join(columns)]
     for r in rows:
-        lines.append(",".join(_fmt(r.get(c, "")) for c in columns))
+        cells = [r.get(c, "") for c in columns]
+        if any(isinstance(v, (float, np.floating)) and np.isnan(v) for v in cells):
+            raise ValueError(f"NaN in a row for {path}: {r}")
+        lines.append(",".join(_fmt(v) for v in cells))
     _atomic_write(path, "\n".join(lines) + "\n")
 
 

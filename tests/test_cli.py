@@ -3,9 +3,11 @@ import math
 import os
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conelab.cli import main
 from conelab.config import ConfigError, load_config
+from conelab.report import write_csv
 
 SMALL = {"nr": 220, "nt": 48, "r_min": 4e-8, "alpha_decades": 2,
          "alpha_points": 3, "t_points": 3, "eps_list": [1e-2, 1e-3],
@@ -56,7 +58,11 @@ class TestConfig:
                                       {"p_list": [0.5]}, {"alpha_points": 1},
                                       {"q": 1.5}, {"q": -0.5}, {"q": 1.0},
                                       {"eps_list": [2.0]}, {"eps_list": [-0.1]},
-                                      {"k_list": [0]}, {"k_list": [2, 0.5]}])
+                                      {"k_list": [0]}, {"k_list": [2, 0.5]},
+                                      {"p_list": ["abc"]}, {"p_list": 5},
+                                      {"p_list": [None]}, {"nt": 12.5},
+                                      {"alpha_points": 2.5}, {"t_points": 7.0},
+                                      {"q": 1e-200}, {"r_min": 1e-120}])
     def test_out_of_range_exits_2(self, tmp_path, capsys, data):
         p = tmp_path / "c.json"
         p.write_text(json.dumps(data))
@@ -90,6 +96,26 @@ class TestCommands:
         rc = main(["--config", small_config, "--out", str(tmp_path / "o"),
                    "hardy", "--p", "2"])
         assert rc == 2
+
+    def test_hardy_n0_exits_2(self, tmp_path, capsys, small_config):
+        out = tmp_path / "o"
+        assert main(["--config", small_config, "--out", str(out),
+                     "hardy", "--n", "0"]) == 2
+        assert len(capsys.readouterr().err.strip().splitlines()) == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", [["density"],
+                                         ["density", "--mode", "corrected"],
+                                         ["extend"]])
+    def test_shallow_grid_exits_2(self, tmp_path, capsys, command):
+        cfgp = tmp_path / "c.json"
+        cfgp.write_text(json.dumps({"nr": 20, "nt": 8, "r_min": 0.1}))
+        out = tmp_path / "o"
+        assert main(["--config", str(cfgp), "--out", str(out)] + command) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and "r_min" in err[0]
+        assert command[0] == "extend" or "eps_list" in err[0]
+        assert not out.exists()
 
     def test_determinism(self, tmp_path, small_config):
         commands = (["hardy", "--p", "1", "--suite", "radial"],
@@ -218,3 +244,43 @@ class TestCommands:
         assert len(files) == 5
         head = (out / files[0]).read_text().splitlines()[0]
         assert head == "t,K_estimate,K_upper_cz,ratio"
+
+
+class TestReport:
+    def test_write_csv_refuses_nan(self, tmp_path):
+        path = tmp_path / "t.csv"
+        with pytest.raises(ValueError):
+            write_csv(str(path), [{"a": 1.0}, {"a": float("nan")}])
+        assert not path.exists() and not list(tmp_path.iterdir())
+
+    def test_write_csv_keeps_infinity(self, tmp_path):
+        path = tmp_path / "t.csv"
+        write_csv(str(path), [{"a": float("inf"), "b": "refused"}])
+        assert path.read_text() == "a,b\ninf,refused\n"
+
+
+_ranged = st.floats(-0.5, 1.5)
+SMALL_CONFIGS = st.fixed_dictionaries(
+    {"nr": st.integers(3, 40), "nt": st.integers(3, 16)},
+    optional={"r_min": st.sampled_from([1e-12, 1e-6, 1e-3, 0.5, 40.0, -1.0]),
+              "q": _ranged,
+              "p_list": st.lists(st.floats(0.5, 6.0) | st.just("inf"),
+                                 max_size=3),
+              "eps_list": st.lists(_ranged, max_size=3)})
+
+
+@settings(max_examples=25, deadline=None)
+@given(data=SMALL_CONFIGS, p=st.sampled_from(["1", "1.5"]),
+       mode=st.sampled_from(["plain", "corrected"]))
+def test_random_small_configs_exit_cleanly(tmp_path_factory, data, p, mode):
+    """No traceback, an exit code of 0, 1 or 2, and no NaN in any CSV."""
+    tmp = tmp_path_factory.mktemp("cfg")
+    cfgp = tmp / "c.json"
+    cfgp.write_text(json.dumps(data))
+    out = tmp / "out"
+    for command in (["norm"], ["split"], ["hardy", "--p", p],
+                    ["density", "--p", p, "--mode", mode]):
+        assert main(["--config", str(cfgp), "--out", str(out)] + command) in (0, 1, 2)
+    for csv in (out.glob("*.csv") if out.exists() else []):
+        cells = csv.read_text().replace("\n", ",").split(",")
+        assert "nan" not in cells, csv.name

@@ -392,12 +392,9 @@ class TestSparsePatch:
         # against the per-ball cover, verified with the node-wise stencil
         cfg = RunConfig(nr=220, nt=48, r_min=4e-8)
         for f in AcceptanceContext(cfg).alpha_suite():
-            amax = float(maximal_function(f, "plus").max())
             scale = float(np.abs(f.sheet("plus")).max())
-            for alpha in np.geomspace(0.5 * amax * 10.0**-cfg.alpha_decades,
-                                      0.5 * amax, cfg.alpha_points):
-                res = decompose(f, CZParams(alpha=float(alpha)), "plus")
-                got = verify(res)
+            for got in czd.level_sweep(f, cfg.alpha_decades, cfg.alpha_points):
+                res = got["decomposition"]
                 balls, good, bad, chi_sum = _decompose_per_ball(f, res.params)
                 want = _verify_per_ball(res, balls)
                 assert got["rec_err"] <= 1e-12

@@ -9,9 +9,12 @@ listed as flat (center ring, ring, half-width) pairs.  Ball averages gather
 window sums of every pair from per-ring prefix sums in one pass, and ball
 dilations take every pair's row of stacked power-of-two sliding maxima; both
 accumulate per center with unbuffered ufunc.at in pair order, so the sums are
-added in the same order as a loop over rings would add them.  Exact distances
-come from a pruned sweep over ring pairs.  Everything here works per half-cone
-sheet on planar (n=2) grids, where the decomposition machinery runs.
+added in the same order as a loop over rings would add them.  The exact
+distance transform reads the nearest target column on either side of every
+node from two per-ring tables, bounds each query ring's distances by its
+nearest target rings, and evaluates all (query ring, target ring) pairs within
+that bound in blocks.  Everything here works per half-cone sheet on planar
+(n=2) grids, where the decomposition machinery runs.
 """
 
 from __future__ import annotations
@@ -23,7 +26,8 @@ from scipy.ndimage import maximum_filter1d
 
 from .grids import PolarGrid
 
-# Pairs per gather: bounds the (pairs, nt) temporaries of the largest radii.
+# Pairs per gather: bounds the (pairs, nt) temporaries of the largest radii
+# and of the distance transform.
 _PAIR_BLOCK = 256
 
 
@@ -230,43 +234,72 @@ class BallAverager:
         return num / den
 
 
+def _nearest_columns(mask: np.ndarray):
+    """Per ring and column of `mask`, the nearest True column at or left of
+    it (-1 if none) and at or right of it (nt if none)."""
+    nt = mask.shape[1]
+    cols = np.arange(nt)
+    left = np.maximum.accumulate(np.where(mask, cols, -1), axis=1)
+    right = np.minimum.accumulate(np.where(mask, cols, nt)[:, ::-1], axis=1)
+    return left, right[:, ::-1]
+
+
+def _ring_pair_d2(sheet: SheetBalls, nearest, qk: np.ndarray,
+                  tk: np.ndarray) -> np.ndarray:
+    """(pairs, nt) array: squared distance from each node of ring qk[i] to the
+    nearest target node of ring tk[i] (+inf where that ring has none)."""
+    r, theta, nt = sheet.r, sheet.theta, sheet.nt
+    R, rr = r[qk, None], r[tk, None]
+    best = np.full((len(qk), nt), np.inf)
+    for side in nearest:
+        cand = side[tk]
+        ok = (cand >= 0) & (cand < nt)
+        dth = np.abs(theta - theta[np.clip(cand, 0, nt - 1)])
+        d2 = R * R + rr * rr - 2.0 * R * rr * np.cos(dth)
+        np.minimum(best, np.where(ok, d2, np.inf), out=best)
+    return best
+
+
 def distance_to_cells(sheet: SheetBalls, target_mask: np.ndarray,
                       query_mask: np.ndarray) -> np.ndarray:
     """Exact Euclidean distance from each query node to the nearest target node.
 
-    Pruned sweep over ring pairs: within a ring the nearest target is angularly
-    adjacent in the sorted index list, and rings are visited by increasing
-    radial gap with an early break once no query cell can improve.  Entries are
-    +inf where query_mask is False.
+    Within a ring the nearest target lies at the nearest target column on
+    either side, read from two (nr, nt) tables.  The nearest target rings
+    below and above each query ring bound its distances; every target ring
+    closer than that bound is paired with the query ring, and all pairs are
+    evaluated `_PAIR_BLOCK` at a time and min-reduced per query ring.  Entries
+    are +inf where query_mask is False.
     """
     if not target_mask.any():
         raise ValueError("no target cells")
-    nr, nt, r, theta = sheet.nr, sheet.nt, sheet.r, sheet.theta
-    tj = [np.flatnonzero(target_mask[k]) for k in range(nr)]
-    t_th = [theta[ix] for ix in tj]
-    out = np.full((nr, nt), np.inf)
-    target_rings = np.flatnonzero([len(ix) > 0 for ix in tj])
-    for k in range(nr):
-        js = np.flatnonzero(query_mask[k])
-        if len(js) == 0:
-            continue
-        R = float(r[k])
-        th_q = theta[js]
-        best2 = np.full(len(js), np.inf)
-        order = target_rings[np.argsort(np.abs(r[target_rings] - R), kind="stable")]
-        for kp in order:
-            gap = r[kp] - R
-            if gap * gap >= best2.max():
-                break
-            th_t = t_th[kp]
-            pos = np.searchsorted(th_t, th_q)
-            rr = float(r[kp])
-            for cand in (pos - 1, pos):
-                ok = (cand >= 0) & (cand < len(th_t))
-                if not ok.any():
-                    continue
-                dth = np.abs(th_q[ok] - th_t[np.clip(cand, 0, len(th_t) - 1)[ok]])
-                d2 = R * R + rr * rr - 2.0 * R * rr * np.cos(dth)
-                best2[ok] = np.minimum(best2[ok], d2)
-        out[k, js] = np.sqrt(np.maximum(best2, 0.0))
-    return out
+    r = sheet.r
+    nearest = _nearest_columns(target_mask)
+    trings = np.flatnonzero(target_mask.any(axis=1))
+    qrings = np.flatnonzero(query_mask.any(axis=1))
+    # upper bound per query ring: its worst cell's distance to the nearest
+    # target ring at or below it and at or above it
+    below = np.searchsorted(trings, qrings, side="right") - 1
+    above = np.searchsorted(trings, qrings, side="left")
+    near = np.full((len(qrings), sheet.nt), np.inf)
+    for side, ok in ((below, below >= 0), (above, above < len(trings))):
+        d2 = _ring_pair_d2(sheet, nearest, qrings,
+                           trings[np.clip(side, 0, len(trings) - 1)])
+        np.minimum(near, np.where(ok[:, None], d2, np.inf), out=near)
+    bound = np.where(query_mask[qrings], near, -np.inf).max(axis=1)
+    # the slack keeps the rings whose gap ties the bound to rounding
+    reach = np.sqrt(bound) * (1.0 + 1e-9)
+    rt = r[trings]
+    owner, tix = expand_ranges(
+        np.searchsorted(rt, r[qrings] - reach, side="left"),
+        np.searchsorted(rt, r[qrings] + reach, side="right") - 1)
+    qk, tk = qrings[owner], trings[tix]
+    best = np.full((sheet.nr, sheet.nt), np.inf)
+    for i0 in range(0, len(qk), _PAIR_BLOCK):
+        blk = slice(i0, i0 + _PAIR_BLOCK)
+        d2 = _ring_pair_d2(sheet, nearest, qk[blk], tk[blk])
+        k = qk[blk]
+        first = np.flatnonzero(np.r_[True, k[1:] != k[:-1]])
+        best[k[first]] = np.minimum(best[k[first]],
+                                    np.minimum.reduceat(d2, first, axis=0))
+    return np.where(query_mask, np.sqrt(np.maximum(best, 0.0)), np.inf)

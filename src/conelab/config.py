@@ -64,6 +64,9 @@ class RunConfig:
             raise ConfigError("r_min must lie in (0, r_max)")
         if self.q is not None and not 0 < self.q < 1:
             raise ConfigError("q must lie in (0, 1)")
+        if self.q is not None and self.r_min is not None:
+            raise ConfigError("set r_min or q, not both: q fixes the innermost "
+                              "radius r_max q^(nr-1)")
         inner = (self.r_max * self.q ** (self.nr - 1) if self.q is not None
                  else self.r_min or 1e-12 * self.r_max)
         if not inner >= 1e-100 * self.r_max:

@@ -30,6 +30,11 @@ from .rearrangement import (k_component_lower_bound, k_sobolev_estimate,
 
 INF = float("inf")
 
+# Greedy selection: window cells built per chunk of candidates (bounds the
+# chunk's per-cell temporaries), and candidates scanned per chunk start.
+_CHUNK_CELLS = 1 << 14
+_LOOKAHEAD = 4096
+
 
 class DegenerateLevelError(ValueError):
     """The level is too small for the truncated grid: U is the whole sheet."""
@@ -150,6 +155,78 @@ def maximal_table(f: Field, half: str):
     return table
 
 
+def _marked_cells(sheet: SheetBalls, k, j, s, s_cells, cover: float,
+                  reach: float):
+    """The cells that accepting each candidate ball (k[i], j[i]) with underline
+    radius s[i] marks, as flat (candidate, cell) arrays grouped by candidate:
+    the cells of its window of radius reach*s[i] that lie in its cover window
+    (radius cover*s[i] < reach*s[i]) or closer to the center than
+    s_cells + s[i]."""
+    nt = sheet.nt
+    ball, ring, lo, hi = sheet.ball_windows(k, j, reach * s)
+    R, rho = sheet.r[k], cover * s
+    clo, chi = sheet.ring_span(R, rho)
+    w = np.where((clo[ball] <= ring) & (ring <= chi[ball]),
+                 sheet.half_widths(R[ball], rho[ball], ring), -1)
+    row, col = expand_ranges(lo, hi)
+    owner, ring = ball[row], ring[row]
+    cell = ring * nt + col
+    keep = np.abs(col - j[owner]) <= w[row]
+    test = np.flatnonzero(~keep)
+    o = owner[test]
+    keep[test] = (sheet.node_distances(k[o], j[o], ring[test], col[test])
+                  < s_cells[cell[test]] + s[o])
+    return owner[keep], cell[keep]
+
+
+def _greedy_centers(sheet: SheetBalls, U: np.ndarray, d: np.ndarray,
+                    params: CZParams):
+    """Greedy Vitali selection over the nodes of U by decreasing distance d
+    (ties by ring, then column): a node is accepted unless an accepted ball
+    has marked it.  Accepting marks the ball's cover window and the nodes of
+    its blocking window whose own underline ball would overlap it; marks are
+    never cleared.  The candidates are walked in chunks of about
+    _CHUNK_CELLS window cells, and the windows of a chunk are built for the
+    candidates still unmarked when it starts.  Returns the accepted centers
+    (k, j) in selection order."""
+    ks, js = np.nonzero(U)
+    order = np.lexsort((js, ks, -d[ks, js]))
+    ks, js = ks[order], js[order]
+    cells = ks * sheet.nt + js
+    s = 0.5 * d[ks, js] / params.c1
+    s_cells = (d / (2.0 * params.c1)).ravel()
+    cover = 0.95 * params.support_dilate
+    reach = 2.0 * (2.0 * params.c1 / (2.0 * params.c1 - 1.0))
+    # window cells, at most: rows times the widest row, whose half-angle is
+    # asin(rho / R) for rho < R
+    R, rho = sheet.r[ks], reach * s
+    lo, hi = sheet.ring_span(R, rho)
+    half = np.arcsin(np.minimum(rho / R, 1.0)) / sheet.dt
+    cost = np.maximum(hi - lo + 1, 1) * np.minimum(2.0 * half + 3.0, sheet.nt)
+    marked = np.zeros(U.size, dtype=bool)
+    chosen = []
+    pos = 0
+    while pos < len(cells):
+        ahead = np.arange(pos, min(pos + _LOOKAHEAD, len(cells)))
+        pos = ahead[-1] + 1
+        ahead = ahead[~marked[cells[ahead]]]
+        take = max(1, int(np.searchsorted(np.cumsum(cost[ahead]), _CHUNK_CELLS,
+                                          side="right")))
+        if take < len(ahead):
+            ahead, pos = ahead[:take], ahead[take]
+        if not len(ahead):
+            continue
+        owner, marks = _marked_cells(sheet, ks[ahead], js[ahead], s[ahead],
+                                     s_cells, cover, reach)
+        bounds = np.searchsorted(owner, np.arange(len(ahead) + 1)).tolist()
+        for i, (cand, cell) in enumerate(zip(ahead.tolist(),
+                                             cells[ahead].tolist())):
+            if not marked[cell]:
+                chosen.append(cand)
+                marked[marks[bounds[i]:bounds[i + 1]]] = True
+    return ks[chosen], js[chosen]
+
+
 def decompose(f: Field, params: CZParams, half: str = "plus") -> CZResult:
     """Build the decomposition f = g + sum_i b_i on one half-cone sheet."""
     grid = f.grid
@@ -162,28 +239,8 @@ def decompose(f: Field, params: CZParams, half: str = "plus") -> CZResult:
             f"alpha = {params.alpha:.3e} below the maximal function's minimum")
 
     d = distance_to_cells(sheet, ~U, U)
-    s_arr = d / (2.0 * params.c1)
 
-    # greedy selection: sequential, its order defines the cover
-    ks, js = np.nonzero(U)
-    order = np.lexsort((js, ks, -d[ks, js]))
-    covered = np.zeros(U.shape, dtype=bool)
-    blocked = np.zeros(U.shape, dtype=bool)
-    cov = 0.95 * params.support_dilate
-    block_reach = 2.0 * (2.0 * params.c1 / (2.0 * params.c1 - 1.0))
-    chosen = []
-    for idx in order:
-        k, j = int(ks[idx]), int(js[idx])
-        if covered[k, j] or blocked[k, j]:
-            continue
-        chosen.append(idx)
-        s_i = 0.5 * float(d[k, j]) / params.c1
-        for ring, lo, hi in sheet.ball_rows(k, j, cov * s_i):
-            covered[ring, lo:hi + 1] = True
-        for ring, lo, hi in sheet.ball_rows(k, j, block_reach * s_i):
-            dd = sheet.node_distances(k, j, ring, np.arange(lo, hi + 1))
-            blocked[ring, lo:hi + 1] |= dd < s_arr[ring, lo:hi + 1] + s_i
-    bk, bj = ks[chosen], js[chosen]
+    bk, bj = _greedy_centers(sheet, U, d, params)
     radius = 0.5 * d[bk, bj]
     s = radius / params.c1
 
@@ -239,20 +296,37 @@ def _window_counts(grid, ring, lo, hi) -> np.ndarray:
     return np.cumsum(diff, axis=1)[:, :-1]
 
 
-def _neighbor_constants(rc, tc, rad, means, alpha, block=None):
+def _neighbor_constants(rc, tc, rad, means, alpha, block=1 << 18):
     """Max radius ratio and max |mean_i - mean_j| / (min(r_i, r_j) alpha) over
-    intersecting plain balls, `block` rows (default: about 2^18 pairs) at a
-    time.  A ball paired with itself gives (1, 0), the values without any."""
-    block = block or max(1, (1 << 18) // max(len(rad), 1))
+    intersecting plain balls.  Two balls meet only if |rc_i - rc_j| <
+    rad_i + rad_j <= 2 max(rad_i, rad_j), so after a sort by rc each ball is
+    paired with the balls within twice its radius radially, which lists
+    every meeting pair at least once with the larger ball first, and about
+    `block` pairs are listed at a time.  A ball paired with itself gives
+    (1, 0), the values without any."""
+    order = np.argsort(rc, kind="stable")
+    rc, tc, rad, means = rc[order], tc[order], rad[order], means[order]
+    reach = 2.0 * rad * (1.0 + 1e-9)
+    lo = np.searchsorted(rc, rc - reach, side="left")
+    hi = np.searchsorted(rc, rc + reach, side="right") - 1
+    counts = hi - lo + 1
+    ends = np.cumsum(counts)
     ratio_max, mean_const = 1.0, 0.0
-    for i0 in range(0, len(rad), block):
-        i = slice(i0, i0 + block)
-        d2 = rc[i, None]**2 + rc**2 - 2.0 * rc[i, None] * rc * np.cos(tc[i, None] - tc)
-        ii, jj = np.nonzero(np.sqrt(np.maximum(d2, 0.0)) < rad[i, None] + rad)
-        ii += i0
+    start = 0
+    while start < len(rad):
+        stop = max(start + 1, int(np.searchsorted(
+            ends, ends[start] - counts[start] + block, side="right")))
+        ii, jj = expand_ranges(lo[start:stop], hi[start:stop])
+        ii += start
+        near = np.abs(rc[ii] - rc[jj]) <= (rad[ii] + rad[jj]) * (1.0 + 1e-9)
+        ii, jj = ii[near], jj[near]
+        d2 = rc[ii]**2 + rc[jj]**2 - 2.0 * rc[ii] * rc[jj] * np.cos(tc[ii] - tc[jj])
+        meet = np.sqrt(np.maximum(d2, 0.0)) < rad[ii] + rad[jj]
+        ii, jj = ii[meet], jj[meet]
         ratio_max = max(ratio_max, float(np.max(rad[ii] / rad[jj])))
         mean_const = max(mean_const, float(np.max(
             np.abs(means[ii] - means[jj]) / (np.minimum(rad[ii], rad[jj]) * alpha))))
+        start = stop
     return ratio_max, mean_const
 
 

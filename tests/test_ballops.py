@@ -1,4 +1,4 @@
-"""Ball-window layer against brute-force balls and the per-ring loop it replaced."""
+"""Ball-window layer against brute-force balls and the per-ring loops it replaced."""
 
 import math
 
@@ -7,7 +7,7 @@ import pytest
 from scipy.ndimage import maximum_filter1d
 
 from conelab.acceptance import AcceptanceContext
-from conelab.ballops import SheetBalls
+from conelab.ballops import SheetBalls, distance_to_cells
 from conelab.config import RunConfig
 from conelab.czd import combined_intensity
 from conelab.grids import PolarGrid
@@ -93,6 +93,41 @@ def loop_maximal(sheet, intensity):
     for rho in sheet.dyadic_radii():
         avg = loop_averages(sheet, intensity, rho)
         np.maximum(out, loop_dilate(sheet, avg, rho), out=out)
+    return out
+
+
+def loop_distance(sheet, target_mask, query_mask):
+    """Pruned sweep over ring pairs: per query ring, target rings by
+    increasing radial gap until no query cell can improve; within a ring the
+    nearest target is angularly adjacent in the sorted index list."""
+    nr, nt, r, theta = sheet.nr, sheet.nt, sheet.r, sheet.theta
+    tj = [np.flatnonzero(target_mask[k]) for k in range(nr)]
+    t_th = [theta[ix] for ix in tj]
+    out = np.full((nr, nt), np.inf)
+    target_rings = np.flatnonzero([len(ix) > 0 for ix in tj])
+    for k in range(nr):
+        js = np.flatnonzero(query_mask[k])
+        if len(js) == 0:
+            continue
+        R = float(r[k])
+        th_q = theta[js]
+        best2 = np.full(len(js), np.inf)
+        order = target_rings[np.argsort(np.abs(r[target_rings] - R), kind="stable")]
+        for kp in order:
+            gap = r[kp] - R
+            if gap * gap >= best2.max():
+                break
+            th_t = t_th[kp]
+            pos = np.searchsorted(th_t, th_q)
+            rr = float(r[kp])
+            for cand in (pos - 1, pos):
+                ok = (cand >= 0) & (cand < len(th_t))
+                if not ok.any():
+                    continue
+                dth = np.abs(th_q[ok] - th_t[np.clip(cand, 0, len(th_t) - 1)[ok]])
+                d2 = R * R + rr * rr - 2.0 * R * rr * np.cos(dth)
+                best2[ok] = np.minimum(best2[ok], d2)
+        out[k, js] = np.sqrt(np.maximum(best2, 0.0))
     return out
 
 
@@ -207,3 +242,50 @@ class TestMaximal:
             for half in ("plus", "minus"):
                 x = combined_intensity(f, half)
                 assert np.array_equal(sheet.maximal(x), loop_maximal(sheet, x))
+
+
+def level_masks(grid, seed):
+    """Query masks U: random cells at three densities, two blocks, and the
+    sheet without one cell or without one ring (so the target is that)."""
+    rng = np.random.default_rng(seed)
+    shape = (grid.nr, grid.nt)
+    masks = [rng.random(shape) < p for p in (0.05, 0.5, 0.97)]
+    block = np.zeros(shape, dtype=bool)
+    block[grid.nr // 3:grid.nr // 2, 2:grid.nt // 2] = True
+    block[-4:, -3:] = True
+    masks.append(block)
+    for k, j in ((0, 0), (grid.nr // 2, grid.nt // 3), (grid.nr - 1, grid.nt - 1)):
+        cell = np.ones(shape, dtype=bool)
+        cell[k, j] = False
+        masks.append(cell)
+    for k in (0, grid.nr // 2, grid.nr - 1):
+        ring = np.ones(shape, dtype=bool)
+        ring[k] = False
+        masks.append(ring)
+    return masks
+
+
+class TestDistance:
+    @pytest.mark.parametrize("shape", [(40, 12), (220, 48)])
+    def test_equals_ring_sweep(self, dom2, shape):
+        grid = PolarGrid.cone(dom2, nr=shape[0], nt=shape[1], r_max=40.0,
+                              r_min=4e-8 if shape[0] > 40 else 4e-2)
+        sheet = SheetBalls(grid)
+        for U in level_masks(grid, 7):
+            assert np.array_equal(distance_to_cells(sheet, ~U, U),
+                                  loop_distance(sheet, ~U, U))
+
+    def test_matches_bruteforce(self, tiny):
+        grid, sheet, dist = tiny
+        for U in level_masks(grid, 8):
+            got = distance_to_cells(sheet, ~U, U).ravel()
+            q = U.ravel()
+            brute = np.where(~q[None, :], dist, np.inf).min(axis=1)
+            np.testing.assert_allclose(got[q], brute[q], rtol=1e-12, atol=0)
+            assert np.all(np.isinf(got[~q]))
+
+    def test_no_target_rejected(self, tiny):
+        grid, sheet, _ = tiny
+        U = np.ones((grid.nr, grid.nt), dtype=bool)
+        with pytest.raises(ValueError):
+            distance_to_cells(sheet, ~U, U)

@@ -71,6 +71,15 @@ class TestConfig:
         assert len(capsys.readouterr().err.strip().splitlines()) == 1
         assert not out.exists()
 
+    def test_q_with_r_min_exits_2(self, tmp_path, capsys):
+        p = tmp_path / "c.json"
+        p.write_text(json.dumps({"nr": 20, "nt": 8, "q": 0.5, "r_min": 1e-3}))
+        out = tmp_path / "o"
+        assert main(["--config", str(p), "--out", str(out), "norm"]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and "r_min" in err[0] and "q" in err[0]
+        assert not out.exists()
+
     def test_missing_file(self):
         with pytest.raises(ConfigError):
             load_config("/nonexistent/path.json")

@@ -52,21 +52,6 @@ class TestMaximal:
                 for a in np.geomspace(M.min() * 1.5, M.max() * 0.5, 25))
         assert C < 20.0
 
-    def test_distance_transform_exact(self, czgrid):
-        sheet = SheetBalls(czgrid)
-        rng = np.random.default_rng(0)
-        U = np.zeros((czgrid.nr, czgrid.nt), bool)
-        U[100:150, 5:30] = True
-        U[200:210, 40:48] = True
-        d = distance_to_cells(sheet, ~U, U)
-        pts = czgrid.points("plus")
-        F = pts[~U]
-        ks, js = np.nonzero(U)
-        for i in rng.choice(len(ks), 25, replace=False):
-            k, j = ks[i], js[i]
-            brute = np.linalg.norm(F - pts[k, j], axis=1).min()
-            assert d[k, j] == pytest.approx(brute, rel=1e-12)
-
 
 class TestDecompose:
     def test_empty_level_set(self, logfield):
@@ -275,6 +260,12 @@ def _decompose_per_ball(f, params, half="plus"):
     return balls, vals - bad, bad, chi_sum
 
 
+def _per_ball_rows(grid, balls):
+    """`CZResult.cover_rows` of the per-ball reference cover."""
+    return [(float(grid.r[b["k"]]), float(grid.theta[b["j"]]), b["radius"],
+             1 if b["type1"] else 2) for b in balls]
+
+
 def _sparse_patch_nodewise(grid, rows, data_rows):
     """Reference patch gradient: the 3-point radial stencil written as
     weights of f[k-1], f[k], f[k+1] on the same zero-extended patch."""
@@ -299,23 +290,27 @@ def _sparse_patch_nodewise(grid, rows, data_rows):
     return patch[1:-1, 1:-1], np.sqrt(dr**2 + ang**2), rlo, jlo
 
 
-def _dense_neighbor_constants(balls, grid, alpha):
-    if len(balls) < 2:
-        return 1.0, 0.0
+def _dense_neighbor_constants(balls, grid, alpha, rows=1024):
+    """Both constants over all ordered pairs of distinct balls, `rows` rows of
+    the pair matrix at a time."""
     rc = np.array([float(grid.r[b["k"]]) for b in balls])
     tc = np.array([float(grid.theta[b["j"]]) for b in balls])
     rad = np.array([b["radius"] for b in balls])
     means = np.array([b["mean"] for b in balls])
-    d2 = (rc[:, None]**2 + rc[None, :]**2
-          - 2.0 * rc[:, None] * rc[None, :] * np.cos(tc[:, None] - tc[None, :]))
-    inter = np.sqrt(np.maximum(d2, 0.0)) < rad[:, None] + rad[None, :]
-    np.fill_diagonal(inter, False)
-    ii, jj = np.nonzero(inter)
-    if not len(ii):
-        return 1.0, 0.0
-    return (float(np.max(rad[ii] / rad[jj])),
-            float(np.max(np.abs(means[ii] - means[jj])
-                         / (np.minimum(rad[ii], rad[jj]) * alpha))))
+    ratio, mean = 1.0, 0.0
+    for i0 in range(0, len(balls), rows):
+        i = slice(i0, i0 + rows)
+        d2 = (rc[i, None]**2 + rc[None, :]**2
+              - 2.0 * rc[i, None] * rc[None, :] * np.cos(tc[i, None] - tc[None, :]))
+        inter = np.sqrt(np.maximum(d2, 0.0)) < rad[i, None] + rad[None, :]
+        ii, jj = np.nonzero(inter)
+        ii += i0
+        ii, jj = ii[ii != jj], jj[ii != jj]
+        if len(ii):
+            ratio = max(ratio, float(np.max(rad[ii] / rad[jj])))
+            mean = max(mean, float(np.max(np.abs(means[ii] - means[jj])
+                                          / (np.minimum(rad[ii], rad[jj]) * alpha))))
+    return ratio, mean
 
 
 def _verify_per_ball(res, balls):
@@ -403,21 +398,50 @@ class TestSparsePatch:
                         assert got[key] == pytest.approx(val, rel=1e-12, abs=0)
                     else:
                         assert got[key] == val
-                assert res.cover_rows() == [
-                    (float(f.grid.r[b["k"]]), float(f.grid.theta[b["j"]]),
-                     b["radius"], 1 if b["type1"] else 2) for b in balls]
+                assert res.cover_rows() == _per_ball_rows(f.grid, balls)
                 assert np.array_equal(res.chi_sum, chi_sum)
                 assert np.abs(res.good - good).max() <= 1e-12 * scale
                 assert np.abs(res.bad - bad).max() <= 1e-12 * scale
 
 
+class TestManyBallCover:
+    @pytest.mark.parametrize("t", [1e-3, 1e-1, 1e3])
+    def test_greedy_equals_per_ball(self, grid_small, t):
+        # angular_bump at the level of k_upper_via_cz(t): thousands of small
+        # balls at small t; at t = 1e3 U is nearly the whole sheet, so the
+        # first candidates' windows span most of it
+        f = make_test_field("angular_bump", grid_small)
+        alpha = max(czd.maximal_table(f, h).f_star(t) for h in grid_small.halves)
+        for half in grid_small.halves:
+            res = decompose(f, CZParams(alpha=float(alpha)), half)
+            balls, _, _, chi_sum = _decompose_per_ball(f, res.params, half)
+            assert len(balls) > (1000 if t < 1 else 50)
+            assert res.cover_rows() == _per_ball_rows(grid_small, balls)
+            assert np.array_equal(res.chi_sum, chi_sum)
+
+
+def _neighbor_args(res, alpha):
+    c, grid = res.balls, res.grid
+    balls = [dict(k=k, j=j, radius=r, mean=m)
+             for k, j, r, m in zip(c.k, c.j, c.radius, c.mean)]
+    return (grid.r[c.k], grid.theta[c.j], c.radius, c.mean, alpha), balls
+
+
 class TestNeighborConstants:
     def test_blocks_match_dense(self, logresult, czgrid):
-        c = logresult.balls
-        args = (czgrid.r[c.k], czgrid.theta[c.j], c.radius, c.mean, 1.7)
-        balls = [dict(k=k, j=j, radius=r, mean=m)
-                 for k, j, r, m in zip(c.k, c.j, c.radius, c.mean)]
+        args, balls = _neighbor_args(logresult, 1.7)
         dense = _dense_neighbor_constants(balls, czgrid, 1.7)
-        assert len(c) > 7 and dense[1] > 0
-        for block in (1, 7, len(c) - 1, len(c)):
+        n = len(balls)
+        assert n > 7 and dense[1] > 0
+        for block in (1, 7, n - 1, n, n * n):
             assert czd._neighbor_constants(*args, block=block) == dense
+
+    def test_many_balls_match_dense(self, grid_default):
+        # the 9,873-ball cover of k_upper_via_cz(angular_bump, 0.01)
+        f = make_test_field("angular_bump", grid_default)
+        alpha = float(max(czd.maximal_table(f, h).f_star(0.01)
+                          for h in grid_default.halves))
+        args, balls = _neighbor_args(decompose(f, CZParams(alpha=alpha)), alpha)
+        assert len(balls) > 9000
+        dense = _dense_neighbor_constants(balls, grid_default, alpha)
+        assert czd._neighbor_constants(*args) == dense

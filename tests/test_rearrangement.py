@@ -12,6 +12,18 @@ from conelab.rearrangement import (interpolation_norm,
                                    k_sobolev_estimate, k_split_random_search,
                                    rearrange, rearrange_samples)
 
+def loop_random_search(values, weights, t, iters, rng):
+    """One draw and one cost per splitting."""
+    v = np.asarray(values, dtype=float).ravel()
+    w = np.asarray(weights, dtype=float).ravel()
+    vmax = np.abs(v).max() if len(v) else 0.0
+    best = math.inf
+    for _ in range(iters):
+        g = rng.uniform(-vmax, vmax, size=v.shape)
+        best = min(best, float(np.sum(np.abs(v - g) * w) + t * np.abs(g).max()))
+    return best
+
+
 weighted_samples = st.lists(
     st.tuples(st.floats(-20, 20), st.floats(0.05, 3.0)),
     min_size=1, max_size=12)
@@ -71,6 +83,17 @@ class TestKL1Linf:
         t = rearrange_samples([3, 1, 4, 1], [1, 1, 1, 1])
         assert k_l1_linf(t, 1e9) == pytest.approx(t.total_integral)
         assert k_l1_linf(t, 1e-9) == pytest.approx(1e-9 * 4.0)
+
+    @pytest.mark.parametrize("m, iters", [(1, 100), (4, 20000), (37, 5000),
+                                          (70000, 3)])
+    def test_random_search_equals_loop(self, m, iters):
+        # blocks of whole rows, one row when a row alone exceeds the block
+        draw = np.random.default_rng(11)
+        vals, w = draw.uniform(-3, 3, m), draw.uniform(0.2, 1.5, m)
+        got_rng, want_rng = np.random.default_rng(12), np.random.default_rng(12)
+        got = k_split_random_search(vals, w, 0.7, iters=iters, rng=got_rng)
+        assert got == loop_random_search(vals, w, 0.7, iters, want_rng)
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state
 
     def test_random_splits_never_beat_formula(self):
         rng = np.random.default_rng(5)

@@ -1,4 +1,4 @@
-"""The acceptance suite: twelve named checks, each measuring a family of
+"""The acceptance suite: thirteen named checks, each measuring a family of
 inequalities or convergence laws at pinned tolerances and returning a
 CheckResult.  `run_all` executes every check (optionally a subset) and is what
 the command-line `verify-all` and the acceptance tests call.
@@ -19,8 +19,8 @@ from .config import RunConfig
 from .fieldlib import (make_test_field, suite_cz, suite_extension,
                        suite_fullplane, suite_hardy)
 from .fields import (Field, gradient, hardy_rows, log_log_increment_slope,
-                     lp_norm, partial_norm_power_table)
-from .geometry import ConeDomain
+                     lp_norm, partial_norm_power_table, poincare_rows)
+from .geometry import ConeDomain, doubling_ratio
 from .grids import PolarGrid
 from .report import CheckResult, VerificationReport
 
@@ -515,6 +515,39 @@ def check_restriction_antiradial(ctx: AcceptanceContext) -> CheckResult:
                    measured, "ratios finite, stable under refinement", ok, t0)
 
 
+# -- 13 ----------------------------------------------------------------------
+
+
+def check_poincare(ctx: AcceptanceContext) -> CheckResult:
+    """The Poincare dichotomy on B(0, 1): the ratio of the linearly smoothed
+    sign field scales like eps^{1-n/q}, so it blows up for q < n; at q = n
+    the logarithmic profile has ratio^2 ~ log(1/eps)/2.  Doubling holds at
+    every scale: exactly 2^n at the vertex and at most 2^n off it."""
+    t0 = time.time()
+    g = ctx.grid2
+    n = g.n
+    measured, ok = {}, True
+    for row in poincare_rows(g, (1.5, 2.0, 3.0, 4.0), (1e-2, 1e-3, 1e-4, 1e-5)):
+        if row["profile"] == "linear":
+            measured[f"linear_slope_q{row['q']:g}"] = row["slope"]
+            ok &= abs(row["slope"] - (1.0 - n / row["q"])) <= 0.02
+        else:
+            law = row["ratio"] ** 2 / np.log(1.0 / row["eps"])
+            spread = float((law.max() - law.min()) / law.mean())
+            measured.update(log_law_mean=float(law.mean()), log_law_spread=spread)
+            ok &= spread <= 0.02
+    vertex = doubling_ratio(g.domain, (0.0, 0.0), 1.0)
+    off = [doubling_ratio(g.domain, (0.0, 1.0), rad)
+           for rad in (0.1, 0.3, 1.0, 2.0, 5.0)]
+    measured.update(doubling_vertex=vertex, doubling_off_vertex_min=min(off),
+                    doubling_off_vertex_max=max(off))
+    ok &= vertex == 2.0**n and max(off) <= 2.0**n * (1 + 1e-12)
+    return _result("poincare", "Poincare ratio fails for q <= n; doubling",
+                   measured,
+                   "slope 1-n/q +/- 0.02; log law spread <= 2%; "
+                   "doubling 2^n at vertex, <= 2^n off it", ok, t0)
+
+
 CHECKS = {
     "hardy-bound": check_hardy_bound,
     "hardy-critical": check_hardy_critical,
@@ -528,6 +561,7 @@ CHECKS = {
     "density-approx": check_density,
     "codim-obstruction": check_codim_obstruction,
     "restriction-hhat": check_restriction_antiradial,
+    "poincare": check_poincare,
 }
 
 

@@ -208,6 +208,10 @@ def cmd_density(cfg: RunConfig, args) -> int:
 
 def cmd_counterexample(cfg: RunConfig, args) -> int:
     _require_planar(cfg, "counterexample")
+    shallow = (f"r_max = {cfg.r_max:g} leaves too few decades above r_min = 1e-12 "
+               f"to fit the vertex tail; raise r_max")
+    if not cfg.r_max > 1e-12:
+        raise ConfigError(shallow)
     dom = ConeDomain(2, cfg.omega)
     grid = PolarGrid.cone(dom, nr=cfg.nr, nt=cfg.nt, r_max=cfg.r_max,
                           r_min=1e-12)
@@ -216,9 +220,14 @@ def cmd_counterexample(cfg: RunConfig, args) -> int:
     r_mins, P = partial_norm_power_table(f.values, grid, 2.0)
     rows = [{"r_min": float(r), "partial_weighted_sq": float(v)}
             for r, v in zip(r_mins, P)]
+    if len(P) < 2:
+        raise ConfigError(shallow)
     out = {"beta": beta, "expected_slope": 1.0 - 2.0 * beta}
     if beta < 0.5:
-        out["measured_slope"] = log_log_increment_slope(r_mins, P)
+        try:
+            out["measured_slope"] = log_log_increment_slope(r_mins, P)
+        except ValueError as e:
+            raise ConfigError(f"{shallow} ({e})") from e
     else:
         out["last_decade_increment"] = float((P[-1] - P[-2]) / P[-2])
     write_csv(os.path.join(cfg.out_dir, f"counterexample_b{beta:g}.csv"),

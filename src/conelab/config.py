@@ -56,6 +56,8 @@ class RunConfig:
             raise ConfigError("omega must lie in (0, pi/2)")
         if self.variant not in ("double", "quadrant"):
             raise ConfigError(f"unknown variant {self.variant!r}")
+        if self.variant == "quadrant" and self.n != 2:
+            raise ConfigError("the quadrant variant is two-dimensional: set n = 2")
         if self.nr < 3 or self.nt < 3:
             raise ConfigError("grid must have at least 3 nodes per direction")
         if not self.r_max > 0:

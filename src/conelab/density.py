@@ -1,5 +1,5 @@
-"""Approximation sequences vanishing near the vertex: truncation, radial
-cutoff, and the critical-exponent logarithmic corrector.
+"""Approximation sequences vanishing near the vertex: the radial cutoff and
+the critical-exponent logarithmic corrector.
 
 The plain cutoff f (1 - chi_eps) converges in the Sobolev norm below the
 critical exponent and, for vertex-vanishing fields, above it; at p = n the
@@ -20,11 +20,10 @@ from .profiles import plateau
 
 @dataclass(frozen=True)
 class ApproxParams:
-    """Cutoff radius, corrector exponent (delta = eps^{1/k}), truncation height."""
+    """Cutoff radius and corrector exponent (delta = eps^{1/k})."""
 
     eps: float
     k: float = 1.0
-    N: float = math.inf
 
     def __post_init__(self):
         if not 0.0 < self.eps < 1.0:
@@ -53,14 +52,6 @@ def eta_profile(r, delta: float):
     with np.errstate(divide="ignore"):
         inner = abs(math.log(delta)) / np.abs(np.log(np.clip(r, 1e-300, None)))
     return np.where(r <= delta, inner, 1.0)
-
-
-def truncate(f: Field, N: float) -> Field:
-    """Clamp to [-N, N] (a 1-Lipschitz nonlinearity: gradients never grow)."""
-    if not N > 0:
-        raise ValueError("truncation height must be positive")
-    return f.with_values(np.clip(f.values, -N, N), name=f"{f.name}|trunc",
-                         vertex_limits=None)
 
 
 def vertex_cutoff(f: Field, eps: float) -> Field:

@@ -158,14 +158,3 @@ def suite_fullplane(grid: PolarGrid) -> list[Field]:
         Field.from_function(grid, gauss(-0.8, 0.6, 1.1), name="gauss_far"),
     ]
     return fields
-
-
-def vertex_corrected(f: Field) -> Field:
-    """Subtract the common vertex value times a fixed radial plateau, producing
-    a field with zero vertex limits (used above the critical exponent)."""
-    if f.vertex_limits is None or f.vertex_limits[0] != f.vertex_limits[1]:
-        raise ValueError("needs equal declared vertex limits")
-    c = f.vertex_limits[0]
-    chi = plateau(f.grid.r, 0.5, 1.0)
-    vals = f.values - c * chi[None, :, None]
-    return f.with_values(vals, name=f.name + "-centered", vertex_limits=(0.0, 0.0))

@@ -1,4 +1,4 @@
-"""Scalar fields on cone grids: gradients, weighted norms, splits, local ratios.
+"""Scalar fields on cone grids: gradients, weighted norms, splits, Poincare ratios.
 
 A Field stacks one sample sheet per half-cone (or one periodic sheet for the
 full plane).  All reductions are plain measure-weighted sums over the grid's
@@ -227,77 +227,25 @@ def radial_split(f: Field) -> RadialSplit:
     return RadialSplit(fr, fa, prof)
 
 
-def even_odd_split(f: Field) -> tuple[Field, Field]:
-    """f_e = (f + f o S)/2, f_o = (f - f o S)/2 with S the point reflection.
-
-    On the symmetric double cone S swaps the two sheets; the local angular
-    coordinate is oriented the same way on both sheets, so no index flip.
-    """
-    if f.grid.nhalves != 2:
-        raise ValueError("even/odd split needs both half-cones")
-    swapped = f.values[::-1]
-    fe = f.with_values(0.5 * (f.values + swapped), name="", vertex_limits=None)
-    fo = f.with_values(0.5 * (f.values - swapped), name="", vertex_limits=None)
-    return fe, fo
+# -- the Poincare dichotomy ----------------------------------------------------
 
 
-# -- local inequality ratios ------------------------------------------------
-
-
-def poincare_cap_ratio(f: Field, ring: int, p: float, half: str = "plus") -> float:
-    """Mean-oscillation ratio on one spherical cap:
-    (int_cap |f-mean|^p dsigma)^{1/p} / (diam * (int_cap |grad_theta f|^p)^{1/p})."""
+def poincare_ball_ratio(f: Field, center, radius: float, q: float) -> float:
+    """(avg_B |f - f_B|^q)^{1/q} / (radius * (avg_B |grad f|^q)^{1/q}) over
+    B(center, radius) cap X, both sheets in one pass (planar grids)."""
     g = f.grid
-    r = float(g.r[ring])
-    w = g.angular_weight * r ** (g.n - 1)
-    vals = f.sheet(half)[ring]
-    mean = float(vals @ w / np.sum(w))
-    dev = np.abs(vals - mean)
-    tang = np.abs(gradient(f).angular[g.half_index(half), ring])
-    if p == INF:
-        num, den = dev.max(), tang.max()
-    else:
-        num = float((dev**p) @ w) ** (1.0 / p)
-        den = float((tang**p) @ w) ** (1.0 / p)
-    diam = 2.0 * g.domain.omega * r
-    if num < 1e-300:
-        return 0.0
-    if den == 0.0:
-        return INF
-    return num / (diam * den)
-
-
-def poincare_ball_ratio(f: Field, ball, q: float) -> float:
-    """(avg_B |f - f_B|^q)^{1/q} / (radius * (avg_B |grad f|^q)^{1/q}) over the
-    ball of the double cone B(center, radius) cap X."""
-    g = f.grid
-    if g.n != 2:
-        raise ValueError("ball ratios are implemented on planar grids")
-    c = np.asarray(ball.center, dtype=float)
-    rad = float(ball.radius)
-    if rad <= 0:
+    if radius <= 0:
         raise ValueError("degenerate ball")
-    gm = gradient(f).magnitude()
-    num_acc, grad_acc, meas = 0.0, 0.0, 0.0
-    masks, vals_list, meas_list = [], [], []
-    for h in g.halves:
-        pts = g.points(h)
-        d = np.linalg.norm(pts - c, axis=-1)
-        m = d < rad
-        masks.append(m)
-        vals_list.append(f.sheet(h))
-        meas_list.append(np.broadcast_to(g.cell_measure, m.shape))
-    tot = sum(float(mm[msk].sum()) for msk, mm in zip(masks, meas_list))
+    pts = np.stack([g.points(h) for h in g.halves])
+    inside = np.linalg.norm(pts - np.asarray(center, dtype=float), axis=-1) < radius
+    w = np.where(inside, g.cell_measure, 0.0)
+    tot = float(w.sum())
     if tot == 0.0:
         raise ValueError("ball does not meet the grid")
-    fbar = sum(float((vv * mm)[msk].sum()) for msk, vv, mm in
-               zip(masks, vals_list, meas_list)) / tot
-    for i, h in enumerate(g.halves):
-        msk, mm = masks[i], meas_list[i]
-        num_acc += float((np.abs(vals_list[i] - fbar) ** q * mm)[msk].sum())
-        grad_acc += float((gm[g.half_index(h)] ** q * mm)[msk].sum())
-    num = (num_acc / tot) ** (1.0 / q)
-    den = rad * (grad_acc / tot) ** (1.0 / q)
+    fbar = float(np.sum(f.values * w)) / tot
+    num = (float(np.sum(np.abs(f.values - fbar) ** q * w)) / tot) ** (1.0 / q)
+    grad = float(np.sum(gradient(f).magnitude() ** q * w)) / tot
+    den = radius * grad ** (1.0 / q)
     if num < 1e-300:
         return 0.0
     if den == 0.0:
@@ -305,30 +253,39 @@ def poincare_ball_ratio(f: Field, ball, q: float) -> float:
     return num / den
 
 
-def morrey_quotient(f: Field, p: float, eps: float) -> float:
-    """sup over |x| < eps of |f(x)/eps| / ((|x|/eps)^{1-n/p} (avg_{|y|<2eps}|grad f|^p)^{1/p}).
+def poincare_rows(grid: PolarGrid, q_list, eps_list):
+    """Rows (profile, q, eps, ratio, slope): the Poincare ratio on B(0, 1) of
+    sign-split radial fields, one ratio per eps and its log-log slope in eps.
 
-    Quantifies the Hoelder decay rate at the vertex for p > n; requires a
-    declared zero vertex value.
+    The linear profile +/-min(r/eps, 1) has ratio ~ eps^{1-n/q}, so the slope
+    is 1 - n/q: the ratio blows up as eps -> 0 for q < n and stays bounded
+    for q >= n.  At q = n a second row takes the logarithmic profile
+    +/-clip(log(r/eps^2)/log(1/eps), 0, 1), whose ratio^2 grows like
+    log(1/eps)/2: the inequality fails at q = n too, and holds only above
+    the dimension.
     """
-    g = f.grid
-    if p <= g.n:
-        raise ValueError("Morrey quotient needs p > n")
-    if f.vertex_limits is not None and any(v != 0.0 for v in f.vertex_limits):
-        raise ValueError("needs a field with declared zero vertex value")
-    gm = gradient(f).magnitude()
-    inner = g.r < eps
-    outer = g.r < 2.0 * eps
-    if not inner.any():
-        raise ValueError("eps below the grid's inner radius")
-    meas = g.cell_measure[outer]
-    avg = float((gm[:, outer, :] ** p * meas[None, :, :]).sum()
-                / (g.nhalves * meas.sum())) ** (1.0 / p)
-    if avg == 0.0:
-        return 0.0 if np.all(f.values[:, inner, :] == 0.0) else INF
-    ratio = (np.abs(f.values[:, inner, :]) / eps) / (
-        (g.r[inner][None, :, None] / eps) ** (1.0 - g.n / p) * avg)
-    return float(ratio.max())
+    eps = np.asarray(eps_list, dtype=float)
+    for profile, qs in (("linear", list(q_list)),
+                        ("log", [q for q in q_list if q == grid.n])):
+        if not qs:
+            continue
+        fields = [_sign_split(grid, profile, e) for e in eps]
+        for q in qs:
+            ratio = np.array([poincare_ball_ratio(f, (0.0, 0.0), 1.0, q)
+                              for f in fields])
+            slope = float(np.polyfit(np.log(eps), np.log(ratio), 1)[0])
+            yield {"profile": profile, "q": q, "eps": eps, "ratio": ratio,
+                   "slope": slope}
+
+
+def _sign_split(grid: PolarGrid, profile: str, eps: float) -> Field:
+    """+u(r) on the plus sheet and -u(r) on the minus sheet, u the linear or
+    the logarithmic profile of poincare_rows."""
+    r = grid.r
+    u = (np.minimum(r / eps, 1.0) if profile == "linear"
+         else np.clip(np.log(r / eps**2) / math.log(1.0 / eps), 0.0, 1.0))
+    sign = np.array([1.0 if h == "plus" else -1.0 for h in grid.halves])
+    return Field(grid, sign[:, None, None] * u[None, :, None] * np.ones(grid.nt))
 
 
 # -- partial-integral tables and divergence gates ----------------------------

@@ -92,11 +92,6 @@ def classify(domain: ConeDomain, points) -> np.ndarray:
     return out
 
 
-def contains(domain: ConeDomain, point) -> bool:
-    """True iff the point lies in the open double cone (the vertex does not)."""
-    return bool(classify(domain, np.atleast_1d(np.asarray(point, dtype=float))) != 0)
-
-
 def _gauss_panels(breaks: np.ndarray, order: int = 48):
     """Gauss-Legendre nodes/weights on the union of intervals given by breaks."""
     xg, wg = np.polynomial.legendre.leggauss(order)
@@ -220,39 +215,6 @@ def doubling_ratio(domain: ConeDomain, center, radius: float, half: str = "plus"
     if den <= 0.0:
         raise ValueError("ball does not meet the half-cone")
     return num / den
-
-
-@dataclass(frozen=True)
-class ConeBall:
-    """A ball of a half-cone: B(center, radius) cap half-cone, with the three
-    Whitney scales underline/plain/overline tied by constants c1 and c2 = 4*c1."""
-
-    center: tuple
-    radius: float
-    c1: float = 3.0
-    half: str = "plus"
-
-    def __post_init__(self):
-        if not self.c1 > 1.0:
-            raise ValueError("need c1 > 1")
-        if self.radius <= 0.0:
-            raise ValueError("radius must be positive")
-
-    @property
-    def c2(self) -> float:
-        return 4.0 * self.c1
-
-    @property
-    def underline_radius(self) -> float:
-        return self.radius / self.c1
-
-    @property
-    def overline_radius(self) -> float:
-        return self.radius * self.c2 / self.c1
-
-    def distance_to_vertex(self) -> float:
-        """Distance from the ball (as a set) to the origin."""
-        return max(float(np.linalg.norm(np.asarray(self.center))) - self.radius, 0.0)
 
 
 @dataclass(frozen=True)

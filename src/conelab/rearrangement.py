@@ -7,7 +7,6 @@ that step function (no quadrature error beyond the grid itself).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -163,20 +162,6 @@ def k_l1_linf(obj, t: float) -> float:
     return float(table.f_star_integral(t))
 
 
-def k_l1_ln(obj, t: float, n: int) -> float:
-    """Sharp-form K(f, t; L^1, L^n):
-    int_0^{t^a} f* + t (int_{t^a}^inf (f*)^n)^{1/n} with a = n/(n-1)."""
-    if t <= 0:
-        raise ValueError("t must be positive")
-    if n < 2:
-        raise ValueError("n must be at least 2")
-    table = obj if isinstance(obj, RearrangementTable) else rearrange(obj)
-    a = n / (n - 1.0)
-    ta = t**a
-    return float(table.f_star_integral(ta)
-                 + t * table.power_tail_integral(ta, n) ** (1.0 / n))
-
-
 def sobolev_k_tables(f: Field):
     return rearrange(f), rearrange(f, weight="inv_r"), gradient_table(f)
 
@@ -195,39 +180,6 @@ def k_component_lower_bound(f: Field, t: float) -> float:
     tf, tw, tg = sobolev_k_tables(f)
     return float(max(tf.f_star_integral(t), tw.f_star_integral(t),
                      tg.f_star_integral(t)))
-
-
-def interpolation_norm(f: Field, theta: float, p: float) -> float:
-    """(int_0^inf (t^{-theta} K(f,t))^p dt/t)^{1/p} on a geometric t-grid
-    covering [1e-6, 1e6] (at least 240 points, 20 per decade) with analytic
-    endpoint tails from the K asymptotics.
-
-    K(t) = t * (sup side) holds exactly only below the smallest cell measure,
-    so the numeric grid is extended down to that scale before the linear
-    asymptotic takes over; above the total measure K is exactly the L^1-side
-    constant and the upper tail integrates in closed form.
-    """
-    if not 0.0 < theta < 1.0:
-        raise ValueError("theta must lie in (0,1)")
-    if not 1.0 <= p < INF:
-        raise ValueError("p must be finite and >= 1")
-    tf, tw, tg = sobolev_k_tables(f)
-    tables = [t for t in (tf, tw, tg) if t.total_measure > 0.0]
-    if not tables:
-        return 0.0
-    first_step = min(float(t.cum[0]) for t in tables)
-    floor = min(1e-6, 0.5 * first_step)
-    ceil_ = max(1e6, 2.0 * max(t.total_measure for t in tables))
-    n_pts = max(240, int(20 * math.log10(ceil_ / floor)))
-    ts = np.geomspace(floor, ceil_, n_pts)
-    K = (tf.f_star_integral(ts) + tw.f_star_integral(ts) + tg.f_star_integral(ts))
-    integrand = (ts**-theta * K) ** p / ts
-    acc = float(np.trapezoid(integrand, ts))
-    sup_side = tf.sup + tw.sup + tg.sup
-    l1_side = tf.total_integral + tw.total_integral + tg.total_integral
-    acc += (sup_side**p) * floor ** (p * (1.0 - theta)) / (p * (1.0 - theta))
-    acc += (l1_side**p) * ceil_ ** (-theta * p) / (theta * p)
-    return acc ** (1.0 / p)
 
 
 # -- independent oracles --------------------------------------------------------

@@ -1,5 +1,6 @@
-"""The acceptance gate: every criterion runs at the default 600x96 grid and
-its pinned tolerance, printing one PASS/FAIL line per criterion.
+"""The acceptance gate: each of the thirteen criteria runs at the default
+600x96 grid and its pinned tolerance, printing one PASS/FAIL line per
+criterion.
 
 Run with `pytest tests/test_acceptance.py -v -s` (or `conelab verify-all`).
 """

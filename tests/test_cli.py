@@ -62,7 +62,9 @@ class TestConfig:
                                       {"p_list": ["abc"]}, {"p_list": 5},
                                       {"p_list": [None]}, {"nt": 12.5},
                                       {"alpha_points": 2.5}, {"t_points": 7.0},
-                                      {"q": 1e-200}, {"r_min": 1e-120}])
+                                      {"q": 1e-200}, {"r_min": 1e-120},
+                                      {"n": 3, "variant": "quadrant",
+                                       "nr": 20, "nt": 8}])
     def test_out_of_range_exits_2(self, tmp_path, capsys, data):
         p = tmp_path / "c.json"
         p.write_text(json.dumps(data))
@@ -203,6 +205,19 @@ class TestCommands:
         data = json.loads((out / "counterexample_b0.25.json").read_text())
         assert abs(float(data["measured_slope"]) - 0.5) < 0.1
 
+    @pytest.mark.parametrize("r_max,beta", [(1e-10, "0.25"), (1e-11, "1"),
+                                            (1e-13, "1")])
+    def test_counterexample_shallow_r_max_exits_2(self, tmp_path, capsys,
+                                                  r_max, beta):
+        cfgp = tmp_path / "c.json"
+        cfgp.write_text(json.dumps({"r_max": r_max, "nr": 40, "nt": 8}))
+        out = tmp_path / "o"
+        assert main(["--config", str(cfgp), "--out", str(out),
+                     "counterexample", "--beta", beta]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and "r_max" in err[0]
+        assert not out.exists()
+
     def test_extend_and_restrict(self, tmp_path, small_config):
         out = tmp_path / "new" / "out"      # --dump-fields creates it
         assert main(["--config", small_config, "--out", str(out),
@@ -271,7 +286,8 @@ class TestReport:
 _ranged = st.floats(-0.5, 1.5)
 SMALL_CONFIGS = st.fixed_dictionaries(
     {"nr": st.integers(3, 40), "nt": st.integers(3, 16)},
-    optional={"r_min": st.sampled_from([1e-12, 1e-6, 1e-3, 0.5, 40.0, -1.0]),
+    optional={"r_max": st.sampled_from([40.0, 1.0, 1e-4, 1e-10, 2e-12, 1e-12]),
+              "r_min": st.sampled_from([1e-12, 1e-6, 1e-3, 0.5, 40.0, -1.0]),
               "q": _ranged,
               "p_list": st.lists(st.floats(0.5, 6.0) | st.just("inf"),
                                  max_size=3),
@@ -280,15 +296,17 @@ SMALL_CONFIGS = st.fixed_dictionaries(
 
 @settings(max_examples=25, deadline=None)
 @given(data=SMALL_CONFIGS, p=st.sampled_from(["1", "1.5"]),
-       mode=st.sampled_from(["plain", "corrected"]))
-def test_random_small_configs_exit_cleanly(tmp_path_factory, data, p, mode):
+       mode=st.sampled_from(["plain", "corrected"]),
+       beta=st.sampled_from(["0.25", "1"]))
+def test_random_small_configs_exit_cleanly(tmp_path_factory, data, p, mode, beta):
     """No traceback, an exit code of 0, 1 or 2, and no NaN in any CSV."""
     tmp = tmp_path_factory.mktemp("cfg")
     cfgp = tmp / "c.json"
     cfgp.write_text(json.dumps(data))
     out = tmp / "out"
     for command in (["norm"], ["split"], ["hardy", "--p", p],
-                    ["density", "--p", p, "--mode", mode]):
+                    ["density", "--p", p, "--mode", mode],
+                    ["counterexample", "--beta", beta], ["pierre"], ["restrict"]):
         assert main(["--config", str(cfgp), "--out", str(out)] + command) in (0, 1, 2)
     for csv in (out.glob("*.csv") if out.exists() else []):
         cells = csv.read_text().replace("\n", ",").split(",")

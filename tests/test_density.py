@@ -5,7 +5,7 @@ from conelab.density import (ApproxParams, approximation_errors, approximant,
                              chi_profile, convergence_table,
                              corrector_times_cutoff_norm, eta_gradient_norm,
                              eta_profile, fit_decay_slope, log_corrector,
-                             truncate, vertex_cutoff)
+                             vertex_cutoff)
 from conelab.fieldlib import make_test_field
 from conelab.fields import gradient, lp_norm
 
@@ -36,29 +36,6 @@ class TestProfiles:
         r = np.geomspace(1e-12, 0.5, 200)
         vals = eta_profile(r, 0.2)
         assert np.all((0.0 <= vals) & (vals <= 1.0))
-
-
-class TestTruncate:
-    def test_unchanged_when_bounded(self, grid_small):
-        f = make_test_field("radial_exp", grid_small)
-        assert np.array_equal(truncate(f, 10.0).values, f.values)
-
-    def test_gradient_never_grows_much(self, grid_small):
-        f = make_test_field("lipschitz_compact", grid_small)
-        g = truncate(f, 0.5)
-        assert lp_norm(gradient(g), 1.0) <= lp_norm(gradient(f), 1.0) * 1.03
-
-    def test_convergence_for_unbounded_field(self, grid_small):
-        f = make_test_field("radial_power", grid_small, a=-0.3)
-        errs = []
-        for N in (1.0, 10.0, 100.0, 1000.0):
-            d = f - truncate(f, N)
-            errs.append(lp_norm(d, 1.0))
-        assert all(b < a for a, b in zip(errs, errs[1:]))
-
-    def test_positive_height_required(self, grid_small):
-        with pytest.raises(ValueError):
-            truncate(make_test_field("radial_exp", grid_small), 0.0)
 
 
 class TestVertexCutoff:

@@ -5,14 +5,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
-from conelab.fieldlib import make_test_field, suite_hardy, vertex_corrected
-from conelab.fields import (Field, NormSpec, cap_mean, even_odd_split,
-                            gradient, hardy_quotient, integrability_gate,
-                            load_field, lp_norm, morrey_quotient, norm,
-                            partial_norm_power_table, poincare_ball_ratio,
-                            poincare_cap_ratio, radial_split, save_field)
-from conelab.geometry import ConeBall
+from conelab.fieldlib import make_test_field, suite_hardy
+from conelab.fields import (Field, NormSpec, cap_mean, gradient,
+                            hardy_quotient, integrability_gate, load_field,
+                            lp_norm, norm, partial_norm_power_table,
+                            poincare_ball_ratio, poincare_rows, radial_split,
+                            save_field)
 from conelab.grids import PolarGrid
+from conelab.profiles import plateau
 
 INF = float("inf")
 
@@ -136,10 +136,14 @@ class TestHardyQuotient:
         assert f4[1] > 5.0 * f4[0]
 
     def test_vertex_corrected_quotient_stable(self, dom2):
+        # subtracting the vertex value times a radial plateau leaves a field
+        # vanishing at the vertex, whose quotient no longer grows
         vals = []
         for rmin in (1e-4, 1e-8):
             grid = PolarGrid.cone(dom2, nr=300, nt=32, r_max=40.0, r_min=rmin)
-            f = vertex_corrected(make_test_field("lipschitz_compact", grid))
+            f = make_test_field("lipschitz_compact", grid)
+            c = f.vertex_limits[0]
+            f = f.with_values(f.values - c * plateau(grid.r, 0.5, 1.0)[None, :, None])
             vals.append(hardy_quotient(f, 4.0))
         assert vals[1] == pytest.approx(vals[0], rel=0.05)
 
@@ -192,61 +196,29 @@ class TestSplits:
                 gm = gradient(f)
                 assert lp_norm(dr, p) <= lp_norm(gm, p) * (1 + 1e-12)
 
-    def test_even_odd(self, grid_small):
-        f = make_test_field("jump", grid_small)
-        fe, fo = even_odd_split(f)
-        assert np.abs(fe.values).max() == 0.0
-        assert np.array_equal(fo.values, f.values)
-        g = make_test_field("angular_bump", grid_small)
-        ge, go = even_odd_split(g)
-        assert np.array_equal(ge.values + go.values, g.values)
-        assert np.abs(go.values).max() == 0.0    # same sheets: even field
-
     def test_even_odd_matches_antiradial_verdicts(self, grid_small):
-        # at the critical exponent the two splittings agree on divergence
+        # at the critical exponent the anti-radial part and the odd part
+        # (f - f o S)/2, S swapping the sheets, agree on divergence
         for beta in (0.25, 1.0):
             f = make_test_field("logcounter", grid_small, beta=beta)
             fa = radial_split(f).antiradial
-            _, fo = even_odd_split(f)
+            fo = 0.5 * (f.values - f.values[::-1])
             va = integrability_gate(fa.values, grid_small, 2.0)[0]
-            vo = integrability_gate(fo.values, grid_small, 2.0)[0]
+            vo = integrability_gate(fo, grid_small, 2.0)[0]
             assert va == vo
 
 
 class TestPoincare:
-    def test_cap_constant_returns_zero(self, grid_small):
-        f = make_test_field("constant", grid_small, c=2.0)
-        assert poincare_cap_ratio(f, 100, 2.0) == 0.0
-
-    def test_cap_neumann_eigenfunction(self, grid_default):
-        # first nonconstant Neumann mode on an arc of length L: ratio 1/pi
-        L = 2 * grid_default.domain.omega
-
-        def fn(r, t, h):
-            return np.cos(math.pi * (t + grid_default.domain.omega) / L)
-
-        f = Field.from_function(grid_default, fn)
-        ring = int(np.searchsorted(grid_default.r, 1.0))
-        ratio = poincare_cap_ratio(f, ring, 2.0)
-        assert ratio == pytest.approx(1.0 / math.pi, rel=0.01)
-
-    def test_cap_scale_invariance(self, grid_small):
-        f = Field.from_function(grid_small, lambda r, t, h: np.sin(3 * t))
-        r1 = poincare_cap_ratio(f, 150, 2.0)
-        r2 = poincare_cap_ratio(f, 190, 2.0)
-        assert r1 == pytest.approx(r2, rel=1e-10)
-
     def test_ball_constant_zero(self, grid_small):
         f = make_test_field("constant", grid_small, c=1.0)
-        ball = ConeBall((0.0, 1.0), 0.3)
-        assert poincare_ball_ratio(f, ball, 1.0) == 0.0
+        assert poincare_ball_ratio(f, (0.0, 1.0), 0.3, 1.0) == 0.0
 
     def test_ball_interior_stable(self, dom2):
         vals = []
         for nt in (48, 96):
             grid = PolarGrid.cone(dom2, nr=300, nt=nt, r_max=4.0, r_min=1e-4)
             f = Field.from_function(grid, lambda r, t, h: r * np.sin(t))
-            vals.append(poincare_ball_ratio(f, ConeBall((0.0, 1.0), 0.25), 1.0))
+            vals.append(poincare_ball_ratio(f, (0.0, 1.0), 0.25, 1.0))
         assert vals[0] == pytest.approx(vals[1], rel=0.05)
         assert 0.0 < vals[1] < 10.0
 
@@ -256,37 +228,23 @@ class TestPoincare:
         chi = Field(grid_small,
                     np.where(grid_small.r[None, :, None] < 0.05,
                              np.sign(f.values), 0.0))
-        ratio = poincare_ball_ratio(chi, ConeBall((0.0, 0.01), 0.02), 1.0)
+        ratio = poincare_ball_ratio(chi, (0.0, 0.01), 0.02, 1.0)
         assert ratio == INF
 
+    def test_rows_slope_changes_sign_at_dimension(self, grid_small):
+        # ratio ~ eps^{1-n/q}: blows up below the dimension, decays above it
+        rows = list(poincare_rows(grid_small, (1.5, 4.0), (1e-2, 1e-3, 1e-4)))
+        assert [r["profile"] for r in rows] == ["linear", "linear"]
+        assert rows[0]["slope"] < 0.0 < rows[1]["slope"]
+        assert np.all(np.diff(rows[0]["ratio"]) > 0)
 
-class TestMorrey:
-    def test_zero_field(self, grid_small):
-        z = make_test_field("constant", grid_small, c=0.0)
-        assert morrey_quotient(z, 4.0, 0.1) == 0.0
-
-    def test_linear_field_stable_in_eps(self, grid_small):
-        f = Field.from_function(grid_small, lambda r, t, h: r)
-        vals = [morrey_quotient(f, 4.0, eps) for eps in (0.1, 0.01, 1e-3)]
-        assert max(vals) / min(vals) < 1.3
-        assert all(np.isfinite(v) for v in vals)
-
-    def test_borderline_profile_near_supremum(self, grid_small):
-        # r^{1-n/p} times an angular bump: the extremal Hoelder profile
-        p = 4.0
-        a = 1.0 - 2.0 / p
-
-        def fn(r, t, h):
-            return r**a * np.cos(t)
-
-        f = Field.from_function(grid_small, fn)
-        vals = [morrey_quotient(f, p, eps) for eps in (0.1, 0.01, 1e-3)]
-        assert max(vals) / min(vals) < 1.3
-
-    def test_needs_p_above_dimension(self, grid_small):
-        f = make_test_field("radial_exp", grid_small)
-        with pytest.raises(ValueError):
-            morrey_quotient(f, 2.0, 0.1)
+    def test_rows_log_profile_only_at_dimension(self, grid_small):
+        rows = list(poincare_rows(grid_small, (2.0,), (1e-2, 1e-3)))
+        assert [r["profile"] for r in rows] == ["linear", "log"]
+        # ratio^2 ~ log(1/eps)/2 while the grid resolves eps^2
+        law = rows[1]["ratio"] ** 2 / np.log(1.0 / rows[1]["eps"])
+        assert law[1] == pytest.approx(law[0], rel=0.02)
+        assert 0.45 < law.mean() < 0.6
 
 
 class TestDivergenceTables:

@@ -4,22 +4,21 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conelab.geometry import (BilipschitzConeMap, ConeBall, ConeDomain,
-                              ball_measure, classify, contains,
-                              cutoff_for_map, default_enlargement,
+from conelab.geometry import (BilipschitzConeMap, ConeDomain, ball_measure,
+                              classify, cutoff_for_map, default_enlargement,
                               doubling_ratio)
 
 
 class TestMembership:
     def test_axis_point_inside(self, dom2):
-        assert contains(dom2, (0.0, 1.0))
+        assert classify(dom2, (0.0, 1.0)) == 1
 
     def test_boundary_direction_excluded(self, dom2):
-        assert not contains(dom2, (1.0, 0.0))
-        assert not contains(dom2, (1.0, 1.0))   # on the boundary ray
+        assert classify(dom2, (1.0, 0.0)) == 0
+        assert classify(dom2, (1.0, 1.0)) == 0   # on the boundary ray
 
     def test_vertex_excluded(self, dom2):
-        assert not contains(dom2, (0.0, 0.0))
+        assert classify(dom2, (0.0, 0.0)) == 0
 
     def test_halves(self, dom2):
         assert classify(dom2, (0.1, 1.0)) == 1
@@ -27,13 +26,13 @@ class TestMembership:
 
     def test_quadrant_variant(self):
         d = ConeDomain(2, math.pi / 4, "quadrant")
-        assert contains(d, (1.0, 1.0))
-        assert contains(d, (-2.0, -0.5))
-        assert not contains(d, (1.0, -1.0))
+        assert classify(d, (1.0, 1.0)) == 1
+        assert classify(d, (-2.0, -0.5)) == -1
+        assert classify(d, (1.0, -1.0)) == 0
 
     def test_dimension_mismatch(self, dom2):
         with pytest.raises(ValueError):
-            contains(dom2, (1.0, 2.0, 3.0))
+            classify(dom2, (1.0, 2.0, 3.0))
 
 
 class TestBallMeasure:
@@ -205,17 +204,3 @@ class TestCutoff:
         beyond = angles >= self.m.support_half_angle
         assert np.all(vals[beyond] == 0.0)
 
-
-class TestConeBall:
-    def test_scales(self):
-        b = ConeBall((0.0, 1.0), 0.3, c1=3.0)
-        assert b.c2 == 12.0
-        assert b.underline_radius == pytest.approx(0.1)
-        assert b.overline_radius == pytest.approx(1.2)
-        assert b.distance_to_vertex() == pytest.approx(0.7)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            ConeBall((0, 1), 0.3, c1=0.5)
-        with pytest.raises(ValueError):
-            ConeBall((0, 1), -1.0)

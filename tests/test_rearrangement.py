@@ -4,13 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conelab.fieldlib import make_test_field, suite_cz
-from conelab.fields import gradient, lp_norm
-from conelab.rearrangement import (interpolation_norm,
-                                   k_component_lower_bound, k_l1_linf,
-                                   k_l1_linf_bruteforce, k_l1_ln,
-                                   k_sobolev_estimate, k_split_random_search,
-                                   rearrange, rearrange_samples)
+from conelab.fieldlib import make_test_field
+from conelab.fields import lp_norm
+from conelab.rearrangement import (k_component_lower_bound, k_l1_linf,
+                                   k_l1_linf_bruteforce, k_sobolev_estimate,
+                                   k_split_random_search, rearrange,
+                                   rearrange_samples)
 
 def loop_random_search(values, weights, t, iters, rng):
     """One draw and one cost per splitting."""
@@ -117,31 +116,6 @@ class TestKL1Linf:
         assert np.all(second <= 1e-10)
 
 
-class TestKL1Ln:
-    def test_indicator_measure_one(self):
-        assert k_l1_ln(rearrange_samples([1.0], [1.0]), 1.0, 2) == 1.0
-
-    def test_indicator_measure_four(self):
-        v = k_l1_ln(rearrange_samples([1.0], [4.0]), 1.0, 2)
-        assert v == pytest.approx(1.0 + math.sqrt(3.0), rel=1e-12)
-
-    def test_independent_step_integrator(self):
-        # dense-sampling cross-check of both pieces of the formula
-        rng = np.random.default_rng(1)
-        vals = rng.uniform(0, 5, 6)
-        ws = rng.uniform(0.1, 2, 6)
-        table = rearrange_samples(vals, ws)
-        n, t = 2, 0.7
-        a = n / (n - 1)
-        u = np.linspace(0, table.total_measure, 400001)[1:]
-        fstar = table.f_star(u)
-        du = u[1] - u[0]
-        head = float(fstar[u <= t**a].sum() * du)
-        tail = float((fstar[u > t**a] ** n).sum() * du)
-        dense = head + t * tail ** (1 / n)
-        assert k_l1_ln(table, t, n) == pytest.approx(dense, rel=1e-3)
-
-
 class TestSobolevEstimate:
     def test_zero_field(self, grid_small):
         z = make_test_field("constant", grid_small, c=0.0)
@@ -164,37 +138,6 @@ class TestSobolevEstimate:
         f = make_test_field("logcounter", grid_small, beta=1.0)
         for t in (0.01, 1.0, 100.0):
             assert k_component_lower_bound(f, t) <= k_sobolev_estimate(f, t)
-
-
-class TestInterpolationNorm:
-    def test_zero(self, grid_small):
-        z = make_test_field("constant", grid_small, c=0.0)
-        assert interpolation_norm(z, 0.5, 2.0) == 0.0
-
-    def test_homogeneity(self, grid_small):
-        f = make_test_field("radial_exp", grid_small)
-        a = interpolation_norm(f, 0.5, 2.0)
-        b = interpolation_norm(2.0 * f, 0.5, 2.0)
-        assert b == pytest.approx(2 * a, rel=1e-9)
-
-    def test_equivalence_with_weighted_norm(self, grid_small):
-        # theta = 1 - 1/p: two-sided comparison, stable across the suite
-        p = 2.0
-        ratios = []
-        for f in suite_cz(grid_small):
-            inorm = interpolation_norm(f, 1 - 1 / p, p)
-            hnorm = (lp_norm(f, p) + lp_norm(gradient(f), p)
-                     + lp_norm(f, p, weight="inv_r"))
-            ratios.append(inorm / hnorm)
-        assert max(ratios) / min(ratios) < 1.5
-        assert 0.2 < min(ratios) and max(ratios) < 20.0
-
-    def test_parameter_validation(self, grid_small):
-        f = make_test_field("radial_exp", grid_small)
-        with pytest.raises(ValueError):
-            interpolation_norm(f, 1.5, 2.0)
-        with pytest.raises(ValueError):
-            interpolation_norm(f, 0.5, float("inf"))
 
 
 class TestFieldTables:

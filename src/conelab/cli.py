@@ -97,6 +97,13 @@ def _require_planar(cfg: RunConfig, command: str) -> None:
         raise ConfigError(f"{command} needs a planar grid (n = 2), got n = {cfg.n}")
 
 
+def _require_nonzero(f) -> None:
+    """The level sweep and the K ratio are undefined on the zero field."""
+    if not f.values.any():
+        raise ConfigError(f"{f.name} vanishes on the grid's radii "
+                          f"[{f.grid.r_min:.3g}, {f.grid.r_max:.3g}]; lower r_min")
+
+
 def cmd_cz(cfg: RunConfig, args) -> int:
     _require_planar(cfg, "cz")
     grid = cfg.grid()
@@ -106,6 +113,7 @@ def cmd_cz(cfg: RunConfig, args) -> int:
     elif args.field == "radial_power" and args.a is not None:
         kw["a"] = args.a
     f = make_test_field(args.field, grid, **kw)
+    _require_nonzero(f)
     rows, ok = [], True
     try:
         for rep in czd.level_sweep(f, cfg.alpha_decades, cfg.alpha_points):
@@ -131,7 +139,10 @@ def cmd_cz(cfg: RunConfig, args) -> int:
 def cmd_kfunc(cfg: RunConfig, args) -> int:
     _require_planar(cfg, "kfunc")
     grid = cfg.grid()
-    for f in suite_cz(grid):
+    fields = suite_cz(grid)
+    for f in fields:        # refuse before any file is written
+        _require_nonzero(f)
+    for f in fields:
         rows = list(czd.k_band(f, cfg.t_lo, cfg.t_hi, cfg.t_points))
         write_csv(os.path.join(cfg.out_dir, f"kfunc_{f.name}.csv"), rows,
                   ["t", "K_estimate", "K_upper_cz", "ratio"])

@@ -9,6 +9,9 @@ and push forward.  Because the cone map preserves radii, the whole pipeline
 acts on the angular coordinate only, so grid transfer is 1D interpolation per
 ring.  At and above the critical exponent the anti-radial 1/r-weighted
 integrability gate refuses inadmissible inputs with a divergence table.
+
+The extension is built once per field and full grid and cached on the field;
+the gate runs at every call, since admissibility depends on p.
 """
 
 from __future__ import annotations
@@ -97,7 +100,9 @@ def admissibility_gate(f: Field, p: float):
 
 def extend(f: Field, p: float, full_grid: PolarGrid | None = None) -> tuple[Field, dict]:
     """Extension operator at exponent p; raises ExtensionGateError on inputs
-    whose anti-radial weighted norm trends divergent (no extension exists)."""
+    whose anti-radial weighted norm trends divergent (no extension exists).
+    With a full_grid given, the extended field is cached on f for the
+    latest full grid."""
     grid = f.grid
     if grid.n != 2 or grid.kind != "cone":
         raise ValueError("the extension acts on planar cone fields")
@@ -106,7 +111,19 @@ def extend(f: Field, p: float, full_grid: PolarGrid | None = None) -> tuple[Fiel
         raise ExtensionGateError(
             f"anti-radial 1/r-weighted norm grows {growth:.1%} per decade at p={p}",
             growth, table)
-    full = full_grid or PolarGrid.fullplane_matching(grid)
+    info = {"gate_growth": growth,
+            "enlargement": default_enlargement(grid.domain.omega),
+            "sphere_measure_ratio": grid.domain.sphere_measure_ratio()}
+    if full_grid is None:
+        return _extended(f, PolarGrid.fullplane_matching(grid)), info
+    held = f._cache.get("extension")
+    if held is None or held[0] is not full_grid:
+        held = f._cache["extension"] = (full_grid, _extended(f, full_grid))
+    return held[1], info
+
+
+def _extended(f: Field, full: PolarGrid) -> Field:
+    grid = f.grid
     split = radial_split(f)
     vals = np.broadcast_to(split.profile[:, None], (grid.nr, full.nt)).copy()
 
@@ -127,11 +144,8 @@ def extend(f: Field, p: float, full_grid: PolarGrid | None = None) -> tuple[Fiel
         sheet = fa.sheet(h)
         sampled = _interp_clamped(grid.theta, sheet, t_src)
         vals[:, inside] += mvals[None, :] * sampled
-    out = Field(full, vals[None], name=f"extended({f.name})",
-                params={"p": p, "enlargement": eps})
-    info = {"gate_growth": growth, "enlargement": eps,
-            "sphere_measure_ratio": grid.domain.sphere_measure_ratio()}
-    return out, info
+    return Field(full, vals[None], name=f"extended({f.name})",
+                 params={"enlargement": eps})
 
 
 def enlarged_support_mask(full: PolarGrid, cone: PolarGrid,
@@ -206,9 +220,13 @@ def wp_norm(obj, p: float) -> float:
 
 
 def roundtrip_error(f: Field, Ef: Field, p: float) -> float:
-    back = restrict(Ef, f.grid)
-    diff = back - f
-    return wp_norm(diff, p) / wp_norm(f, p)
+    """W^1_p norm of restrict(Ef) - f relative to f's.  The difference is
+    cached on f, for the latest Ef, and serves every exponent; not on Ef,
+    since f's cache may hold Ef and the cycle would keep both alive."""
+    held = f._cache.get("roundtrip")
+    if held is None or held[0] is not Ef:
+        held = f._cache["roundtrip"] = (Ef, restrict(Ef, f.grid) - f)
+    return wp_norm(held[1], p) / wp_norm(f, p)
 
 
 def source_norm(f: Field, p: float) -> float:

@@ -35,13 +35,15 @@ def make_test_field(name: str, grid: PolarGrid, **params) -> Field:
     """Construct a named test field on the given grid."""
     if name == "logcounter":
         beta = float(params.get("beta", 1.0))
-
-        def fn(r, t, half):
-            prof = np.abs(np.log(r)) ** (-beta) * _radial_cut(r)
-            return _sign(half) * prof
-
-        return Field.from_function(grid, fn, name=f"logcounter(b={beta:g})",
-                                   params={"beta": beta}, vertex_limits=(0.0, 0.0))
+        # the profile depends on r alone, so both sheets share one; it is 0
+        # outside the cutoff's support, where |ln r|^-beta is infinite at r = 1
+        r = np.meshgrid(grid.r, grid.theta, indexing="ij")[0]
+        cut = _radial_cut(r)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            prof = np.where(cut > 0, np.abs(np.log(r)) ** (-beta) * cut, 0.0)
+        return Field(grid, np.stack([_sign(h) * prof for h in grid.halves]),
+                     name=f"logcounter(b={beta:g})", params={"beta": beta},
+                     vertex_limits=(0.0, 0.0))
     if name == "radial_exp":
         return Field.from_function(grid, lambda r, t, h: r * np.exp(-r),
                                    name="radial_exp", vertex_limits=(0.0, 0.0))
@@ -110,25 +112,43 @@ def suite_cz(grid: PolarGrid) -> list[Field]:
     ]
 
 
-def suite_extension(grid: PolarGrid, p: float) -> list[Field]:
-    """Fields admissible for the extension operator at exponent p:
-    membership in the unweighted space constrains the vertex behavior."""
-    base = [
-        make_test_field("radial_exp", grid),
-        make_test_field("radial_power", grid, a=2.0),
-        make_test_field("angular_bump", grid),
-        make_test_field("lipschitz_compact", grid),
-    ]
-    n = grid.domain.n
+# The extension suites, one entry per field in suite order: the exponent
+# ranges whose suite holds it ("below" p < n, "at" p = n, "above" n < p < inf,
+# "inf" p = inf).  Membership in the unweighted space constrains the vertex
+# behavior.
+_EVERY_RANGE = ("below", "at", "above", "inf")
+_EXTENSION_MEMBERS = (
+    ("radial_exp", {}, _EVERY_RANGE),
+    ("radial_power", {"a": 2.0}, _EVERY_RANGE),
+    ("angular_bump", {}, _EVERY_RANGE),
+    ("lipschitz_compact", {}, _EVERY_RANGE),
+    ("jump", {}, ("below",)),
+    ("logcounter", {"beta": 1.0}, ("below", "at")),
+    ("radial_power", {"a": 0.5}, ("at", "above")),
+)
+
+
+def _exponent_range(p: float, n: int) -> str:
     if p < n:
-        return base + [make_test_field("jump", grid),
-                       make_test_field("logcounter", grid, beta=1.0)]
+        return "below"
     if p == n:
-        return base + [make_test_field("logcounter", grid, beta=1.0),
-                       make_test_field("radial_power", grid, a=0.5)]
-    if p == float("inf"):
-        return base
-    return base + [make_test_field("radial_power", grid, a=0.5)]
+        return "at"
+    return "inf" if p == float("inf") else "above"
+
+
+def suite_extension_members(grid: PolarGrid, ps):
+    """Each field of the extension suites over the exponents ps, built once,
+    with the exponents of ps whose suite holds it: yields (field, ps_held)."""
+    n = grid.domain.n
+    for name, params, ranges in _EXTENSION_MEMBERS:
+        held = [p for p in ps if _exponent_range(p, n) in ranges]
+        if held:
+            yield make_test_field(name, grid, **params), held
+
+
+def suite_extension(grid: PolarGrid, p: float) -> list[Field]:
+    """Fields admissible for the extension operator at exponent p."""
+    return [f for f, _ in suite_extension_members(grid, (p,))]
 
 
 def suite_fullplane(grid: PolarGrid) -> list[Field]:

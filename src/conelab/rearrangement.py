@@ -69,19 +69,6 @@ class RearrangementTable:
         out = self.f_star_integral(t) / t
         return out if np.ndim(out) else float(out)
 
-    def power_tail_integral(self, a: float, p: float) -> float:
-        """int_a^infty f*(u)^p du, exact."""
-        if not len(self.values):
-            return 0.0
-        powv = self.values**p
-        seg = powv * self.widths
-        tail = np.concatenate([np.cumsum(seg[::-1])[::-1], [0.0]])
-        idx = int(np.searchsorted(self.cum, a, side="right"))
-        if idx >= len(self.values):
-            return 0.0
-        base = self.cum[idx - 1] if idx > 0 else 0.0
-        return float(tail[idx + 1] + powv[idx] * max(self.cum[idx] - max(a, base), 0.0))
-
     def lp_norm(self, p: float) -> float:
         """L^p norm of f* on (0, inf); equals the field norm by equimeasurability."""
         if p == INF:
@@ -93,6 +80,27 @@ class RearrangementTable:
         idx = int(np.searchsorted(-self.values, -level, side="left"))
         return float(self.cum[idx - 1]) if idx > 0 else 0.0
 
+    def double_star_nodes(self):
+        """Per-step Gauss nodes t, weights and f**(t), one row of 8 per step
+        of positive width.
+
+        A node of step i lies in [cum[i-1], cum[i]), where f**(t) is
+        (integral[i-1] + values[i] (t - cum[i-1])) / t: f_double_star's
+        arithmetic without its search.  Nodes that rounding puts outside
+        their step take the search."""
+        xg, wg = np.polynomial.legendre.leggauss(8)
+        los = np.concatenate([[0.0], self.cum[:-1]])
+        his = self.cum
+        below = np.concatenate([[0.0], self.integral[:-1]])
+        mid, half = 0.5 * (los + his), 0.5 * (his - los)
+        keep = half > 0
+        lo, hi = los[keep, None], his[keep, None]
+        ts = np.clip(mid[keep, None] + half[keep, None] * xg, 1e-300, None)
+        fss = (below[keep, None] + self.values[keep, None] * (ts - lo)) / ts
+        stray = (ts < lo) | (ts >= hi)
+        fss[stray] = self.f_double_star(ts[stray])
+        return ts, half[keep, None] * wg, fss
+
     def double_star_lp(self, p: float) -> float:
         """L^p norm of f** on (0, inf) by per-step Gauss panels plus the exact
         power tail (f** = I_total/t beyond the support)."""
@@ -100,15 +108,8 @@ class RearrangementTable:
             raise ValueError("f** is never integrable at p = 1")
         if not len(self.values):
             return 0.0
-        xg, wg = np.polynomial.legendre.leggauss(8)
-        los = np.concatenate([[0.0], self.cum[:-1]])
-        his = self.cum
-        mid, half = 0.5 * (los + his), 0.5 * (his - los)
-        ts = mid[:, None] + half[:, None] * xg[None, :]
-        ww = half[:, None] * wg[None, :]
-        keep = half > 0
-        vals = self.f_double_star(np.clip(ts[keep], 1e-300, None)) ** p
-        acc = float(np.sum(vals * ww[keep]))
+        _, ww, fss = self.double_star_nodes()
+        acc = float(np.sum(fss**p * ww))
         acc += self.total_integral**p * self.total_measure ** (1.0 - p) / (p - 1.0)
         return acc ** (1.0 / p)
 

@@ -65,6 +65,14 @@ def _fmt(v) -> str:
     return str(v)
 
 
+def _csv_cell(text: str) -> str:
+    """RFC 4180: a cell holding a comma, a quote or a line break is quoted,
+    with its inner quotes doubled."""
+    if any(c in text for c in ',"\n\r'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
 def _atomic_write(path: str, text: str) -> None:
     d = os.path.dirname(os.path.abspath(path)) or "."
     os.makedirs(d, exist_ok=True)
@@ -89,12 +97,12 @@ def write_csv(path: str, rows: list[dict], columns: list[str] | None = None) -> 
             for k in r:
                 if k not in columns:
                     columns.append(k)
-    lines = [",".join(columns)]
+    lines = [",".join(_csv_cell(c) for c in columns)]
     for r in rows:
         cells = [r.get(c, "") for c in columns]
         if any(isinstance(v, (float, np.floating)) and np.isnan(v) for v in cells):
             raise ValueError(f"NaN in a row for {path}: {r}")
-        lines.append(",".join(_fmt(v) for v in cells))
+        lines.append(",".join(_csv_cell(_fmt(v)) for v in cells))
     _atomic_write(path, "\n".join(lines) + "\n")
 
 

@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 import os
@@ -236,11 +237,21 @@ class TestCommands:
         assert (out / "pierre.csv").exists()
 
     def test_verify_all_subset(self, tmp_path, small_config):
+        # both checks' bound texts hold commas
         out = tmp_path / "out"
-        rc = main(["--out", str(out), "verify-all", "--checks", "hhat-gate"])
+        rc = main(["--out", str(out), "verify-all", "--checks",
+                   "hardy-bound,hhat-gate"])
         assert rc == 0
         summary = json.loads((out / "verify_all.json").read_text())
-        assert summary["passed"] is True and summary["n_checks"] == 1
+        assert summary["passed"] is True and summary["n_checks"] == 2
+        with open(out / "verify_all.csv", newline="") as fh:
+            header, *rows = csv.reader(fh)
+        assert [len(r) for r in rows] == [len(header)] * 2
+        for row, check in zip(rows, summary["checks"]):
+            assert "," in check["bound"]
+            assert {k: row[header.index(k)] for k in check} == {
+                k: repr(v) if isinstance(v, float) else str(v)
+                for k, v in check.items()}
 
     def test_verify_all_unknown_check(self, tmp_path):
         rc = main(["--out", str(tmp_path), "verify-all", "--checks", "nope"])
@@ -269,6 +280,17 @@ class TestCommands:
         head = (out / files[0]).read_text().splitlines()[0]
         assert head == "t,K_estimate,K_upper_cz,ratio"
 
+    @pytest.mark.parametrize("command", ["kfunc", "cz"])
+    def test_vanishing_field_exits_2(self, tmp_path, capsys, command):
+        # logcounter lives in r < 1/2: on [0.5, 40] it is the zero field
+        cfgp = tmp_path / "c.json"
+        cfgp.write_text(json.dumps({"nr": 20, "nt": 8, "r_min": 0.5}))
+        out = tmp_path / "o"
+        assert main(["--config", str(cfgp), "--out", str(out), command]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and "r_min" in err[0]
+        assert not out.exists()
+
 
 class TestReport:
     def test_write_csv_refuses_nan(self, tmp_path):
@@ -285,8 +307,12 @@ class TestReport:
 
 _ranged = st.floats(-0.5, 1.5)
 SMALL_CONFIGS = st.fixed_dictionaries(
-    {"nr": st.integers(3, 40), "nt": st.integers(3, 16)},
+    {"nr": st.integers(3, 40), "nt": st.integers(3, 16),
+     "alpha_points": st.integers(2, 3), "t_points": st.integers(2, 3)},
     optional={"r_max": st.sampled_from([40.0, 1.0, 1e-4, 1e-10, 2e-12, 1e-12]),
+              "alpha_decades": st.integers(0, 8),
+              "t_lo": st.sampled_from([1e-6, 1e-3, 1.0]),
+              "t_hi": st.sampled_from([1e-2, 1.0, 1e3]),
               "r_min": st.sampled_from([1e-12, 1e-6, 1e-3, 0.5, 40.0, -1.0]),
               "q": _ranged,
               "p_list": st.lists(st.floats(0.5, 6.0) | st.just("inf"),
@@ -297,8 +323,10 @@ SMALL_CONFIGS = st.fixed_dictionaries(
 @settings(max_examples=25, deadline=None)
 @given(data=SMALL_CONFIGS, p=st.sampled_from(["1", "1.5"]),
        mode=st.sampled_from(["plain", "corrected"]),
-       beta=st.sampled_from(["0.25", "1"]))
-def test_random_small_configs_exit_cleanly(tmp_path_factory, data, p, mode, beta):
+       beta=st.sampled_from(["0.25", "1"]),
+       field=st.sampled_from(["logcounter", "radial_exp", "angular_bump"]))
+def test_random_small_configs_exit_cleanly(tmp_path_factory, data, p, mode, beta,
+                                           field):
     """No traceback, an exit code of 0, 1 or 2, and no NaN in any CSV."""
     tmp = tmp_path_factory.mktemp("cfg")
     cfgp = tmp / "c.json"
@@ -306,7 +334,8 @@ def test_random_small_configs_exit_cleanly(tmp_path_factory, data, p, mode, beta
     out = tmp / "out"
     for command in (["norm"], ["split"], ["hardy", "--p", p],
                     ["density", "--p", p, "--mode", mode],
-                    ["counterexample", "--beta", beta], ["pierre"], ["restrict"]):
+                    ["counterexample", "--beta", beta], ["pierre"], ["restrict"],
+                    ["extend"], ["kfunc"], ["cz", "--field", field]):
         assert main(["--config", str(cfgp), "--out", str(out)] + command) in (0, 1, 2)
     for csv in (out.glob("*.csv") if out.exists() else []):
         cells = csv.read_text().replace("\n", ",").split(",")

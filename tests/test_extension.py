@@ -165,6 +165,32 @@ class TestExtend:
                             "jump": False}
 
 
+class TestExtensionCache:
+    def test_gate_runs_on_a_warm_cache(self, cone_grid, full_grid):
+        f = make_test_field("logcounter", cone_grid, beta=0.25)
+        Ef, _ = extend(f, 1.0, full_grid)
+        assert extend(f, 1.5, full_grid)[0] is Ef
+        with pytest.raises(ExtensionGateError):
+            extend(f, 2.0, full_grid)
+
+    def test_warm_equals_cold(self, cone_grid, full_grid):
+        warm = make_test_field("angular_bump", cone_grid)
+        for p in (1.0, 2.0, 3.0, INF):
+            Ew, info_w = extend(warm, p, full_grid)
+            rt_w = roundtrip_error(warm, Ew, p)
+            cold = make_test_field("angular_bump", cone_grid)
+            Ec, info_c = extend(cold, p, full_grid)
+            assert np.array_equal(Ew.values, Ec.values)
+            assert info_w == info_c
+            assert rt_w == roundtrip_error(cold, Ec, p)
+
+    def test_no_entry_without_full_grid(self, cone_grid):
+        f = make_test_field("angular_bump", cone_grid)
+        E1, _ = extend(f, 1.5)
+        assert "extension" not in f._cache
+        assert extend(f, 1.5)[0] is not E1
+
+
 class TestPierre:
     def test_identity_on_quadrants(self, quad_grid, quad_full):
         f = make_test_field("angular_bump", quad_grid)

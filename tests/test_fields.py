@@ -283,6 +283,13 @@ class TestFieldPlumbing:
         with pytest.raises(ValueError):
             make_test_field("nope", grid_small)
 
+    def test_logcounter_zero_at_unit_radius(self, dom2):
+        # |ln r|^-beta is infinite at r = 1, outside the cutoff's support
+        grid = PolarGrid.cone(dom2, nr=3, nt=3, r_max=1.0)
+        assert grid.r[-1] == 1.0
+        f = make_test_field("logcounter", grid, beta=0.25)
+        assert np.all(f.values[:, -1, :] == 0.0)
+
     def test_vertex_limits_declared(self, grid_small):
         j = make_test_field("jump", grid_small)
         assert j.vertex_limits == (1.0, -1.0)

@@ -7,9 +7,11 @@ set of balls at once.  For one radius, the balls around all center rings split
 into full rings (a range per center, served by row totals) and partial rings,
 listed as flat (center ring, ring, half-width) pairs.  Ball averages gather
 window sums of every pair from per-ring prefix sums in one pass, and ball
-dilations take every pair's row of stacked power-of-two sliding maxima; both
-accumulate per center with unbuffered ufunc.at in pair order, so the sums are
-added in the same order as a loop over rings would add them.  The exact
+dilations take every pair's row of stacked power-of-two sliding maxima, each
+level the max of the one below at two shifts (doubling), built only on the
+rings and up to the level that some pair reads; both accumulate per center
+with unbuffered ufunc.at in pair order, so the sums are added in the same
+order as a loop over rings would add them.  The exact
 distance transform reads the nearest target column on either side of every
 node from two per-ring tables, bounds each query ring's distances by its
 nearest target rings, and evaluates all (query ring, target ring) pairs within
@@ -22,7 +24,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.ndimage import maximum_filter1d
 
 from .grids import PolarGrid
 
@@ -157,9 +158,6 @@ class SheetBalls:
                 np.add.at(out, cells, (cum.take(hi) - cum.take(lo)).ravel())
         return [out.reshape(self.nr, nt) for out in outs]
 
-    def averager(self, intensity: np.ndarray) -> "BallAverager":
-        return BallAverager(self, intensity)
-
     def ball_dilate(self, values: np.ndarray, rho: float) -> np.ndarray:
         """(nr, nt) array: max of `values` over the centers within rho of each
         node, with partial angular windows rounded down to powers of two (a
@@ -170,21 +168,27 @@ class SheetBalls:
         rowmax = np.append(values.max(axis=1), -np.inf)
         base = np.maximum.reduceat(rowmax, np.stack([flo, fhi + 1], axis=1).ravel())
         out = np.repeat(np.where(fhi >= flo, base[::2], -np.inf), self.nt)
-        qmax = max(1, int(math.ceil(math.log2(self.nt))) + 1)
-        sizes = [0] + [2**q for q in range(qmax)]
-        filt = np.empty((len(sizes), self.nr, self.nt))
+        # a pair of half-width w reads level q = floor(log2 w) + 1 (0 at w = 0),
+        # the max over j - 2^(q-1)..j + 2^(q-1) clamped at the row ends: level
+        # q - 1 at j - h, j, j + h (h = 2^(q-2), 1 for q = 1), built by doubling
+        # on the rings that some pair reads at level q or above
+        centers, rings, ws = (np.concatenate(a) for a in zip(*parts))
+        qidx = np.frexp(ws)[1]   # the bit length of w
+        top = np.zeros(self.nr, dtype=np.int64)   # highest level read per ring
+        np.maximum.at(top, rings, qidx)
+        filt = np.empty((int(top.max()) + 1, self.nr, self.nt))
         filt[0] = values
-        for i, s in enumerate(sizes[1:], start=1):
-            filt[i] = maximum_filter1d(values, size=2 * s + 1, axis=1, mode="nearest")
+        j = np.arange(self.nt)
+        for q in range(1, len(filt)):
+            need = np.flatnonzero(top >= q)
+            prev, h = filt[q - 1, need], 1 << max(q - 2, 0)
+            filt[q, need] = np.maximum(np.maximum(prev[:, np.maximum(j - h, 0)], prev),
+                                       prev[:, np.minimum(j + h, self.nt - 1)])
         rows = filt.reshape(-1, self.nt)
-        for centers, rings, ws in parts:
-            qidx = np.zeros(len(ws), dtype=np.int64)
-            pos = ws > 0
-            qidx[pos] = np.floor(np.log2(ws[pos])).astype(np.int64) + 1
-            for i0 in range(0, len(rings), _PAIR_BLOCK):
-                blk = slice(i0, i0 + _PAIR_BLOCK)
-                np.maximum.at(out, self._pair_cells(centers[blk]).ravel(),
-                              rows[qidx[blk] * self.nr + rings[blk]].ravel())
+        for i0 in range(0, len(rings), _PAIR_BLOCK):
+            blk = slice(i0, i0 + _PAIR_BLOCK)
+            np.maximum.at(out, self._pair_cells(centers[blk]).ravel(),
+                          rows[qidx[blk] * self.nr + rings[blk]].ravel())
         return out.reshape(self.nr, self.nt)
 
     def dyadic_radii(self) -> np.ndarray:
@@ -197,7 +201,7 @@ class SheetBalls:
         ball averages over balls containing each node, floored by the node
         value itself (single-cell ball)."""
         out = np.array(intensity, dtype=float)
-        av = self.averager(intensity)
+        av = BallAverager(self, intensity)
         for rho in self.dyadic_radii():
             avg = av.averages(rho)
             np.maximum(out, self.ball_dilate(avg, rho), out=out)

@@ -18,7 +18,8 @@ import numpy as np
 
 from . import acceptance, czd, density, extension
 from .config import ConfigError, RunConfig, load_config
-from .fieldlib import make_test_field, suite_cz, suite_extension, suite_fullplane, suite_hardy
+from .fieldlib import (make_test_field, suite_cz, suite_extension_members,
+                       suite_fullplane, suite_hardy)
 from .fields import (GATE_DECADES, cap_mean, decade_radii, gradient,
                      hardy_rows, log_log_increment_slope, lp_norm,
                      partial_norm_power_table, radial_split, save_field)
@@ -156,9 +157,10 @@ def cmd_extend(cfg: RunConfig, args) -> int:
         raise ConfigError(
             f"r_min = {grid.r_min:.3g} leaves fewer than {GATE_DECADES + 1} decades "
             f"below r_max for the membership gate at p >= {grid.n}; lower r_min")
+    members = list(suite_extension_members(grid, cfg.p_list))
     rows = []
     for row in extension.operator_norm_report(
-            ((p, suite_extension(grid, p)) for p in cfg.p_list), grid):
+            ((p, [f for f, held in members if p in held]) for p in cfg.p_list), grid):
         Ef = row.pop("extended")
         if args.dump_fields and Ef is not None:
             save_field(Ef, os.path.join(

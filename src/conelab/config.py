@@ -41,7 +41,7 @@ class RunConfig:
     out_dir: str = "out"
 
     def __post_init__(self):
-        for name in ("nr", "nt", "alpha_points", "t_points"):
+        for name in ("nr", "nt", "alpha_decades", "alpha_points", "t_points"):
             v = getattr(self, name)
             if not isinstance(v, numbers.Integral) or isinstance(v, bool):
                 raise ConfigError(f"{name} must be an integer")
@@ -81,6 +81,8 @@ class RunConfig:
         if not all(p >= 1 for p in self.p_list):
             raise ConfigError("every p in p_list must be >= 1")
         self.p_list = [float(p) for p in self.p_list]
+        if self.alpha_decades < 0:
+            raise ConfigError("alpha_decades must be >= 0")
         if self.alpha_points < 2:
             raise ConfigError("alpha_points must be at least 2")
         if not 0 < self.t_lo < self.t_hi or self.t_points < 2:

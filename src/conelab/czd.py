@@ -266,26 +266,38 @@ def decompose(f: Field, params: CZParams, half: str = "plus") -> CZResult:
 # -- verification ---------------------------------------------------------------
 
 
-def _sparse_patch(grid, ring, col, values):
-    """Zero-extended local patch (values and |grad|) of a sheet function given
-    on the cells (ring, col).  Returns (vals, grad_mag, rlo, jlo): interior
-    arrays with origin cell (rlo, jlo); ghost cells use the geometric radial
-    continuation."""
-    rlo, rhi = int(ring.min()), int(ring.max())
-    jlo = max(0, int(col.min()) - 1)
-    jhi = min(grid.nt - 1, int(col.max()) + 1)
-    patch = np.zeros((rhi - rlo + 3, jhi - jlo + 3))
-    patch[ring - rlo + 1, col - jlo + 1] = values
-    r_ext = np.empty(rhi - rlo + 3)
-    r_ext[1:-1] = grid.r[rlo:rhi + 1]
-    r_ext[0] = grid.r[rlo - 1] if rlo > 0 else grid.r[0] * grid.q
-    r_ext[-1] = grid.r[rhi + 1] if rhi < grid.nr - 1 else grid.r[-1] / grid.q
-    a, b = radial_difference_weights(r_ext)
-    d = np.diff(patch[:, 1:-1], axis=0)
-    dr = a[:, None] * d[1:] + b[:, None] * d[:-1]
-    dth = (patch[1:-1, 2:] - patch[1:-1, :-2]) / (2.0 * grid.dtheta)
-    ang = dth / r_ext[1:-1, None]
-    return patch[1:-1, 1:-1], np.sqrt(dr**2 + ang**2), rlo, jlo
+def _patch_grads(grid, ball, ring, col, n: int, *values):
+    """Zero-extended values and |grad| of sheet functions given on the cells
+    (ring, col) of balls 0..n-1 (grouped by ball), in one stencil pass over
+    all patches.  Ball i's patch is rings rlo..rhi by its columns widened by
+    one in the sheet, jlo..jhi; ghost rings continue r geometrically.  Returns
+    (start, rlo, rhi, jlo, jhi, nj) and per values array (vals, grad_mag),
+    with ball i's cell (k, j) at start[i] + (k - rlo[i]) nj[i] + j - jlo[i]."""
+    first = np.searchsorted(ball, np.arange(n))
+    rlo, rhi = ring[first], ring[np.r_[first[1:], len(ball)] - 1]
+    jlo = np.maximum(np.minimum.reduceat(col, first) - 1, 0)
+    jhi = np.minimum(np.maximum.reduceat(col, first) + 1, grid.nt - 1)
+    nj = jhi - jlo + 1
+    end = np.cumsum((rhi - rlo + 3) * (nj + 2))   # past each padded patch
+    owner, k = expand_ranges(rlo, rhi)
+    row, j = expand_ranges(jlo[owner], jhi[owner])
+    owner, k = owner[row], k[row]
+
+    def padded(i, kk, jj):
+        return end[i] - (rhi[i] - kk + 2) * (nj[i] + 2) + jj - jlo[i] + 1
+
+    at, up = padded(owner, k, j), nj[owner] + 2
+    a, b = radial_difference_weights(np.r_[grid.r[0] * grid.q, grid.r,
+                                           grid.r[-1] / grid.q])
+    out = []
+    for v in values:
+        patch = np.zeros(int(end[-1]))
+        patch[padded(ball, ring, col)] = v
+        mid = patch[at]
+        dr = a[k] * (patch[at + up] - mid) + b[k] * (mid - patch[at - up])
+        ang = (patch[at + 1] - patch[at - 1]) / (2.0 * grid.dtheta) / grid.r[k]
+        out.append((mid, np.sqrt(dr**2 + ang**2)))
+    return (np.searchsorted(owner, np.arange(n)), rlo, rhi, jlo, jhi, nj), out
 
 
 def _window_counts(grid, ring, lo, hi) -> np.ndarray:
@@ -375,22 +387,22 @@ def verify(result: CZResult) -> dict:
     f_count = np.pad(np.cumsum(~result.level_set, axis=1), ((0, 0), (1, 0)))
     meets = np.bincount(oball, f_count[oring, ohi + 1] - f_count[oring, olo], n) > 0
 
-    # bad-part averages and partition gradients: one local patch per ball
+    # bad-part averages and partition gradients: one pass over all patches,
+    # then each ball's plain cells in row-major order, summed pairwise per ball
     eb_ratio = chi_grad = 0.0
-    cells, rows = (np.searchsorted(a, np.arange(n + 1)) for a in (cover.ball, pball))
-    for i in range(n):
-        cs = slice(cells[i], cells[i + 1])
-        ring, col = cover.ring[cs], cover.col[cs]
-        babs, bmag, rlo, jlo = _sparse_patch(grid, ring, col, np.abs(cover.b[cs]))
-        cmag = _sparse_patch(grid, ring, col, cover.chi[cs])[1]
-        chi_grad = max(chi_grad, float(cmag.max()) * float(cover.radius[i]))
-        # the patch rings lie inside the plain ball's, from its row p0 on
-        nk, nj = bmag.shape
-        p0, cols = rows[i] + rlo - pring[rows[i]], np.arange(jlo, jlo + nj)
-        plain = (plo[p0:p0 + nk, None] <= cols) & (cols <= phi[p0:p0 + nk, None])
-        contrib = babs * (1.0 + 1.0 / grid.r[rlo:rlo + nk, None]) + bmag
-        num = float((contrib * meas[rlo:rlo + nk, jlo:jlo + nj])[plain].sum())
-        eb_ratio = max(eb_ratio, num / float(ball_measure[i]) / alpha)
+    if n:
+        (start, rlo, rhi, jlo, jhi, nj), ((babs, bmag), (_, cmag)) = _patch_grads(
+            grid, cover.ball, cover.ring, cover.col, n, np.abs(cover.b), cover.chi)
+        chi_grad = float((np.maximum.reduceat(cmag, start) * cover.radius).max())
+        keep = (rlo[pball] <= pring) & (pring <= rhi[pball])
+        row, col = expand_ranges(np.maximum(plo, jlo[pball])[keep],
+                                 np.minimum(phi, jhi[pball])[keep])
+        owner, ring = pball[keep][row], pring[keep][row]
+        at = start[owner] + (ring - rlo[owner]) * nj[owner] + col - jlo[owner]
+        x = (babs[at] * (1.0 + 1.0 / grid.r[ring]) + bmag[at]) * meas[ring, col]
+        ends = np.searchsorted(owner, np.arange(n + 1)).tolist()
+        num = np.array([x[i:z].sum() for i, z in zip(ends[:-1], ends[1:])])
+        eb_ratio = float((num / ball_measure / alpha).max())
 
     eB_ratio = float(ball_measure.sum()) * alpha**params.p / denom if denom > 0 else 0.0
     ratio_max, mean_const = _neighbor_constants(

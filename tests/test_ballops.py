@@ -7,7 +7,7 @@ import pytest
 from scipy.ndimage import maximum_filter1d
 
 from conelab.acceptance import AcceptanceContext
-from conelab.ballops import SheetBalls, distance_to_cells
+from conelab.ballops import BallAverager, SheetBalls, distance_to_cells
 from conelab.config import RunConfig
 from conelab.czd import combined_intensity
 from conelab.grids import PolarGrid
@@ -50,7 +50,7 @@ def loop_window_sums(sheet, cum, rings, ws):
 
 
 def loop_averages(sheet, intensity, rho):
-    av = sheet.averager(intensity)
+    av = BallAverager(sheet, intensity)
     out = np.empty((sheet.nr, sheet.nt))
     for k in range(sheet.nr):
         flo, fhi, parts = loop_partial_parts(sheet, k, rho)
@@ -156,7 +156,7 @@ class TestAverages:
         grid, sheet, dist = tiny
         x = np.random.default_rng(2).uniform(0.1, 5.0, (grid.nr, grid.nt))
         meas = grid.cell_measure.ravel()
-        av = sheet.averager(x)
+        av = BallAverager(sheet, x)
         ties = 0
         for rho in radii:
             got = av.averages(rho).ravel()
@@ -172,21 +172,26 @@ class TestAverages:
     def test_equals_ring_loop(self, tiny, radii):
         grid, sheet, _ = tiny
         x = np.random.default_rng(3).uniform(0.1, 5.0, (grid.nr, grid.nt))
-        av = sheet.averager(x)
+        av = BallAverager(sheet, x)
         for rho in radii:
             assert np.array_equal(av.averages(rho), loop_averages(sheet, x, rho))
 
 
 class TestDilate:
-    @pytest.mark.parametrize("shape", [(40, 12), (220, 48)])
+    @pytest.mark.parametrize("shape", [(40, 12), (220, 48), (40, 3), (60, 37)])
     def test_equals_ring_loop(self, dom2, shape):
         grid = PolarGrid.cone(dom2, nr=shape[0], nt=shape[1], r_max=40.0,
-                              r_min=4e-8 if shape[0] > 40 else 4e-2)
+                              r_min=4e-8 if shape[0] > 60 else 4e-2)
         sheet = SheetBalls(grid)
-        v = np.random.default_rng(4).random((grid.nr, grid.nt))
-        for rho in sheet.dyadic_radii():
-            assert np.array_equal(sheet.ball_dilate(v, rho),
-                                  loop_dilate(sheet, v, rho))
+        rng = np.random.default_rng(4)
+        # ties: three values only; -inf at scattered cells and on whole rings
+        ties = rng.integers(0, 3, (grid.nr, grid.nt)).astype(float)
+        ties[rng.random(ties.shape) < 0.2] = -np.inf
+        ties[::7] = -np.inf
+        for v in (rng.random((grid.nr, grid.nt)), ties):
+            for rho in sheet.dyadic_radii():
+                assert np.array_equal(sheet.ball_dilate(v, rho),
+                                      loop_dilate(sheet, v, rho))
 
     def test_minorant_of_exact_dilation(self, tiny, radii):
         grid, sheet, dist = tiny

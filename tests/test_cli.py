@@ -6,6 +6,7 @@ import os
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conelab import extension
 from conelab.cli import main
 from conelab.config import ConfigError, load_config
 from conelab.report import write_csv
@@ -65,13 +66,18 @@ class TestConfig:
                                       {"alpha_points": 2.5}, {"t_points": 7.0},
                                       {"q": 1e-200}, {"r_min": 1e-120},
                                       {"n": 3, "variant": "quadrant",
-                                       "nr": 20, "nt": 8}])
+                                       "nr": 20, "nt": 8},
+                                      {"alpha_decades": "x"},
+                                      {"alpha_decades": -1},
+                                      {"alpha_decades": 2.5},
+                                      {"alpha_decades": True}])
     def test_out_of_range_exits_2(self, tmp_path, capsys, data):
         p = tmp_path / "c.json"
         p.write_text(json.dumps(data))
         out = tmp_path / "o"
         assert main(["--config", str(p), "--out", str(out), "norm"]) == 2
-        assert len(capsys.readouterr().err.strip().splitlines()) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and next(iter(data)) in err[0]
         assert not out.exists()
 
     def test_q_with_r_min_exits_2(self, tmp_path, capsys):
@@ -229,6 +235,21 @@ class TestCommands:
                         "roundtrip_err,gate")
         assert main(["--config", small_config, "--out", str(out),
                      "restrict"]) == 0
+
+    def test_extend_builds_each_field_once(self, tmp_path, monkeypatch):
+        # the default p_list gives 21 rows of 7 distinct fields
+        built = []
+        real = extension._extended
+        monkeypatch.setattr(extension, "_extended",
+                            lambda f, full: built.append(f.name) or real(f, full))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({k: SMALL[k] for k in ("nr", "nt", "r_min")}))
+        out = tmp_path / "out"
+        assert main(["--config", str(cfg), "--out", str(out), "extend"]) == 0
+        with open(out / "extension.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 21 and all(r["gate"] == "accepted" for r in rows)
+        assert len(built) == len(set(built)) == 7
 
     def test_pierre(self, tmp_path, small_config):
         out = tmp_path / "out"

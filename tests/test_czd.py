@@ -8,11 +8,11 @@ from conelab import czd
 from conelab.acceptance import AcceptanceContext
 from conelab.ballops import SheetBalls, distance_to_cells
 from conelab.config import RunConfig
-from conelab.czd import (CZParams, DegenerateLevelError, _sparse_patch,
+from conelab.czd import (CZParams, DegenerateLevelError, _patch_grads,
                          combined_intensity, decompose, glue_good_parts,
                          k_upper_via_cz, maximal_function, verify)
 from conelab.fieldlib import make_test_field
-from conelab.grids import PolarGrid
+from conelab.grids import PolarGrid, radial_difference_weights
 from conelab.rearrangement import k_component_lower_bound
 
 
@@ -290,6 +290,54 @@ def _sparse_patch_nodewise(grid, rows, data_rows):
     return patch[1:-1, 1:-1], np.sqrt(dr**2 + ang**2), rlo, jlo
 
 
+def _sparse_patch(grid, ring, col, values):
+    """Zero-extended local patch (values and |grad|) of a sheet function given
+    on the cells (ring, col) of one ball.  Returns (vals, grad_mag, rlo, jlo):
+    interior arrays with origin cell (rlo, jlo); ghost cells use the
+    geometric radial continuation."""
+    rlo, rhi = int(ring.min()), int(ring.max())
+    jlo = max(0, int(col.min()) - 1)
+    jhi = min(grid.nt - 1, int(col.max()) + 1)
+    patch = np.zeros((rhi - rlo + 3, jhi - jlo + 3))
+    patch[ring - rlo + 1, col - jlo + 1] = values
+    r_ext = np.empty(rhi - rlo + 3)
+    r_ext[1:-1] = grid.r[rlo:rhi + 1]
+    r_ext[0] = grid.r[rlo - 1] if rlo > 0 else grid.r[0] * grid.q
+    r_ext[-1] = grid.r[rhi + 1] if rhi < grid.nr - 1 else grid.r[-1] / grid.q
+    a, b = radial_difference_weights(r_ext)
+    d = np.diff(patch[:, 1:-1], axis=0)
+    dr = a[:, None] * d[1:] + b[:, None] * d[:-1]
+    dth = (patch[1:-1, 2:] - patch[1:-1, :-2]) / (2.0 * grid.dtheta)
+    ang = dth / r_ext[1:-1, None]
+    return patch[1:-1, 1:-1], np.sqrt(dr**2 + ang**2), rlo, jlo
+
+
+def _patch_constants_per_ball(res):
+    """(eb_ratio, chi_grad_scaled) of `verify`, one `_sparse_patch` pair per
+    ball: the loop that the flat patch pass replaced."""
+    grid, cover, alpha = res.grid, res.balls, res.params.alpha
+    meas, n = grid.cell_measure, len(res.balls)
+    pball, pring, plo, phi = SheetBalls(grid).ball_windows(cover.k, cover.j,
+                                                           cover.radius)
+    ball_measure = czd._ball_sums(meas, pball, pring, plo, phi, n)
+    eb_ratio = chi_grad = 0.0
+    cells, rows = (np.searchsorted(a, np.arange(n + 1)) for a in (cover.ball, pball))
+    for i in range(n):
+        cs = slice(cells[i], cells[i + 1])
+        ring, col = cover.ring[cs], cover.col[cs]
+        babs, bmag, rlo, jlo = _sparse_patch(grid, ring, col, np.abs(cover.b[cs]))
+        cmag = _sparse_patch(grid, ring, col, cover.chi[cs])[1]
+        chi_grad = max(chi_grad, float(cmag.max()) * float(cover.radius[i]))
+        # the patch rings lie inside the plain ball's, from its row p0 on
+        nk, nj = bmag.shape
+        p0, cols = rows[i] + rlo - pring[rows[i]], np.arange(jlo, jlo + nj)
+        plain = (plo[p0:p0 + nk, None] <= cols) & (cols <= phi[p0:p0 + nk, None])
+        contrib = babs * (1.0 + 1.0 / grid.r[rlo:rlo + nk, None]) + bmag
+        num = float((contrib * meas[rlo:rlo + nk, jlo:jlo + nj])[plain].sum())
+        eb_ratio = max(eb_ratio, num / float(ball_measure[i]) / alpha)
+    return eb_ratio, chi_grad
+
+
 def _dense_neighbor_constants(balls, grid, alpha, rows=1024):
     """Both constants over all ordered pairs of distinct balls, `rows` rows of
     the pair matrix at a time."""
@@ -376,9 +424,11 @@ class TestSparsePatch:
         sheet = make_test_field("radial_exp", czgrid).sheet("plus")
         lo, hi = 40, 200
         ring, col = np.indices((hi - lo + 1, czgrid.nt)).reshape(2, -1)
-        _, gmag, rlo, jlo = _sparse_patch(czgrid, ring + lo, col,
-                                          sheet[lo:hi + 1].ravel())
-        assert (rlo, jlo) == (lo, 0)
+        box, [(vals, gmag)] = _patch_grads(czgrid, np.zeros_like(ring), ring + lo,
+                                           col, 1, sheet[lo:hi + 1].ravel())
+        assert [int(a[0]) for a in box] == [0, lo, hi, 0, czgrid.nt - 1, czgrid.nt]
+        assert np.array_equal(vals, sheet[lo:hi + 1].ravel())
+        gmag = gmag.reshape(hi - lo + 1, czgrid.nt)
         want = np.abs(czgrid.d_dr(sheet[None])[0])[lo + 1:hi, 1:-1]
         np.testing.assert_allclose(gmag[1:-1, 1:-1], want, rtol=1e-12)
 
@@ -393,6 +443,8 @@ class TestSparsePatch:
                 balls, good, bad, chi_sum = _decompose_per_ball(f, res.params)
                 want = _verify_per_ball(res, balls)
                 assert got["rec_err"] <= 1e-12
+                assert ((got["eb_ratio"], got["chi_grad_scaled"])
+                        == _patch_constants_per_ball(res))
                 for key, val in want.items():
                     if isinstance(val, float):
                         assert got[key] == pytest.approx(val, rel=1e-12, abs=0)
@@ -418,6 +470,17 @@ class TestManyBallCover:
             assert len(balls) > (1000 if t < 1 else 50)
             assert res.cover_rows() == _per_ball_rows(grid_small, balls)
             assert np.array_equal(res.chi_sum, chi_sum)
+
+    @pytest.mark.parametrize("t", [1e-3, 1e-1])
+    def test_patch_pass_equals_per_ball(self, grid_small, t):
+        f = make_test_field("angular_bump", grid_small)
+        alpha = max(czd.maximal_table(f, h).f_star(t) for h in grid_small.halves)
+        for half in grid_small.halves:
+            res = decompose(f, CZParams(alpha=float(alpha)), half)
+            rep = verify(res)
+            assert rep["n_balls"] > 1000
+            assert ((rep["eb_ratio"], rep["chi_grad_scaled"])
+                    == _patch_constants_per_ball(res))
 
 
 def _neighbor_args(res, alpha):

@@ -224,7 +224,8 @@ class BallAverager:
 
     def averages(self, rho: float) -> np.ndarray:
         """(nr, nt) array: measure-weighted mean of the intensity over the
-        cells of B(node, rho), for every node of the sheet."""
+        cells of B(node, rho), for every node of the sheet; -inf where the
+        ball holds no cell."""
         sh = self.sheet
         flo, fhi, parts = sh.cut_rings(rho)
         full = fhi >= flo
@@ -235,7 +236,9 @@ class BallAverager:
                                          centers, rings, ws)
             num = num + pnum
             den = den + pden
-        return num / den
+        # a ball below the grid's resolution can hold no node: -inf there,
+        # the identity of the max that ball_dilate takes
+        return np.divide(num, den, out=np.full(den.shape, -np.inf), where=den > 0)
 
 
 def _nearest_columns(mask: np.ndarray):

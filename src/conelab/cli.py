@@ -260,7 +260,9 @@ def cmd_verify_all(cfg: RunConfig, args) -> int:
 
     def progress(res):
         status = "PASS" if res.passed else "FAIL"
-        print(f"[{status}] {res.check_id} ({res.runtime:.1f}s)", flush=True)
+        share, lim = res.closest()
+        print(f"[{status}] {res.check_id} ({res.runtime:.1f}s) closest: "
+              f"{lim.text()} at {share:.4g}", flush=True)
 
     report = acceptance.run_all(cfg, only=only, progress=progress)
     write_json(os.path.join(cfg.out_dir, "verify_all.json"), report.summary())

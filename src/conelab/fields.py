@@ -18,6 +18,7 @@ from .report import _atomic_write
 
 INF = float("inf")
 GATE_DECADES = 4      # the integrability gate averages growth over these
+HARDY_SLACK = 1.05    # quadrature slack on the sharp Hardy constant p/(n-p)
 
 
 @dataclass(frozen=True, eq=False)
@@ -83,29 +84,6 @@ class GradientField:
         return np.sqrt(self.radial**2 + self.angular**2)
 
 
-@dataclass(frozen=True)
-class NormSpec:
-    """Exponent / weight / norm-kind selector.
-
-    kind: "lp" plain Lebesgue norm; "sobolev" adds the gradient term;
-    "hardy_sobolev" additionally the 1/r-weighted term; "antiradial_sobolev"
-    is the critical-exponent norm with the 1/r weight on the anti-radial part
-    only (requires p equal to the dimension).
-    """
-
-    p: float
-    weight: str = "none"
-    kind: str = "lp"
-
-    def __post_init__(self):
-        if not (self.p == INF or self.p >= 1.0):
-            raise ValueError("exponent must be in [1, inf]")
-        if self.weight not in ("none", "inv_r"):
-            raise ValueError(f"unknown weight {self.weight!r}")
-        if self.kind not in ("lp", "sobolev", "hardy_sobolev", "antiradial_sobolev"):
-            raise ValueError(f"unknown norm kind {self.kind!r}")
-
-
 @dataclass(frozen=True, eq=False)
 class RadialSplit:
     """f = radial + antiradial, the radial part being the per-ring cap mean."""
@@ -161,25 +139,6 @@ def lp_norm(obj, p: float, weight: str = "none", half: str | None = None) -> flo
     return float(np.sum(vals**p * grid.cell_measure[None, :, :]) ** (1.0 / p))
 
 
-def norm(obj, spec: NormSpec) -> float:
-    """Norm dispatch on a NormSpec (see NormSpec.kind)."""
-    if spec.kind == "lp":
-        return lp_norm(obj, spec.p, spec.weight)
-    f = obj
-    if not isinstance(f, Field):
-        raise TypeError("Sobolev-type norms need a Field")
-    base = lp_norm(f, spec.p) + lp_norm(gradient(f), spec.p)
-    if spec.kind == "sobolev":
-        return base
-    if spec.kind == "hardy_sobolev":
-        return base + lp_norm(f, spec.p, weight="inv_r")
-    # antiradial_sobolev
-    if spec.p != f.grid.n:
-        raise ValueError("the anti-radial norm is defined at p = n only")
-    fa = radial_split(f).antiradial
-    return base + lp_norm(fa, spec.p, weight="inv_r")
-
-
 def hardy_quotient(f: Field, p: float) -> float:
     """||f/r||_p divided by the L^p norm of the radial derivative."""
     den = lp_norm_radial_derivative(f, p)
@@ -190,12 +149,12 @@ def hardy_quotient(f: Field, p: float) -> float:
 
 def hardy_rows(fields, p: float):
     """Rows (field, p, quotient, bound, ok): each field's weighted quotient
-    against the sharp constant p/(n-p), ok within 5% quadrature slack."""
+    against the sharp constant p/(n-p), ok within the quadrature slack."""
     for f in fields:
         bound = p / (f.grid.n - p)
         q = hardy_quotient(f, p)
         yield {"field": f.name, "p": p, "quotient": q, "bound": bound,
-               "ok": q <= bound * 1.05}
+               "ok": q <= bound * HARDY_SLACK}
 
 
 def lp_norm_radial_derivative(f: Field, p: float) -> float:

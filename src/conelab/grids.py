@@ -171,10 +171,6 @@ class PolarGrid:
     def total_measure(self) -> float:
         return float(self.nhalves * np.sum(self.cell_measure))
 
-    def integrate(self, values: np.ndarray) -> float:
-        """Integral over the whole grid of sheet-stacked samples (H, nr, nt)."""
-        return float(np.sum(values * self.cell_measure[None, :, :]))
-
     def half_index(self, half: str) -> int:
         return self.halves.index(half)
 

@@ -1,7 +1,9 @@
 """Report rows and deterministic CSV/JSON emission.
 
-Every verification row carries the check id, what was measured, the bound it
-was held against, and a pass flag.  Files are written atomically (temp file
+Every verification row carries the check id, a pass flag, the bound text and
+what was measured.  A check states each of its limits once, as a `Limit`
+record on a measured key; the pass flag, the bound text and the closest call
+all follow from these records.  Files are written atomically (temp file
 plus rename) and floats are serialized with repr, so identical runs produce
 byte-identical outputs.
 """
@@ -9,6 +11,7 @@ byte-identical outputs.
 from __future__ import annotations
 
 import json
+import math
 import os
 import tempfile
 from dataclasses import dataclass, field as dfield
@@ -16,22 +19,93 @@ from dataclasses import dataclass, field as dfield
 import numpy as np
 
 
+# sense -> (holds, share): share is measured/limit for upper bounds,
+# limit/measured for lower bounds and |measured - center|/tol for a two-sided
+# tolerance, so a value at its limit has share 1
+_SENSES = {
+    "<=": (lambda x, v, t: x <= v, lambda x, v, t: x / v),
+    "<": (lambda x, v, t: x < v, lambda x, v, t: x / v),
+    ">=": (lambda x, v, t: x >= v, lambda x, v, t: v / x if x else math.inf),
+    "+/-": (lambda x, v, t: abs(x - v) <= t, lambda x, v, t: abs(x - v) / t),
+    "==": (lambda x, v, t: x == v, None),
+    "finite": (lambda x, v, t: np.isfinite(x), None),
+}
+
+
+@dataclass(frozen=True)
+class Limit:
+    """One acceptance limit: measured[key] against `value` by `sense`.
+
+    Senses: "<=", "<", ">=", "==" (flags, verdicts and exact constants),
+    "+/-" (|measured - value| <= tol) and "finite" (no value).
+    """
+
+    key: str
+    sense: str
+    value: object = None
+    tol: float | None = None
+
+    def __post_init__(self):
+        if self.sense not in _SENSES:
+            raise ValueError(f"unknown limit sense {self.sense!r}")
+        if (self.sense == "+/-") != (self.tol is not None):
+            raise ValueError("a tolerance goes with the +/- sense only")
+
+    def holds(self, x) -> bool:
+        return bool(_SENSES[self.sense][0](x, self.value, self.tol))
+
+    def share(self, x) -> float:
+        """How close x came to the limit: 1 at the limit, above 1 past it.
+        Flags and finiteness have no ratio: 0 when held, inf when not."""
+        ratio = _SENSES[self.sense][1]
+        if ratio is None:
+            return 0.0 if self.holds(x) else math.inf
+        return float(ratio(x, self.value, self.tol))
+
+    def text(self) -> str:
+        if self.sense == "finite":
+            return f"{self.key} finite"
+        v = format(self.value, "g") if isinstance(self.value, float) else self.value
+        if self.sense == "+/-":
+            return f"{self.key} = {v} +/- {self.tol:g}"
+        return f"{self.key} {self.sense} {v}"
+
+
 @dataclass
 class CheckResult:
-    """Outcome of one named verification: measured values against a bound."""
+    """Outcome of one named verification: measured values and the limits
+    held against them, from which `passed` and the bound text follow."""
 
     check_id: str
     description: str
-    measured: dict
-    bound: str
-    passed: bool
+    measured: dict = dfield(default_factory=dict)
+    limits: list = dfield(default_factory=list)
     runtime: float = 0.0
+
+    def put(self, key: str, value, *limits) -> None:
+        """Record measured[key] = value and its limits, each a (sense, value)
+        pair, ("+/-", center, tol) or ("finite",)."""
+        self.measured[key] = value
+        self.limits += [Limit(key, *lim) for lim in limits]
+
+    @property
+    def passed(self) -> bool:
+        return all(lim.holds(self.measured[lim.key]) for lim in self.limits)
+
+    @property
+    def bound(self) -> str:
+        return ", ".join(lim.text() for lim in self.limits)
+
+    def closest(self) -> tuple[float, Limit]:
+        """(share, limit) of the limit the measured values came closest to."""
+        return max(((lim.share(self.measured[lim.key]), lim)
+                    for lim in self.limits), key=lambda sl: sl[0])
 
     def row(self) -> dict:
         # runtime stays out: result files are byte-identical across runs
         out = {"check": self.check_id, "passed": self.passed,
                "bound": self.bound}
-        out.update({k: v for k, v in self.measured.items()})
+        out.update(self.measured)
         return out
 
 

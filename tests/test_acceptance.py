@@ -5,9 +5,14 @@ criterion.
 Run with `pytest tests/test_acceptance.py -v -s` (or `conelab verify-all`).
 """
 
+import importlib.util
+import pathlib
+import sys
+
 import pytest
 
 from conelab import acceptance
+from conelab.report import CheckResult, Limit
 
 
 @pytest.fixture(scope="module")
@@ -35,3 +40,60 @@ def test_acceptance_criterion(report, check_id):
 
 def test_every_criterion_ran(report):
     assert {r.check_id for r in report.results} == set(acceptance.CHECKS)
+
+
+def test_benchmark_limits_match_the_records(report):
+    # conebench restates the one-sided upper limits of its tables checks as
+    # measured/limit functions; a change to either copy shows here
+    path = pathlib.Path(__file__).resolve().parents[1] / "conebench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("_conebench_workloads", path)
+    workloads = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    results = {r.check_id: r for r in report.results}
+    for check_id, ratios in workloads.TABLE_UPPER_BOUNDS.items():
+        res = results[check_id]
+        records = [res.measured[lim.key] / lim.value for lim in res.limits
+                   if lim.sense in ("<=", "<")]
+        assert sorted(ratios(res.measured)) == sorted(records), check_id
+
+
+class TestLimit:
+    def test_senses(self):
+        assert Limit("x", "<=", 2.0).holds(2.0)
+        assert not Limit("x", "<", 2.0).holds(2.0)
+        assert Limit("x", ">=", 0.5).holds(0.5)
+        assert Limit("x", "==", "accept").holds("accept")
+        assert not Limit("x", "==", True).holds(False)
+        assert Limit("x", "+/-", 1.0, 0.25).holds(0.75)
+        assert not Limit("x", "+/-", 1.0, 0.25).holds(1.3)
+        assert Limit("x", "finite").holds(1e300)
+        assert not Limit("x", "finite").holds(float("nan"))
+
+    def test_shares(self):
+        assert Limit("x", "<=", 4.0).share(3.0) == 0.75
+        assert Limit("x", ">=", 0.5).share(2.0) == 0.25
+        assert Limit("x", ">=", 0.5).share(0.0) == float("inf")
+        assert Limit("x", "+/-", 1.0, 0.5).share(0.75) == 0.5
+        assert Limit("x", "==", True).share(True) == 0.0
+        assert Limit("x", "finite").share(float("inf")) == float("inf")
+
+    @pytest.mark.parametrize("args", [("x", "~", 1.0), ("x", "<=", 1.0, 0.1),
+                                      ("x", "+/-", 1.0)])
+    def test_malformed_limit_refused(self, args):
+        with pytest.raises(ValueError):
+            Limit(*args)
+
+    def test_result_follows_its_limits(self):
+        res = CheckResult("demo", "two limits")
+        res.put("err", 0.5, ("<=", 1.0))
+        res.put("note", 7.0)
+        res.put("slope", 0.9, ("+/-", 1.0, 0.2), (">=", 0.0))
+        assert res.passed
+        assert res.bound == "err <= 1, slope = 1 +/- 0.2, slope >= 0"
+        share, lim = res.closest()
+        assert (lim.key, lim.sense) == ("err", "<=") and share == 0.5
+        assert list(res.row()) == ["check", "passed", "bound", "err", "note",
+                                   "slope"]
+        res.put("flag", False, ("==", True))
+        assert not res.passed
+        assert res.closest()[1].key == "flag"

@@ -1,6 +1,7 @@
 """Ball-window layer against brute-force balls and the per-ring loops it replaced."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -247,6 +248,23 @@ class TestMaximal:
             for half in ("plus", "minus"):
                 x = combined_intensity(f, half)
                 assert np.array_equal(sheet.maximal(x), loop_maximal(sheet, x))
+
+    def test_empty_balls_average_to_minus_inf(self):
+        # r_min 4e-77: from rho ~ 1e-15 on, a ball around an outer ring holds
+        # no node, not even its center (rho is below half an ulp of r)
+        grid = RunConfig(nr=40, nt=3, q=0.01).grid()
+        sheet = SheetBalls(grid)
+        x = np.random.default_rng(8).uniform(0.1, 5.0, (grid.nr, grid.nt))
+        av = BallAverager(sheet, x)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            got = sheet.maximal(x)
+            avgs = [av.averages(rho) for rho in sheet.dyadic_radii()]
+        assert not any(np.isnan(a).any() for a in avgs)
+        assert sum(np.isneginf(a).sum() for a in avgs) > 0
+        assert not np.isnan(got).any()
+        with np.errstate(invalid="ignore"):   # the ring loop divides 0/0
+            assert np.array_equal(got, loop_maximal(sheet, x))
 
 
 def level_masks(grid, seed):

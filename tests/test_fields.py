@@ -5,12 +5,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
+from conelab.czd import hardy_sobolev_l1
+from conelab.extension import source_norm, wp_norm
 from conelab.fieldlib import make_test_field, suite_hardy
-from conelab.fields import (Field, NormSpec, cap_mean, gradient,
-                            hardy_quotient, integrability_gate, load_field,
-                            lp_norm, norm, partial_norm_power_table,
-                            poincare_ball_ratio, poincare_rows, radial_split,
-                            save_field)
+from conelab.fields import (Field, cap_mean, gradient, hardy_quotient,
+                            integrability_gate, load_field, lp_norm,
+                            partial_norm_power_table, poincare_ball_ratio,
+                            poincare_rows, radial_split, save_field)
 from conelab.grids import PolarGrid
 from conelab.profiles import plateau
 
@@ -76,23 +77,22 @@ class TestNorms:
 
     def test_norm_kinds(self, grid_small):
         f = make_test_field("radial_exp", grid_small)
-        lpv = norm(f, NormSpec(2.0))
-        w1 = norm(f, NormSpec(2.0, kind="sobolev"))
-        hw = norm(f, NormSpec(2.0, kind="hardy_sobolev"))
-        aw = norm(f, NormSpec(2.0, kind="antiradial_sobolev"))
-        assert lpv < w1 < hw
-        assert aw == pytest.approx(w1, rel=1e-10)   # radial field: f_a = 0
+        assert lp_norm(f, 1.0) < wp_norm(f, 1.0) < hardy_sobolev_l1(f)
+        assert lp_norm(f, 2.0) < wp_norm(f, 2.0)
+        # at p = n the membership norm adds the anti-radial part: 0 here
+        assert source_norm(f, 2.0) == pytest.approx(wp_norm(f, 2.0), rel=1e-10)
 
     def test_antiradial_norm_needs_critical_exponent(self, grid_small):
+        f = make_test_field("angular_bump", grid_small)
+        assert source_norm(f, 3.0) == wp_norm(f, 3.0)
+        assert source_norm(f, 2.0) > wp_norm(f, 2.0)
+
+    def test_invalid_spec(self, grid_small):
         f = make_test_field("radial_exp", grid_small)
         with pytest.raises(ValueError):
-            norm(f, NormSpec(3.0, kind="antiradial_sobolev"))
-
-    def test_invalid_spec(self):
+            lp_norm(f, 0.5)
         with pytest.raises(ValueError):
-            NormSpec(0.5)
-        with pytest.raises(ValueError):
-            NormSpec(2.0, weight="bogus")
+            lp_norm(f, 2.0, weight="bogus")
 
     def test_quadrature_second_order(self, dom2):
         # smooth compactly supported field; refine radially and angularly

@@ -282,7 +282,7 @@ def check_rearrangement_laws(ctx: AcceptanceContext) -> CheckResult:
         for t in np.geomspace(table.total_measure * 1e-6,
                               table.total_measure * 2.0, 24):
             level = table.f_star(t)
-            dist_held &= table.measure_above(level) <= t * (1 + 1e-12)
+            dist_held &= bool(table.measure_above(level) <= t * (1 + 1e-12))
         for p in dict.fromkeys((2.0, float(g.n))):
             ratio = table.double_star_lp(p) / table.lp_norm(p)
             ratio_worst = max(ratio_worst, ratio - p / (p - 1.0))

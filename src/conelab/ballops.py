@@ -11,17 +11,23 @@ dilations take every pair's row of stacked power-of-two sliding maxima, each
 level the max of the one below at two shifts (doubling), built only on the
 rings and up to the level that some pair reads; both accumulate per center
 with unbuffered ufunc.at in pair order, so the sums are added in the same
-order as a loop over rings would add them.  The exact
-distance transform reads the nearest target column on either side of every
-node from two per-ring tables, bounds each query ring's distances by its
-nearest target rings, and evaluates all (query ring, target ring) pairs within
-that bound in blocks.  Everything here works per half-cone sheet on planar
-(n=2) grids, where the decomposition machinery runs.
+order as a loop over rings would add them.  Averages, dilations and the
+maximal function also take a stack of sheets on a leading axis: the sheets
+then share each radius's ring cuts, window-sum gather indices, measure
+window sums and the levels its dilation pairs read.  The exact distance
+transform folds, per ring and column, the nearest target column on either
+side into one cosine (the larger of the two, read from a table of
+cos |theta_a - theta_b| built once per sheet), bounds each query ring's
+distances by its nearest target rings, and evaluates all (query ring,
+target ring) pairs within that bound in blocks, one row gather per pair.
+Everything here works per half-cone sheet on planar (n=2) grids, where the
+decomposition machinery runs.
 """
 
 from __future__ import annotations
 
 import math
+from functools import cached_property
 
 import numpy as np
 
@@ -39,6 +45,13 @@ def expand_ranges(lo: np.ndarray, hi: np.ndarray):
     owner = np.repeat(np.arange(len(counts)), counts)
     first = np.cumsum(counts) - counts
     return owner, lo[owner] + np.arange(len(owner)) - first[owner]
+
+
+def _stacked(sheets: list, shape) -> np.ndarray:
+    """Per-sheet flat arrays as one array of `shape`; one sheet is not
+    copied.  ufunc.at runs slower on a view than on an array that owns its
+    data, so each sheet is accumulated in its own array."""
+    return (sheets[0] if len(sheets) == 1 else np.stack(sheets)).reshape(shape)
 
 
 class SheetBalls:
@@ -98,6 +111,11 @@ class SheetBalls:
         dth = np.abs(self.theta[col] - self.theta[j])
         return np.sqrt(np.maximum(R * R + rr * rr - 2.0 * R * rr * np.cos(dth), 0.0))
 
+    @cached_property
+    def col_cosines(self) -> np.ndarray:
+        """(nt, nt) table: cos |theta_a - theta_b| at row a, column b."""
+        return np.cos(np.abs(self.theta[:, None] - self.theta))
+
     # -- bulk operations ----------------------------------------------------
 
     def full_ring_range(self, rho: float, lo: np.ndarray, hi: np.ndarray):
@@ -138,15 +156,17 @@ class SheetBalls:
 
     def _window_sums(self, cums, centers: np.ndarray, rings: np.ndarray,
                      ws: np.ndarray) -> list:
-        """Per prefix-sum array in `cums`, an (nr, nt) array: at each node
-        (k, j), the sum over center k's pairs of the pair ring's window
-        [j - w, j + w], added in pair order.
+        """Per prefix-sum array in `cums`, an array of its leading shape
+        plus (nr, nt): at each node (k, j) of each sheet, the sum over
+        center k's pairs of the pair ring's window [j - w, j + w], added in
+        pair order.  The gather indices are built once for all sheets.
 
-        Each cum has shape (nr, nt+1) with a leading zero column.
+        Each cum has shape (..., nr, nt+1) with a leading zero column.
         """
         nt = self.nt
         j = np.arange(nt)
-        outs = [np.zeros(self.nr * nt) for _ in cums]
+        sheets = [[(c, np.zeros(self.nr * nt)) for c in cum.reshape(-1, self.nr, nt + 1)]
+                  for cum in cums]
         for i0 in range(0, len(rings), _PAIR_BLOCK):
             blk = slice(i0, i0 + _PAIR_BLOCK)
             w = ws[blk, None]
@@ -154,42 +174,51 @@ class SheetBalls:
             lo = row + np.maximum(j - w, 0)
             hi = row + np.minimum(j + w + 1, nt)
             cells = self._pair_cells(centers[blk]).ravel()
-            for cum, out in zip(cums, outs):
+            for cum, out in (pair for pairs in sheets for pair in pairs):
                 np.add.at(out, cells, (cum.take(hi) - cum.take(lo)).ravel())
-        return [out.reshape(self.nr, nt) for out in outs]
+        return [_stacked([out for _, out in pairs], cum.shape[:-1] + (nt,))
+                for cum, pairs in zip(cums, sheets)]
 
     def ball_dilate(self, values: np.ndarray, rho: float) -> np.ndarray:
-        """(nr, nt) array: max of `values` over the centers within rho of each
-        node, with partial angular windows rounded down to powers of two (a
-        minorant of the exact ball dilation)."""
+        """Array of values' shape, (nr, nt) or a stack of sheets (..., nr,
+        nt): max of `values` over the centers within rho of each node, with
+        partial angular windows rounded down to powers of two (a minorant of
+        the exact ball dilation).  The ring cuts and pair levels are built
+        once for all sheets."""
+        nr, nt = self.nr, self.nt
         flo, fhi, parts = self.cut_rings(rho)
-        # reduceat over the bounds flo, fhi+1, ... : even slots hold the max
-        # over rings [flo, fhi]; the -inf pad keeps the bound fhi+1 = nr valid
-        rowmax = np.append(values.max(axis=1), -np.inf)
-        base = np.maximum.reduceat(rowmax, np.stack([flo, fhi + 1], axis=1).ravel())
-        out = np.repeat(np.where(fhi >= flo, base[::2], -np.inf), self.nt)
         # a pair of half-width w reads level q = floor(log2 w) + 1 (0 at w = 0),
         # the max over j - 2^(q-1)..j + 2^(q-1) clamped at the row ends: level
         # q - 1 at j - h, j, j + h (h = 2^(q-2), 1 for q = 1), built by doubling
         # on the rings that some pair reads at level q or above
         centers, rings, ws = (np.concatenate(a) for a in zip(*parts))
         qidx = np.frexp(ws)[1]   # the bit length of w
-        top = np.zeros(self.nr, dtype=np.int64)   # highest level read per ring
+        top = np.zeros(nr, dtype=np.int64)   # highest level read per ring
         np.maximum.at(top, rings, qidx)
-        filt = np.empty((int(top.max()) + 1, self.nr, self.nt))
-        filt[0] = values
-        j = np.arange(self.nt)
-        for q in range(1, len(filt)):
-            need = np.flatnonzero(top >= q)
-            prev, h = filt[q - 1, need], 1 << max(q - 2, 0)
-            filt[q, need] = np.maximum(np.maximum(prev[:, np.maximum(j - h, 0)], prev),
-                                       prev[:, np.minimum(j + h, self.nt - 1)])
-        rows = filt.reshape(-1, self.nt)
-        for i0 in range(0, len(rings), _PAIR_BLOCK):
-            blk = slice(i0, i0 + _PAIR_BLOCK)
-            np.maximum.at(out, self._pair_cells(centers[blk]).ravel(),
-                          rows[qidx[blk] * self.nr + rings[blk]].ravel())
-        return out.reshape(self.nr, self.nt)
+        needs = [np.flatnonzero(top >= q) for q in range(1, int(top.max()) + 1)]
+        bounds = np.stack([flo, fhi + 1], axis=1).ravel()
+        j = np.arange(nt)
+        outs = []
+        # the level stacks one sheet at a time: interleaving the sheets' stacks
+        # in the pair loop was no faster
+        for sheet in values.reshape(-1, nr, nt):
+            # reduceat over the bounds flo, fhi+1, ... : even slots hold the max
+            # over rings [flo, fhi]; the -inf pad keeps the bound fhi+1 = nr valid
+            base = np.maximum.reduceat(np.append(sheet.max(axis=1), -np.inf), bounds)
+            out = np.repeat(np.where(fhi >= flo, base[::2], -np.inf), nt)
+            filt = np.empty((len(needs) + 1, nr, nt))
+            filt[0] = sheet
+            for q, need in enumerate(needs, start=1):
+                prev, h = filt[q - 1, need], 1 << max(q - 2, 0)
+                filt[q, need] = np.maximum(np.maximum(prev[:, np.maximum(j - h, 0)], prev),
+                                           prev[:, np.minimum(j + h, nt - 1)])
+            rows = filt.reshape(-1, nt)
+            for i0 in range(0, len(rings), _PAIR_BLOCK):
+                blk = slice(i0, i0 + _PAIR_BLOCK)
+                np.maximum.at(out, self._pair_cells(centers[blk]).ravel(),
+                              rows[qidx[blk] * nr + rings[blk]].ravel())
+            outs.append(out)
+        return _stacked(outs, values.shape)
 
     def dyadic_radii(self) -> np.ndarray:
         """Ball radius family r_max * 2^{-m} down to the inner grid scale."""
@@ -199,7 +228,9 @@ class SheetBalls:
     def maximal(self, intensity: np.ndarray) -> np.ndarray:
         """Discrete maximal function: sup over the dyadic-radius family of
         ball averages over balls containing each node, floored by the node
-        value itself (single-cell ball)."""
+        value itself (single-cell ball).  `intensity` is one sheet (nr, nt)
+        or a stack of sheets (..., nr, nt), which share each radius's ball
+        geometry."""
         out = np.array(intensity, dtype=float)
         av = BallAverager(self, intensity)
         for rho in self.dyadic_radii():
@@ -209,27 +240,33 @@ class SheetBalls:
 
 
 class BallAverager:
-    """Reusable prefix sums for ball averages of one intensity array."""
+    """Reusable prefix sums for ball averages of one intensity array: one
+    sheet (nr, nt) or a stack of sheets (..., nr, nt)."""
 
     def __init__(self, sheet: SheetBalls, intensity: np.ndarray):
         self.sheet = sheet
         meas = sheet.grid.cell_measure
         weighted = intensity * meas
-        self.num_c = np.concatenate([np.zeros((sheet.nr, 1)),
-                                     np.cumsum(weighted, axis=1)], axis=1)
+        lead = weighted.shape[:-1]
+        self.num_c = np.concatenate([np.zeros(lead + (1,)),
+                                     np.cumsum(weighted, axis=-1)], axis=-1)
         self.den_c = np.concatenate([np.zeros((sheet.nr, 1)),
                                      np.cumsum(meas, axis=1)], axis=1)
-        self.row_num = np.concatenate([[0.0], np.cumsum(weighted.sum(axis=1))])
+        self.row_num = np.concatenate([np.zeros(lead[:-1] + (1,)),
+                                       np.cumsum(weighted.sum(axis=-1), axis=-1)],
+                                      axis=-1)
         self.row_den = np.concatenate([[0.0], np.cumsum(meas.sum(axis=1))])
 
     def averages(self, rho: float) -> np.ndarray:
-        """(nr, nt) array: measure-weighted mean of the intensity over the
-        cells of B(node, rho), for every node of the sheet; -inf where the
-        ball holds no cell."""
+        """Array of the intensity's shape: measure-weighted mean of the
+        intensity over the cells of B(node, rho), for every node of each
+        sheet; -inf where the ball holds no cell.  The measure's window sums
+        are taken once for all sheets."""
         sh = self.sheet
         flo, fhi, parts = sh.cut_rings(rho)
         full = fhi >= flo
-        num = np.where(full, self.row_num[fhi + 1] - self.row_num[flo], 0.0)[:, None]
+        num = np.where(full, self.row_num[..., fhi + 1] - self.row_num[..., flo],
+                       0.0)[..., None]
         den = np.where(full, self.row_den[fhi + 1] - self.row_den[flo], 0.0)[:, None]
         for centers, rings, ws in parts:
             pnum, pden = sh._window_sums((self.num_c, self.den_c),
@@ -238,33 +275,36 @@ class BallAverager:
             den = den + pden
         # a ball below the grid's resolution can hold no node: -inf there,
         # the identity of the max that ball_dilate takes
-        return np.divide(num, den, out=np.full(den.shape, -np.inf), where=den > 0)
+        return np.divide(num, den, out=np.full(num.shape, -np.inf), where=den > 0)
 
 
-def _nearest_columns(mask: np.ndarray):
-    """Per ring and column of `mask`, the nearest True column at or left of
-    it (-1 if none) and at or right of it (nt if none)."""
+def _nearest_cosines(sheet: SheetBalls, mask: np.ndarray) -> np.ndarray:
+    """(nr, nt) array: per ring and column, the cosine of the angle to the
+    nearest True column of `mask` in that ring, the larger of the nearest at
+    or left of the column and at or right of it (-inf on a side without
+    one, so on a ring without any)."""
     nt = mask.shape[1]
     cols = np.arange(nt)
     left = np.maximum.accumulate(np.where(mask, cols, -1), axis=1)
-    right = np.minimum.accumulate(np.where(mask, cols, nt)[:, ::-1], axis=1)
-    return left, right[:, ::-1]
+    right = np.minimum.accumulate(np.where(mask, cols, nt)[:, ::-1], axis=1)[:, ::-1]
+    best = np.full(mask.shape, -np.inf)
+    for side, ok in ((left, left >= 0), (right, right < nt)):
+        c = sheet.col_cosines[cols, np.clip(side, 0, nt - 1)]
+        np.maximum(best, np.where(ok, c, -np.inf), out=best)
+    return best
 
 
-def _ring_pair_d2(sheet: SheetBalls, nearest, qk: np.ndarray,
+def _ring_pair_d2(sheet: SheetBalls, cosines: np.ndarray, qk: np.ndarray,
                   tk: np.ndarray) -> np.ndarray:
     """(pairs, nt) array: squared distance from each node of ring qk[i] to the
-    nearest target node of ring tk[i] (+inf where that ring has none)."""
-    r, theta, nt = sheet.r, sheet.theta, sheet.nt
-    R, rr = r[qk, None], r[tk, None]
-    best = np.full((len(qk), nt), np.inf)
-    for side in nearest:
-        cand = side[tk]
-        ok = (cand >= 0) & (cand < nt)
-        dth = np.abs(theta - theta[np.clip(cand, 0, nt - 1)])
-        d2 = R * R + rr * rr - 2.0 * R * rr * np.cos(dth)
-        np.minimum(best, np.where(ok, d2, np.inf), out=best)
-    return best
+    nearest target node of ring tk[i] (+inf where that ring has none).
+
+    Rounding is monotone: with a = fl(R^2 + r'^2) and b = fl(2 R r') > 0,
+    the smaller of fl(a - fl(b c)) over the two sides is fl(a - fl(b c))
+    at the larger cosine c, so one cosine per column gives the same value
+    as both sides would."""
+    R, rr = sheet.r[qk, None], sheet.r[tk, None]
+    return R * R + rr * rr - 2.0 * R * rr * cosines[tk]
 
 
 def distance_to_cells(sheet: SheetBalls, target_mask: np.ndarray,
@@ -272,16 +312,16 @@ def distance_to_cells(sheet: SheetBalls, target_mask: np.ndarray,
     """Exact Euclidean distance from each query node to the nearest target node.
 
     Within a ring the nearest target lies at the nearest target column on
-    either side, read from two (nr, nt) tables.  The nearest target rings
-    below and above each query ring bound its distances; every target ring
-    closer than that bound is paired with the query ring, and all pairs are
-    evaluated `_PAIR_BLOCK` at a time and min-reduced per query ring.  Entries
-    are +inf where query_mask is False.
+    either side, whose larger cosine one (nr, nt) table holds.  The nearest
+    target rings below and above each query ring bound its distances; every
+    target ring closer than that bound is paired with the query ring, and
+    all pairs are evaluated `_PAIR_BLOCK` at a time and min-reduced per
+    query ring.  Entries are +inf where query_mask is False.
     """
     if not target_mask.any():
         raise ValueError("no target cells")
     r = sheet.r
-    nearest = _nearest_columns(target_mask)
+    cosines = _nearest_cosines(sheet, target_mask)
     trings = np.flatnonzero(target_mask.any(axis=1))
     qrings = np.flatnonzero(query_mask.any(axis=1))
     # upper bound per query ring: its worst cell's distance to the nearest
@@ -290,7 +330,7 @@ def distance_to_cells(sheet: SheetBalls, target_mask: np.ndarray,
     above = np.searchsorted(trings, qrings, side="left")
     near = np.full((len(qrings), sheet.nt), np.inf)
     for side, ok in ((below, below >= 0), (above, above < len(trings))):
-        d2 = _ring_pair_d2(sheet, nearest, qrings,
+        d2 = _ring_pair_d2(sheet, cosines, qrings,
                            trings[np.clip(side, 0, len(trings) - 1)])
         np.minimum(near, np.where(ok[:, None], d2, np.inf), out=near)
     bound = np.where(query_mask[qrings], near, -np.inf).max(axis=1)
@@ -304,7 +344,7 @@ def distance_to_cells(sheet: SheetBalls, target_mask: np.ndarray,
     best = np.full((sheet.nr, sheet.nt), np.inf)
     for i0 in range(0, len(qk), _PAIR_BLOCK):
         blk = slice(i0, i0 + _PAIR_BLOCK)
-        d2 = _ring_pair_d2(sheet, nearest, qk[blk], tk[blk])
+        d2 = _ring_pair_d2(sheet, cosines, qk[blk], tk[blk])
         k = qk[blk]
         first = np.flatnonzero(np.r_[True, k[1:] != k[:-1]])
         best[k[first]] = np.minimum(best[k[first]],

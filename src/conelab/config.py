@@ -20,6 +20,13 @@ class ConfigError(ValueError):
     pass
 
 
+# Largest grid, nr * nt cells.  verify-all, the command that holds the most
+# per cell, peaked at 256.5 MiB resident at 600x96 (57,600 cells) and at
+# 879.2 MiB at 1200x192 (230,400 cells): about 3.6 KiB per cell over a
+# 49 MiB base, so a grid at the cap needs about 3.6 GiB.
+MAX_CELLS = 1_000_000
+
+
 @dataclass
 class RunConfig:
     n: int = 2
@@ -60,6 +67,10 @@ class RunConfig:
             raise ConfigError("the quadrant variant is two-dimensional: set n = 2")
         if self.nr < 3 or self.nt < 3:
             raise ConfigError("grid must have at least 3 nodes per direction")
+        if self.nr * self.nt > MAX_CELLS:
+            raise ConfigError(f"grid nr = {self.nr}, nt = {self.nt} has {self.nr * self.nt} "
+                              f"cells, above the cap of {MAX_CELLS} (verify-all holds "
+                              "about 3.6 KiB per cell)")
         if not self.r_max > 0:
             raise ConfigError("r_max must be positive")
         if self.r_min is not None and not 0 < self.r_min < self.r_max:

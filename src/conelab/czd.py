@@ -134,15 +134,22 @@ def combined_intensity(f: Field, half: str) -> np.ndarray:
             + gradient(f).magnitude()[f.grid.half_index(half)])
 
 
-def maximal_function(f: Field, half: str = "plus") -> np.ndarray:
+def maximal_function(f: Field, half="plus") -> np.ndarray:
     """Discrete uncentered maximal function of the combined intensity on one
-    sheet (dyadic radii, grid-node centers, single-cell floor).  Cached."""
+    sheet (dyadic radii, grid-node centers, single-cell floor).  Cached per
+    half.  `half` may also be a tuple of halves: the ones not cached yet
+    share one stacked pass, and the (halves, nr, nt) stack is returned."""
     key = ("maximal", half)
-    if key in f._cache:
-        return f._cache[key]
-    M = SheetBalls(f.grid).maximal(combined_intensity(f, half))
-    f._cache[key] = M
-    return M
+    if key not in f._cache:
+        halves = (half,) if isinstance(half, str) else tuple(half)
+        todo = [h for h in halves if ("maximal", h) not in f._cache]
+        if todo:
+            M = SheetBalls(f.grid).maximal(
+                np.stack([combined_intensity(f, h) for h in todo]))
+            f._cache.update(zip([("maximal", h) for h in todo], M))
+        if not isinstance(half, str):
+            f._cache[key] = np.stack([f._cache[("maximal", h)] for h in halves])
+    return f._cache[key]
 
 
 def maximal_table(f: Field, half: str):
@@ -155,28 +162,26 @@ def maximal_table(f: Field, half: str):
     return table
 
 
-def _marked_cells(sheet: SheetBalls, k, j, s, s_cells, cover: float,
-                  reach: float):
-    """The cells that accepting each candidate ball (k[i], j[i]) with underline
-    radius s[i] marks, as flat (candidate, cell) arrays grouped by candidate:
-    the cells of its window of radius reach*s[i] that lie in its cover window
-    (radius cover*s[i] < reach*s[i]) or closer to the center than
-    s_cells + s[i]."""
-    nt = sheet.nt
-    ball, ring, lo, hi = sheet.ball_windows(k, j, reach * s)
-    R, rho = sheet.r[k], cover * s
-    clo, chi = sheet.ring_span(R, rho)
-    w = np.where((clo[ball] <= ring) & (ring <= chi[ball]),
-                 sheet.half_widths(R[ball], rho[ball], ring), -1)
-    row, col = expand_ranges(lo, hi)
-    owner, ring = ball[row], ring[row]
-    cell = ring * nt + col
-    keep = np.abs(col - j[owner]) <= w[row]
+def _marks(sheet: SheetBalls, k, j, s, s_cells, owner, ring, col, w):
+    """Per window cell (ring[i], col[i]) of candidate owner[i] (cover
+    half-width w[i] on that ring): whether accepting the candidate marks it,
+    i.e. the cell lies in its cover window or closer to its center than
+    s_cells + s."""
+    keep = np.abs(col - j[owner]) <= w
     test = np.flatnonzero(~keep)
-    o = owner[test]
-    keep[test] = (sheet.node_distances(k[o], j[o], ring[test], col[test])
-                  < s_cells[cell[test]] + s[o])
-    return owner[keep], cell[keep]
+    o, ring, col = owner[test], ring[test], col[test]
+    keep[test] = (sheet.node_distances(k[o], j[o], ring, col)
+                  < s_cells[ring * sheet.nt + col] + s[o])
+    return keep
+
+
+def _marked_cells(sheet: SheetBalls, k, j, s, s_cells, ball, ring, lo, hi, w):
+    """Flat indices of the cells that accepting the candidates marks, from
+    their window rows (ball, ring, lo..hi) and cover half-widths w."""
+    row, col = expand_ranges(lo, hi)
+    ring = ring[row]
+    keep = _marks(sheet, k, j, s, s_cells, ball[row], ring, col, w[row])
+    return ring[keep] * sheet.nt + col[keep]
 
 
 def _greedy_centers(sheet: SheetBalls, U: np.ndarray, d: np.ndarray,
@@ -186,13 +191,18 @@ def _greedy_centers(sheet: SheetBalls, U: np.ndarray, d: np.ndarray,
     has marked it.  Accepting marks the ball's cover window and the nodes of
     its blocking window whose own underline ball would overlap it; marks are
     never cleared.  The candidates are walked in chunks of about
-    _CHUNK_CELLS window cells, and the windows of a chunk are built for the
-    candidates still unmarked when it starts.  Returns the accepted centers
-    (k, j) in selection order."""
+    _CHUNK_CELLS window cells.  The window rows of a chunk are built for the
+    candidates still unmarked when it starts; within the chunk, only the
+    marks that one candidate would set on a later one are tested, the
+    acceptances follow in order from these, and the rows are expanded to
+    cells, and marked, for the accepted candidates only.  Returns the
+    accepted centers (k, j) in selection order."""
+    nt = sheet.nt
     ks, js = np.nonzero(U)
-    order = np.lexsort((js, ks, -d[ks, js]))
+    # nonzero lists ring-major, so a stable sort breaks ties by ring, column
+    order = np.argsort(-d[ks, js], kind="stable")
     ks, js = ks[order], js[order]
-    cells = ks * sheet.nt + js
+    cells = ks * nt + js
     s = 0.5 * d[ks, js] / params.c1
     s_cells = (d / (2.0 * params.c1)).ravel()
     cover = 0.95 * params.support_dilate
@@ -202,7 +212,7 @@ def _greedy_centers(sheet: SheetBalls, U: np.ndarray, d: np.ndarray,
     R, rho = sheet.r[ks], reach * s
     lo, hi = sheet.ring_span(R, rho)
     half = np.arcsin(np.minimum(rho / R, 1.0)) / sheet.dt
-    cost = np.maximum(hi - lo + 1, 1) * np.minimum(2.0 * half + 3.0, sheet.nt)
+    cost = np.maximum(hi - lo + 1, 1) * np.minimum(2.0 * half + 3.0, nt)
     marked = np.zeros(U.size, dtype=bool)
     chosen = []
     pos = 0
@@ -216,14 +226,37 @@ def _greedy_centers(sheet: SheetBalls, U: np.ndarray, d: np.ndarray,
             ahead, pos = ahead[:take], ahead[take]
         if not len(ahead):
             continue
-        owner, marks = _marked_cells(sheet, ks[ahead], js[ahead], s[ahead],
-                                     s_cells, cover, reach)
-        bounds = np.searchsorted(owner, np.arange(len(ahead) + 1)).tolist()
-        for i, (cand, cell) in enumerate(zip(ahead.tolist(),
-                                             cells[ahead].tolist())):
-            if not marked[cell]:
-                chosen.append(cand)
-                marked[marks[bounds[i]:bounds[i + 1]]] = True
+        # window rows of radius reach*s, and per row the half-width of the
+        # cover window (radius cover*s) on its ring, -1 off the cover's rings
+        k, j, sc = ks[ahead], js[ahead], s[ahead]
+        ball, ring, wlo, whi = sheet.ball_windows(k, j, reach * sc)
+        clo, chi = sheet.ring_span(R[ahead], cover * sc)
+        w = np.where((clo[ball] <= ring) & (ring <= chi[ball]),
+                     sheet.half_widths(R[ahead][ball], cover * sc[ball], ring), -1)
+        # edges: the later candidates of the chunk inside each row that the
+        # row's candidate would mark, grouped by that candidate
+        by_cell = np.argsort(cells[ahead])
+        at = cells[ahead][by_cell]
+        row, hit = expand_ranges(np.searchsorted(at, ring * nt + wlo, side="left"),
+                                 np.searchsorted(at, ring * nt + whi, side="right") - 1)
+        hit = by_cell[hit]
+        later = hit > ball[row]
+        row, hit = row[later], hit[later]
+        src = ball[row]
+        edge = _marks(sheet, k, j, sc, s_cells, src, k[hit], j[hit], w[row])
+        src, hit = src[edge], hit[edge]
+        # acceptances in order: a candidate is blocked iff an accepted earlier
+        # one marks it
+        blocked = np.zeros(len(ahead), dtype=bool)
+        bounds = np.flatnonzero(np.diff(src, prepend=-1, append=len(ahead)))
+        for i, b0, b1 in zip(src[bounds[:-1]].tolist(), bounds[:-1].tolist(),
+                             bounds[1:].tolist()):
+            if not blocked[i]:
+                blocked[hit[b0:b1]] = True
+        chosen.extend(ahead[~blocked].tolist())
+        acc = ~blocked[ball]
+        marked[_marked_cells(sheet, k, j, sc, s_cells, ball[acc], ring[acc],
+                             wlo[acc], whi[acc], w[acc])] = True
     return ks[chosen], js[chosen]
 
 
@@ -487,9 +520,10 @@ def k_upper_via_cz(f: Field, t: float) -> dict:
     run the decomposition at alpha(t) = max over sheets of the rearranged
     maximal function at t, and price the split ||b||_1-side + t ||g||_inf-side."""
     grid = f.grid
+    # both halves' maximal functions in one pass, cached for the tables below
+    maxM = float(maximal_function(f, grid.halves).max())
     alphas = [maximal_table(f, h).f_star(t) for h in grid.halves]
     alpha = float(max(alphas))
-    maxM = max(float(maximal_function(f, h).max()) for h in grid.halves)
     if alpha <= 0.0 or alpha >= maxM:
         alpha = min(alpha, maxM) if alpha > 0 else maxM
         g = f

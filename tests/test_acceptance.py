@@ -6,13 +6,14 @@ Run with `pytest tests/test_acceptance.py -v -s` (or `conelab verify-all`).
 """
 
 import importlib.util
+import json
 import pathlib
 import sys
 
 import pytest
 
 from conelab import acceptance
-from conelab.report import CheckResult, Limit
+from conelab.report import CheckResult, Limit, write_json
 
 
 @pytest.fixture(scope="module")
@@ -55,6 +56,19 @@ def test_benchmark_limits_match_the_records(report):
         records = [res.measured[lim.key] / lim.value for lim in res.limits
                    if lim.sense in ("<=", "<")]
         assert sorted(ratios(res.measured)) == sorted(records), check_id
+
+
+def test_flag_records_are_json_booleans(report, tmp_path):
+    # a numpy flag would reach verify_all.json through the default hook
+    # as the string "True"
+    write_json(str(tmp_path / "verify_all.json"), report.summary())
+    rows = {row["check"]: row for row in
+            json.loads((tmp_path / "verify_all.json").read_text())["checks"]}
+    flags = [(r.check_id, lim.key) for r in report.results for lim in r.limits
+             if lim.sense == "==" and isinstance(lim.value, bool)]
+    assert ("rearrangement-laws", "distribution_bound_ok") in flags
+    for check_id, key in flags:
+        assert isinstance(rows[check_id][key], bool), (check_id, key)
 
 
 class TestLimit:

@@ -8,7 +8,8 @@ import pytest
 from scipy.ndimage import maximum_filter1d
 
 from conelab.acceptance import AcceptanceContext
-from conelab.ballops import BallAverager, SheetBalls, distance_to_cells
+from conelab.ballops import (BallAverager, SheetBalls, _nearest_cosines,
+                             distance_to_cells)
 from conelab.config import RunConfig
 from conelab.czd import combined_intensity
 from conelab.grids import PolarGrid
@@ -267,6 +268,30 @@ class TestMaximal:
             assert np.array_equal(got, loop_maximal(sheet, x))
 
 
+class TestStackedSheets:
+    # the tiny sheet, and the grid whose outer balls hold no node at small rho
+    @pytest.mark.parametrize("grid_of", [
+        lambda dom2: PolarGrid.cone(dom2, nr=40, nt=12, r_max=4.0, r_min=4e-3),
+        lambda dom2: RunConfig(nr=40, nt=3, q=0.01).grid()])
+    def test_maximal_equals_ring_loop_per_sheet(self, dom2, grid_of):
+        grid = grid_of(dom2)
+        sheet = SheetBalls(grid)
+        x = np.random.default_rng(9).uniform(0.1, 5.0, (2, grid.nr, grid.nt))
+        av, one = BallAverager(sheet, x), [BallAverager(sheet, xs) for xs in x]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            got = sheet.maximal(x)
+            for rho in sheet.dyadic_radii():
+                avg = av.averages(rho)
+                assert np.array_equal(avg, [a.averages(rho) for a in one])
+                assert np.array_equal(sheet.ball_dilate(avg, rho),
+                                      [sheet.ball_dilate(a, rho) for a in avg])
+        assert got.shape == x.shape
+        with np.errstate(invalid="ignore"):   # the ring loop divides 0/0
+            for xs, ms in zip(x, got):
+                assert np.array_equal(ms, loop_maximal(sheet, xs))
+
+
 def level_masks(grid, seed):
     """Query masks U: random cells at three densities, two blocks, and the
     sheet without one cell or without one ring (so the target is that)."""
@@ -306,6 +331,26 @@ class TestDistance:
             brute = np.where(~q[None, :], dist, np.inf).min(axis=1)
             np.testing.assert_allclose(got[q], brute[q], rtol=1e-12, atol=0)
             assert np.all(np.isinf(got[~q]))
+
+    @pytest.mark.parametrize("shape", [(40, 12), (220, 48)])
+    def test_single_column_target_rings(self, dom2, shape):
+        # each target ring holds its first, last or middle column only, so
+        # the nearest target lies on one side of most columns
+        grid = PolarGrid.cone(dom2, nr=shape[0], nt=shape[1], r_max=40.0,
+                              r_min=4e-8 if shape[0] > 40 else 4e-2)
+        sheet = SheetBalls(grid)
+        nt = grid.nt
+        for every in (1, 3):
+            target = np.zeros((grid.nr, nt), dtype=bool)
+            for k in range(0, grid.nr, every):
+                target[k, (0, nt - 1, nt // 2)[k // every % 3]] = True
+            cos = _nearest_cosines(sheet, target)
+            left = target[:, 0] & ~target[:, 1:].any(axis=1)
+            right = target[:, -1] & ~target[:, :-1].any(axis=1)
+            assert np.all(np.isfinite(cos[target.any(axis=1)]))
+            assert left.any() and right.any()
+            assert np.array_equal(distance_to_cells(sheet, target, ~target),
+                                  loop_distance(sheet, target, ~target))
 
     def test_no_target_rejected(self, tiny):
         grid, sheet, _ = tiny

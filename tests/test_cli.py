@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from conelab import extension
 from conelab.cli import main
-from conelab.config import ConfigError, load_config
+from conelab.config import MAX_CELLS, ConfigError, RunConfig, load_config
 from conelab.report import write_csv
 
 SMALL = {"nr": 220, "nt": 48, "r_min": 4e-8, "alpha_decades": 2,
@@ -79,6 +79,19 @@ class TestConfig:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and next(iter(data)) in err[0]
         assert not out.exists()
+
+    @pytest.mark.parametrize("shape", [(100000, 100000), (MAX_CELLS // 3 + 1, 3)])
+    def test_grid_above_the_cap_exits_2(self, tmp_path, capsys, shape):
+        p = tmp_path / "c.json"
+        p.write_text(json.dumps({"nr": shape[0], "nt": shape[1]}))
+        out = tmp_path / "o"
+        assert main(["--config", str(p), "--out", str(out), "norm"]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and "nr" in err[0] and "nt" in err[0]
+        assert not out.exists()
+
+    def test_grid_at_the_cap_is_admitted(self):
+        assert RunConfig(nr=MAX_CELLS // 1000, nt=1000).nr * 1000 == MAX_CELLS
 
     def test_q_with_r_min_exits_2(self, tmp_path, capsys):
         p = tmp_path / "c.json"

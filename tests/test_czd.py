@@ -53,6 +53,18 @@ class TestMaximal:
         assert C < 20.0
 
 
+    def test_halves_in_one_pass(self, czgrid):
+        f = make_test_field("angular_bump", czgrid)
+        M = maximal_function(f, czgrid.halves)
+        assert M.shape == (len(czgrid.halves), czgrid.nr, czgrid.nt)
+        for h, Mh in zip(czgrid.halves, M):
+            assert np.array_equal(
+                Mh, SheetBalls(czgrid).maximal(combined_intensity(f, h)))
+            assert maximal_function(f, h) is f._cache[("maximal", h)]
+            assert np.array_equal(maximal_function(f, h), Mh)
+        assert maximal_function(f, czgrid.halves) is M
+
+
 class TestDecompose:
     def test_empty_level_set(self, logfield):
         amax = float(maximal_function(logfield, "plus").max())
@@ -470,6 +482,34 @@ class TestManyBallCover:
             assert len(balls) > (1000 if t < 1 else 50)
             assert res.cover_rows() == _per_ball_rows(grid_small, balls)
             assert np.array_equal(res.chi_sum, chi_sum)
+
+    @pytest.mark.parametrize("chunk", [1, 1 << 22])
+    @pytest.mark.parametrize("t", [1e-3, 1e-1, 1e3])
+    def test_greedy_equals_per_ball_at_chunk_extremes(self, grid_small, t, chunk,
+                                                      monkeypatch):
+        # one candidate per chunk, and the whole sheet in one chunk
+        monkeypatch.setattr(czd, "_CHUNK_CELLS", chunk)
+        f = make_test_field("angular_bump", grid_small)
+        alpha = max(czd.maximal_table(f, h).f_star(t) for h in grid_small.halves)
+        res = decompose(f, CZParams(alpha=float(alpha)), "plus")
+        balls, _, _, chi_sum = _decompose_per_ball(f, res.params, "plus")
+        assert res.cover_rows() == _per_ball_rows(grid_small, balls)
+        assert np.array_equal(res.chi_sum, chi_sum)
+
+    def test_windows_expanded_for_chosen_balls_only(self, grid_small, monkeypatch):
+        f = make_test_field("angular_bump", grid_small)
+        alpha = max(czd.maximal_table(f, h).f_star(1e-3) for h in grid_small.halves)
+        expanded = []
+        marked_cells = czd._marked_cells
+
+        def counted(sheet, k, j, s, s_cells, ball, *rows):
+            expanded.append(len(np.unique(ball)))
+            return marked_cells(sheet, k, j, s, s_cells, ball, *rows)
+
+        monkeypatch.setattr(czd, "_marked_cells", counted)
+        res = decompose(f, CZParams(alpha=float(alpha)), "plus")
+        assert len(res.balls) > 1000
+        assert sum(expanded) == len(res.balls)
 
     @pytest.mark.parametrize("t", [1e-3, 1e-1])
     def test_patch_pass_equals_per_ball(self, grid_small, t):

@@ -20,9 +20,9 @@ from . import acceptance, czd, density, extension
 from .config import ConfigError, RunConfig, load_config
 from .fieldlib import (make_test_field, suite_cz, suite_extension_members,
                        suite_fullplane, suite_hardy)
-from .fields import (GATE_DECADES, cap_mean, decade_radii, gradient,
-                     hardy_rows, log_log_increment_slope, lp_norm,
-                     partial_norm_power_table, radial_split, save_field)
+from .fields import (GATE_DECADES, cap_mean, decade_radii, hardy_rows,
+                     log_log_increment_slope, lp_norm, partial_norm_power_table,
+                     radial_split, save_field)
 from .geometry import ConeDomain
 from .grids import PolarGrid
 from .report import write_csv, write_json
@@ -45,12 +45,9 @@ def cmd_norm(cfg: RunConfig, args) -> int:
     rows = []
     for f in _suite(args.suite, grid):
         for p in cfg.p_list:
-            row = {"field": f.name, "p": p,
-                   "lp": lp_norm(f, p),
-                   "w1p": lp_norm(f, p) + lp_norm(gradient(f), p),
-                   "w1p_weighted": lp_norm(f, p) + lp_norm(gradient(f), p)
-                   + lp_norm(f, p, weight="inv_r")}
-            rows.append(row)
+            w1p = extension.wp_norm(f, p)
+            rows.append({"field": f.name, "p": p, "lp": lp_norm(f, p), "w1p": w1p,
+                         "w1p_weighted": w1p + lp_norm(f, p, weight="inv_r")})
     write_csv(os.path.join(cfg.out_dir, "norms.csv"), rows,
               ["field", "p", "lp", "w1p", "w1p_weighted"])
     return 0
@@ -160,7 +157,8 @@ def cmd_extend(cfg: RunConfig, args) -> int:
     members = list(suite_extension_members(grid, cfg.p_list))
     rows = []
     for row in extension.operator_norm_report(
-            ((p, [f for f, held in members if p in held]) for p in cfg.p_list), grid):
+            ((p, [f for f, held in members if p in held]) for p in cfg.p_list),
+            PolarGrid.fullplane_matching(grid)):
         Ef = row.pop("extended")
         if args.dump_fields and Ef is not None:
             save_field(Ef, os.path.join(

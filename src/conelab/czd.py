@@ -153,13 +153,8 @@ def maximal_function(f: Field, half="plus") -> np.ndarray:
 
 
 def maximal_table(f: Field, half: str):
-    key = ("maximal_table", half)
-    if key in f._cache:
-        return f._cache[key]
-    M = maximal_function(f, half)
-    table = rearrange_samples(M, f.grid.cell_measure)
-    f._cache[key] = table
-    return table
+    return f.cached(("maximal_table", half), lambda: rearrange_samples(
+        maximal_function(f, half), f.grid.cell_measure))
 
 
 def _marks(sheet: SheetBalls, k, j, s, s_cells, owner, ring, col, w):

@@ -98,11 +98,11 @@ def admissibility_gate(f: Field, p: float):
     return integrability_gate(vals, f.grid, p)
 
 
-def extend(f: Field, p: float, full_grid: PolarGrid | None = None) -> tuple[Field, dict]:
-    """Extension operator at exponent p; raises ExtensionGateError on inputs
-    whose anti-radial weighted norm trends divergent (no extension exists).
-    With a full_grid given, the extended field is cached on f for the
-    latest full grid."""
+def extend(f: Field, p: float, full_grid: PolarGrid) -> tuple[Field, dict]:
+    """Extension operator at exponent p onto full_grid; raises
+    ExtensionGateError on inputs whose anti-radial weighted norm trends
+    divergent (no extension exists).  The extended field is cached on f per
+    full grid and serves every exponent the gate admits."""
     grid = f.grid
     if grid.n != 2 or grid.kind != "cone":
         raise ValueError("the extension acts on planar cone fields")
@@ -114,12 +114,7 @@ def extend(f: Field, p: float, full_grid: PolarGrid | None = None) -> tuple[Fiel
     info = {"gate_growth": growth,
             "enlargement": default_enlargement(grid.domain.omega),
             "sphere_measure_ratio": grid.domain.sphere_measure_ratio()}
-    if full_grid is None:
-        return _extended(f, PolarGrid.fullplane_matching(grid)), info
-    held = f._cache.get("extension")
-    if held is None or held[0] is not full_grid:
-        held = f._cache["extension"] = (full_grid, _extended(f, full_grid))
-    return held[1], info
+    return f.cached(("extension", full_grid), lambda: _extended(f, full_grid)), info
 
 
 def _extended(f: Field, full: PolarGrid) -> Field:
@@ -159,17 +154,14 @@ def enlarged_support_mask(full: PolarGrid, cone: PolarGrid,
     return mask
 
 
-def antiradial_extension_only(f: Field, full_grid: PolarGrid | None = None) -> Field:
+def antiradial_extension_only(f: Field, full_grid: PolarGrid) -> Field:
     """The cutoff-reflection part alone (no radial term), for support checks."""
-    grid = f.grid
-    full = full_grid or PolarGrid.fullplane_matching(grid)
-    Ef, _ = extend(f, 1.0, full)
-    split = radial_split(f)
-    vals = Ef.values[0] - split.profile[:, None]
-    return Field(full, vals[None], name=f"xi({f.name})")
+    Ef, _ = extend(f, 1.0, full_grid)
+    vals = Ef.values[0] - radial_split(f).profile[:, None]
+    return Field(full_grid, vals[None], name=f"xi({f.name})")
 
 
-def extend_pierre_2d(f: Field, full_grid: PolarGrid | None = None) -> Field:
+def extend_pierre_2d(f: Field, full_grid: PolarGrid) -> Field:
     """Explicit quadrant-cone extension:
     Ef(x,y) = (x^2 f(x,-y) + y^2 f(-x,y)) / (x^2 + y^2) for xy < 0,
     the identity on the quadrants.  Reflections preserve radii, so this is an
@@ -177,9 +169,8 @@ def extend_pierre_2d(f: Field, full_grid: PolarGrid | None = None) -> Field:
     grid = f.grid
     if grid.domain.variant != "quadrant":
         raise ValueError("the explicit formula lives on the quadrant cone")
-    full = full_grid or PolarGrid.fullplane_matching(grid)
-    phi = full.theta
-    vals = np.zeros((grid.nr, full.nt))
+    phi = full_grid.theta
+    vals = np.zeros((grid.nr, full_grid.nt))
     ax_p = grid.domain.axis_angle("plus")     # pi/4
     ax_m = grid.domain.axis_angle("minus")    # -3*pi/4
     sp, sm = f.sheet("plus"), f.sheet("minus")
@@ -209,7 +200,7 @@ def extend_pierre_2d(f: Field, full_grid: PolarGrid | None = None) -> Field:
         return out
 
     vals[:, off] = w_x[None, :] * sample(refl_y) + w_y[None, :] * sample(refl_x)
-    return Field(full, vals[None], name=f"pierre({f.name})")
+    return Field(full_grid, vals[None], name=f"pierre({f.name})")
 
 
 def wp_norm(obj, p: float) -> float:
@@ -221,12 +212,10 @@ def wp_norm(obj, p: float) -> float:
 
 def roundtrip_error(f: Field, Ef: Field, p: float) -> float:
     """W^1_p norm of restrict(Ef) - f relative to f's.  The difference is
-    cached on f, for the latest Ef, and serves every exponent; not on Ef,
-    since f's cache may hold Ef and the cycle would keep both alive."""
-    held = f._cache.get("roundtrip")
-    if held is None or held[0] is not Ef:
-        held = f._cache["roundtrip"] = (Ef, restrict(Ef, f.grid) - f)
-    return wp_norm(held[1], p) / wp_norm(f, p)
+    cached on f per Ef and serves every exponent; not on Ef, since f's cache
+    may hold Ef and the cycle would keep both alive."""
+    diff = f.cached(("roundtrip", Ef), lambda: restrict(Ef, f.grid) - f)
+    return wp_norm(diff, p) / wp_norm(f, p)
 
 
 def source_norm(f: Field, p: float) -> float:
@@ -239,20 +228,18 @@ def source_norm(f: Field, p: float) -> float:
     return base
 
 
-def operator_norm_report(suites, cone_grid: PolarGrid,
-                         full_grid: PolarGrid | None = None):
+def operator_norm_report(suites, full_grid: PolarGrid):
     """Extend and tabulate over (p, fields) pairs: yields one row per field
     with its source and target norms, ratio, round-trip error and gate
     verdict.  The row's "extended" entry holds the extended field (None when
     the gate refused the input); fields with zero source norm are skipped."""
-    full = full_grid or PolarGrid.fullplane_matching(cone_grid)
     for p, fields in suites:
         for f in fields:
             src = source_norm(f, p)
             if src == 0.0:
                 continue
             try:
-                Ef, info = extend(f, p, full)
+                Ef, info = extend(f, p, full_grid)
             except ExtensionGateError as e:
                 yield {"field": f.name, "p": p, "source_norm": src,
                        "target_norm": INF, "ratio": INF, "roundtrip_err": INF,

@@ -60,6 +60,13 @@ class Field:
     def sheet(self, half: str) -> np.ndarray:
         return self.values[self.grid.half_index(half)]
 
+    def cached(self, key, build):
+        """The result stored under key, built by build() on first use.  Keys
+        may hold a grid or a field, which compare by identity."""
+        if key not in self._cache:
+            self._cache[key] = build()
+        return self._cache[key]
+
     def __add__(self, other):
         return self.with_values(self.values + other.values, name="", vertex_limits=None)
 
@@ -98,16 +105,11 @@ def gradient(f: Field) -> GradientField:
 
     Cached on the field; second order for smooth samples.
     """
-    if "gradient" in f._cache:
-        return f._cache["gradient"]
     g = f.grid
     if g.nr < 3 or g.nt < 3:
         raise ValueError("gradient needs at least 3 nodes per direction")
-    rad = g.d_dr(f.values)
-    ang = g.d_dtheta(f.values) / g.r[None, :, None]
-    out = GradientField(g, rad, ang)
-    f._cache["gradient"] = out
-    return out
+    return f.cached("gradient", lambda: GradientField(
+        g, g.d_dr(f.values), g.d_dtheta(f.values) / g.r[None, :, None]))
 
 
 def _samples_for_norm(obj) -> tuple[PolarGrid, np.ndarray]:

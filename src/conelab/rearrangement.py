@@ -126,45 +126,33 @@ def rearrange_samples(values, weights) -> RearrangementTable:
     return RearrangementTable(v, w, np.cumsum(w), np.cumsum(v * w))
 
 
-def rearrange(obj, weight: str = "none") -> RearrangementTable:
-    """Rearrangement table of a field (optionally of |f|/r) or of (values, weights)."""
-    if isinstance(obj, Field):
-        key = ("rearrangement", weight)
-        if key in obj._cache:
-            return obj._cache[key]
-        vals = np.abs(obj.values)
-        if weight == "inv_r":
-            vals = vals / obj.grid.r[None, :, None]
-        meas = np.broadcast_to(obj.grid.cell_measure[None, :, :], vals.shape)
-        table = rearrange_samples(vals, meas)
-        obj._cache[key] = table
-        return table
-    values, weights = obj
-    return rearrange_samples(values, weights)
-
-
-def gradient_table(f: Field) -> RearrangementTable:
-    key = ("rearrangement", "gradient")
-    if key in f._cache:
-        return f._cache[key]
-    gm = gradient(f).magnitude()
-    meas = np.broadcast_to(f.grid.cell_measure[None, :, :], gm.shape)
-    table = rearrange_samples(gm, meas)
-    f._cache[key] = table
-    return table
+def rearrange(f: Field, weight: str = "none") -> RearrangementTable:
+    """Rearrangement table of |f|, of |f|/r (weight "inv_r") or of |grad f|
+    (weight "gradient"), cached on f per weight."""
+    def build():
+        if weight == "none":
+            vals = np.abs(f.values)
+        elif weight == "inv_r":
+            vals = np.abs(f.values) / f.grid.r[None, :, None]
+        elif weight == "gradient":
+            vals = gradient(f).magnitude()
+        else:
+            raise ValueError(f"unknown weight {weight!r}")
+        meas = np.broadcast_to(f.grid.cell_measure[None, :, :], vals.shape)
+        return rearrange_samples(vals, meas)
+    return f.cached(("rearrangement", weight), build)
 
 
 # -- K-functionals -------------------------------------------------------------
 
 
-def k_l1_linf(obj, t: float) -> float:
+def k_l1_linf(table: RearrangementTable, t: float) -> float:
     """K(f, t; L^1, L^inf) = int_0^t f*, exact for step data."""
-    table = obj if isinstance(obj, RearrangementTable) else rearrange(obj)
     return float(table.f_star_integral(t))
 
 
 def sobolev_k_tables(f: Field):
-    return rearrange(f), rearrange(f, weight="inv_r"), gradient_table(f)
+    return tuple(rearrange(f, w) for w in ("none", "inv_r", "gradient"))
 
 
 def k_sobolev_estimate(f: Field, t: float) -> float:

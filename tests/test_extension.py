@@ -147,7 +147,7 @@ class TestExtend:
         rows = list(operator_norm_report(
             [(2.0, [make_test_field("logcounter", cone_grid, beta=1.0),
                     make_test_field("logcounter", cone_grid, beta=0.25)])],
-            cone_grid, full_grid))
+            full_grid))
         by_field = {r["field"]: r for r in rows}
         accepted = by_field["logcounter(b=1)"]
         refused = by_field["logcounter(b=0.25)"]
@@ -183,12 +183,6 @@ class TestExtensionCache:
             assert np.array_equal(Ew.values, Ec.values)
             assert info_w == info_c
             assert rt_w == roundtrip_error(cold, Ec, p)
-
-    def test_no_entry_without_full_grid(self, cone_grid):
-        f = make_test_field("angular_bump", cone_grid)
-        E1, _ = extend(f, 1.5)
-        assert "extension" not in f._cache
-        assert extend(f, 1.5)[0] is not E1
 
 
 class TestPierre:
@@ -231,7 +225,7 @@ class TestPierre:
     def test_wrong_variant_rejected(self, cone_grid, quad_full):
         f = make_test_field("radial_exp", cone_grid)
         with pytest.raises(ValueError):
-            extend_pierre_2d(f)
+            extend_pierre_2d(f, quad_full)
 
     def test_ratio_finite(self, quad_grid, quad_full):
         f = make_test_field("jump", quad_grid)

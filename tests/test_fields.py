@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
-from conelab.czd import hardy_sobolev_l1
-from conelab.extension import source_norm, wp_norm
+from conelab.czd import hardy_sobolev_l1, maximal_function, maximal_table
+from conelab.extension import (extend, restrict, roundtrip_error, source_norm,
+                               wp_norm)
 from conelab.fieldlib import make_test_field, suite_hardy
 from conelab.fields import (Field, cap_mean, gradient, hardy_quotient,
                             integrability_gate, load_field, lp_norm,
@@ -14,6 +15,7 @@ from conelab.fields import (Field, cap_mean, gradient, hardy_quotient,
                             poincare_rows, radial_split, save_field)
 from conelab.grids import PolarGrid
 from conelab.profiles import plateau
+from conelab.rearrangement import rearrange, rearrange_samples
 
 INF = float("inf")
 
@@ -328,3 +330,48 @@ class TestFieldPlumbing:
         lhs = radial_split(a * f + b * g).radial.values
         rhs = a * radial_split(f).radial.values + b * radial_split(g).radial.values
         assert np.allclose(lhs, rhs, atol=1e-12)
+
+
+def _never():
+    raise AssertionError("built on a repeat call")
+
+
+class TestFieldCache:
+    def test_repeat_calls_return_the_stored_object(self, dom2):
+        grid = PolarGrid.cone(dom2, nr=40, nt=12, r_max=40.0, r_min=4e-8)
+        full = PolarGrid.fullplane_matching(grid)
+        f = make_test_field("angular_bump", grid)
+        ops = [lambda: gradient(f), lambda: rearrange(f),
+               lambda: rearrange(f, "inv_r"), lambda: rearrange(f, "gradient"),
+               lambda: maximal_function(f, "plus"),
+               lambda: maximal_table(f, "plus"),
+               lambda: extend(f, 1.0, full)[0]]
+        for op in ops:
+            assert op() is op()
+        # one extension per full grid: a second grid does not evict the first
+        Ef = extend(f, 1.0, full)[0]
+        other = extend(f, 1.0, PolarGrid.fullplane_matching(grid))[0]
+        assert other is not Ef and extend(f, 1.5, full)[0] is Ef
+        # the round-trip difference is kept per Ef and serves every exponent
+        rt = roundtrip_error(f, Ef, 1.0)
+        diff = f.cached(("roundtrip", Ef), _never)
+        assert roundtrip_error(f, Ef, 1.0) == rt
+        roundtrip_error(f, Ef, 2.0)
+        assert f.cached(("roundtrip", Ef), _never) is diff
+        assert np.array_equal(diff.values, (restrict(Ef, grid) - f).values)
+
+    def test_derived_fields_start_empty(self, grid_small):
+        f = make_test_field("angular_bump", grid_small)
+        rearrange(f, "gradient")
+        assert f._cache
+        assert not (f - f)._cache
+        assert not f.with_values(f.values)._cache
+
+    def test_gradient_table_is_the_magnitude_table(self, grid_small):
+        f = make_test_field("jump", grid_small)
+        gm = gradient(f).magnitude()
+        want = rearrange_samples(
+            gm, np.broadcast_to(grid_small.cell_measure[None], gm.shape))
+        got = rearrange(f, "gradient")
+        for name in ("values", "widths", "cum", "integral"):
+            assert np.array_equal(getattr(got, name), getattr(want, name)), name

@@ -117,11 +117,11 @@ class TestKL1Linf:
     def test_concave_nondecreasing(self, grid_small):
         f = make_test_field("radial_exp", grid_small)
         ts = np.geomspace(1e-4, 1e3, 40)
-        ks = np.array([k_l1_linf(f, t) for t in ts])
+        ks = np.array([k_l1_linf(rearrange(f), t) for t in ts])
         assert np.all(np.diff(ks) >= -1e-14)
         # concavity on a uniform sub-grid
         tu = np.linspace(0.01, 5.0, 30)
-        ku = np.array([k_l1_linf(f, t) for t in tu])
+        ku = np.array([k_l1_linf(rearrange(f), t) for t in tu])
         second = np.diff(ku, 2)
         assert np.all(second <= 1e-10)
 
@@ -151,6 +151,12 @@ class TestSobolevEstimate:
 
 
 class TestFieldTables:
+    def test_unknown_weight_refused(self, grid_small):
+        f = make_test_field("radial_exp", grid_small)
+        with pytest.raises(ValueError, match="inv-r"):
+            rearrange(f, "inv-r")
+        assert ("rearrangement", "inv-r") not in f._cache
+
     def test_equimeasurability(self, grid_small):
         f = make_test_field("angular_bump", grid_small)
         t = rearrange(f)

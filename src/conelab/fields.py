@@ -138,7 +138,13 @@ def lp_norm(obj, p: float, weight: str = "none", half: str | None = None) -> flo
         return float(vals.max())
     if p < 1:
         raise ValueError("exponent must be in [1, inf]")
-    return float(np.sum(vals**p * grid.cell_measure[None, :, :]) ** (1.0 / p))
+    w = grid.cell_measure[None, :, :]
+    with np.errstate(over="ignore"):
+        total = np.sum(vals**p * w)
+    if np.isinf(total) and np.isfinite(top := vals.max()):
+        # vals**p overflowed: factor the largest sample out of the sum
+        return float(top * np.sum((vals / top) ** p * w) ** (1.0 / p))
+    return float(total ** (1.0 / p))
 
 
 def hardy_quotient(f: Field, p: float) -> float:

@@ -89,6 +89,14 @@ class TestNorms:
         assert source_norm(f, 3.0) == wp_norm(f, 3.0)
         assert source_norm(f, 2.0) > wp_norm(f, 2.0)
 
+    def test_homogeneous_past_overflow(self, grid_small):
+        # 1e100**4 overflows a double; the norm itself does not
+        one = make_test_field("constant", grid_small, c=1.0)
+        big = make_test_field("constant", grid_small, c=1e100)
+        for weight in ("none", "inv_r"):
+            assert lp_norm(big, 4.0, weight=weight) == pytest.approx(
+                1e100 * lp_norm(one, 4.0, weight=weight), rel=1e-12)
+
     def test_invalid_spec(self, grid_small):
         f = make_test_field("radial_exp", grid_small)
         with pytest.raises(ValueError):

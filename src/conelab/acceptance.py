@@ -35,6 +35,11 @@ INF = float("inf")
 # any approximant vanishing near the vertex, frozen after first derivation
 JUMP_OBSTRUCTION_RATIO = 0.776
 
+# The vertex depth the checks read, refused up front by verify-all: the
+# membership gate's decades, and the smallest eps whose cutoff needs rings.
+GATE_CHECKS = ("hhat-gate", "extension-roundtrip")
+CUTOFF_EPS = {"density-approx": 1e-6, "codim-obstruction": 1e-4}
+
 
 class AcceptanceContext:
     """Lazily built grids and suites shared by the checks."""
@@ -169,7 +174,7 @@ def check_hhat_gate(ctx: AcceptanceContext) -> CheckResult:
     g = ctx.grid2
     for beta, want in ((1.0, "accept"), (0.5, "refuse"), (0.25, "refuse")):
         f = make_test_field("logcounter", g, beta=beta)
-        accepted, growth, _ = extension.admissibility_gate(f, 2.0)
+        accepted, growth = extension.admissibility_gate(f, 2.0)
         res.put(f"gate_beta{beta:g}", "accept" if accepted else "refuse",
                 ("==", want))
         res.put(f"growth_beta{beta:g}", growth)
@@ -309,7 +314,7 @@ def check_extension_roundtrip(ctx: AcceptanceContext) -> CheckResult:
                                       suite_extension_members(gf, ps)):
         for p in f_ps:
             try:
-                Ef, _ = extension.extend(f, p, full)
+                Ef = extension.extend(f, p, full)
             except extension.ExtensionGateError:
                 refused[p] = f.name
                 continue
@@ -317,7 +322,7 @@ def check_extension_roundtrip(ctx: AcceptanceContext) -> CheckResult:
             ratio = extension.wp_norm(Ef, p) / extension.source_norm(f, p)
             worst_rt = max(worst_rt, rt)
             finite = finite and bool(np.isfinite(ratio))
-            Ef_fine, _ = extension.extend(f_fine, p, fullf)
+            Ef_fine = extension.extend(f_fine, p, fullf)
             ratio_fine = (extension.wp_norm(Ef_fine, p)
                           / extension.source_norm(f_fine, p))
             drift = max(ratio_fine / ratio, ratio / ratio_fine)
@@ -358,14 +363,16 @@ def check_pierre(ctx: AcceptanceContext) -> CheckResult:
     res.put("closed_form_err", float(np.abs(Ef.values[0][:, off] - exact).max()),
             ("<=", 1e-10))
 
-    suite = [fxy,
-             make_test_field("radial_exp", g),
-             make_test_field("angular_bump", g),
-             make_test_field("lipschitz_compact", g),
-             make_test_field("jump", g),
-             make_test_field("logcounter", g, beta=1.0)]
+    def suite():    # one at a time: a field's cached extension goes with it
+        yield fxy
+        for name in ("radial_exp", "angular_bump", "lipschitz_compact", "jump"):
+            yield make_test_field(name, g)
+        yield make_test_field("logcounter", g, beta=1.0)
+
     worst_rt, worst_seam, max_ratio = 0.0, 0.0, 0.0
-    for row in extension.quadrant_report(suite, (1.0, 1.5, 3.0, INF), full):
+    for row in extension.extension_rows(
+            extension.quadrant_pairs(suite(), (1.0, 1.5, 3.0, INF)),
+            lambda f, p: extension.extend_pierre_2d(f, full)):
         if row["p"] == 1.0:       # every field has a p = 1 row
             worst_rt = max(worst_rt, row["roundtrip_err"])
             worst_seam = max(worst_seam, _seam_excess(row["extended"], full))

@@ -20,12 +20,16 @@ from . import acceptance, czd, density, extension
 from .config import ConfigError, RunConfig, load_config
 from .fieldlib import (make_test_field, suite_cz, suite_extension_members,
                        suite_fullplane, suite_hardy)
-from .fields import (GATE_DECADES, cap_mean, decade_radii, hardy_rows,
+from .fields import (GATE_DECADES, cap_mean, gate_resolves, hardy_rows,
                      log_log_increment_slope, lp_norm, partial_norm_power_table,
                      radial_split, save_field)
 from .geometry import ConeDomain
 from .grids import PolarGrid
 from .report import write_csv, write_json
+
+EXTENSION_COLUMNS = ("field", "p", "source_norm", "target_norm", "ratio",
+                     "roundtrip_err", "gate")
+
 
 def _suite(name: str, grid):
     if name == "hardy":
@@ -95,6 +99,20 @@ def _require_planar(cfg: RunConfig, command: str) -> None:
         raise ConfigError(f"{command} needs a planar grid (n = 2), got n = {cfg.n}")
 
 
+def _require_depth(cfg: RunConfig, grid, use: str, gate: bool, eps=None) -> None:
+    """Refuse a grid too shallow for the membership gate (if `gate`) or the
+    vertex cutoff at eps, naming the config key that sets its inner radius."""
+    if gate and not gate_resolves(grid):
+        shortfall = (f"leaves the membership gate fewer than {GATE_DECADES + 1} "
+                     "decades below r_max")
+    elif eps is not None and eps / 2.0 <= grid.r_min:
+        shortfall = f"does not resolve the vertex cutoff at eps = {eps:g}"
+    else:
+        return
+    raise ConfigError(f"the innermost radius {grid.r_min:.3g} {shortfall} for {use}; "
+                      f"lower {'q' if cfg.q is not None else 'r_min'}")
+
+
 def _require_nonzero(f) -> None:
     """The level sweep and the K ratio are undefined on the zero field."""
     if not f.values.any():
@@ -150,23 +168,19 @@ def cmd_kfunc(cfg: RunConfig, args) -> int:
 def cmd_extend(cfg: RunConfig, args) -> int:
     _require_planar(cfg, "extend")
     grid = cfg.grid()
-    if max(cfg.p_list) >= grid.n and len(decade_radii(grid)) <= GATE_DECADES:
-        raise ConfigError(
-            f"r_min = {grid.r_min:.3g} leaves fewer than {GATE_DECADES + 1} decades "
-            f"below r_max for the membership gate at p >= {grid.n}; lower r_min")
+    _require_depth(cfg, grid, f"p >= {grid.n}", gate=max(cfg.p_list) >= grid.n)
     members = list(suite_extension_members(grid, cfg.p_list))
+    full = PolarGrid.fullplane_matching(grid)
     rows = []
-    for row in extension.operator_norm_report(
-            ((p, [f for f, held in members if p in held]) for p in cfg.p_list),
-            PolarGrid.fullplane_matching(grid)):
+    for row in extension.extension_rows(
+            ((f, p) for p in cfg.p_list for f, held in members if p in held),
+            lambda f, p: extension.extend(f, p, full)):
         Ef = row.pop("extended")
         if args.dump_fields and Ef is not None:
             save_field(Ef, os.path.join(
                 cfg.out_dir, f"extended_{row['field']}_p{row['p']:g}.txt"))
         rows.append(row)
-    write_csv(os.path.join(cfg.out_dir, "extension.csv"), rows,
-              ["field", "p", "source_norm", "target_norm", "ratio",
-               "roundtrip_err", "gate"])
+    write_csv(os.path.join(cfg.out_dir, "extension.csv"), rows, EXTENSION_COLUMNS)
     write_json(os.path.join(cfg.out_dir, "extension_meta.json"),
                {"sphere_measure_ratio": grid.domain.sphere_measure_ratio(),
                 "enlargement": extension.cone_map_for(grid).enlargement})
@@ -191,12 +205,11 @@ def cmd_pierre(cfg: RunConfig, args) -> int:
                           r_min=1e-7 * min(cfg.r_max, 4.0))
     fields = [make_test_field(name, grid) for name in
               ("radial_exp", "angular_bump", "lipschitz_compact", "jump")]
-    # the explicit formula has no membership gate: every input is accepted
-    rows = [{**row, "gate": "accepted"} for row in extension.quadrant_report(
-        fields, cfg.p_list, PolarGrid.fullplane_matching(grid))]
-    write_csv(os.path.join(cfg.out_dir, "pierre.csv"), rows,
-              ["field", "p", "source_norm", "target_norm", "ratio",
-               "roundtrip_err", "gate"])
+    full = PolarGrid.fullplane_matching(grid)
+    rows = list(extension.extension_rows(
+        extension.quadrant_pairs(fields, cfg.p_list),
+        lambda f, p: extension.extend_pierre_2d(f, full)))
+    write_csv(os.path.join(cfg.out_dir, "pierre.csv"), rows, EXTENSION_COLUMNS)
     return 0
 
 
@@ -255,6 +268,12 @@ def cmd_verify_all(cfg: RunConfig, args) -> int:
         if unknown:
             print(f"unknown checks: {sorted(unknown)}", file=sys.stderr)
             return 2
+    # refuse a grid shallower than the checks read before any of them runs;
+    # cfg.grid() shares its radii with the checks' planar grid
+    grid = cfg.grid()
+    for c in only or acceptance.CHECKS:
+        _require_depth(cfg, grid, c, gate=c in acceptance.GATE_CHECKS,
+                       eps=acceptance.CUTOFF_EPS.get(c))
 
     def progress(res):
         status = "PASS" if res.passed else "FAIL"
@@ -287,7 +306,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("norm", cmd_norm, help="norm tables over a suite")
     p.add_argument("--suite", default="hardy")
     p = add("hardy", cmd_hardy, help="weighted-gradient quotients")
-    p.add_argument("--n", type=int, default=None)
     p.add_argument("--p", type=float, default=1.0)
     p.add_argument("--suite", default="hardy")
     p = add("split", cmd_split, help="radial/anti-radial split diagnostics")
@@ -321,12 +339,6 @@ def main(argv=None) -> int:
         cfg = load_config(args.config)
         if args.out:
             cfg.out_dir = args.out
-        if getattr(args, "n", None) is not None:
-            cfg = RunConfig(**{**cfg.as_dict(), "n": args.n})
-    except ConfigError as e:
-        print(f"configuration error: {e}", file=sys.stderr)
-        return 2
-    try:
         return args.fn(cfg, args)
     except ConfigError as e:
         print(f"configuration error: {e}", file=sys.stderr)

@@ -10,7 +10,7 @@ import json
 import math
 import numbers
 import os
-from dataclasses import dataclass, field as dfield, asdict
+from dataclasses import dataclass, field as dfield, fields
 
 from .geometry import ConeDomain
 from .grids import PolarGrid
@@ -106,9 +106,6 @@ class RunConfig:
         return PolarGrid.cone(self.domain(), nr=self.nr, nt=self.nt,
                               r_max=self.r_max, r_min=self.r_min, q=self.q)
 
-    def as_dict(self) -> dict:
-        return asdict(self)
-
 
 def load_config(path: str | None) -> RunConfig:
     """Parse a JSON config; empty content or a missing path yield defaults."""
@@ -126,8 +123,7 @@ def load_config(path: str | None) -> RunConfig:
         raise ConfigError(f"config is not valid JSON: {e}") from e
     if not isinstance(data, dict):
         raise ConfigError("config must be a JSON object")
-    known = RunConfig().as_dict().keys()
-    unknown = set(data) - set(known)
+    unknown = set(data) - {f.name for f in fields(RunConfig)}
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
     if isinstance(data.get("p_list"), list):

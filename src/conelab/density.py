@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import Field, gradient, lp_norm
+from .fields import Field, gradient, lp_norm, power_sum_root
 from .profiles import plateau
 
 
@@ -83,7 +83,7 @@ def eta_gradient_norm(grid, eps: float, k: float, p: float) -> float:
         mag = abs(math.log(delta)) / (r * np.log(r) ** 2)
     mag = np.where(r <= delta, np.abs(mag), 0.0)
     w = grid.radial_weight * float(np.sum(grid.angular_weight)) * grid.nhalves
-    return float(np.sum(mag**p * w) ** (1.0 / p))
+    return power_sum_root(mag, w, p)
 
 
 def corrector_times_cutoff_norm(f: Field, eps: float, k: float, p: float) -> float:
@@ -95,7 +95,7 @@ def corrector_times_cutoff_norm(f: Field, eps: float, k: float, p: float) -> flo
     dchi = (chi_profile(rr + h, eps) - chi_profile(rr - h, eps)) / (2 * h)
     mag = np.abs(dchi) * eta_profile(rr, params.delta)
     w = g.radial_weight * float(np.sum(g.angular_weight)) * g.nhalves
-    return float(np.sum(mag**p * w) ** (1.0 / p))
+    return power_sum_root(mag, w, p)
 
 
 def approximant(f: Field, eps: float, k: float | None = None) -> Field:

@@ -8,9 +8,10 @@ degree-0-homogeneous angular cutoff supported in a slightly enlarged cone,
 and push forward.  Because the cone map preserves radii, the whole pipeline
 acts on the angular coordinate only, so grid transfer is 1D interpolation per
 ring.  At and above the critical exponent the anti-radial 1/r-weighted
-integrability gate refuses inadmissible inputs with a divergence table.
+integrability gate refuses inadmissible inputs.  One report, `extension_rows`,
+tabulates this extension and the explicit quadrant-cone formula alike.
 
-The extension is built once per field and full grid and cached on the field;
+Each extension is built once per field and full grid and cached on the field;
 the gate runs at every call, since admissibility depends on p.
 """
 
@@ -20,8 +21,7 @@ import math
 
 import numpy as np
 
-from .fields import (Field, gradient, integrability_gate, lp_norm,
-                     radial_split)
+from .fields import Field, gradient, integrability_gate, lp_norm, radial_split
 from .geometry import BilipschitzConeMap, cutoff_for_map, default_enlargement
 from .grids import PolarGrid
 
@@ -31,10 +31,9 @@ INF = float("inf")
 class ExtensionGateError(ValueError):
     """Input refused: the anti-radial 1/r-weighted norm trends divergent."""
 
-    def __init__(self, message, growth, table):
+    def __init__(self, message, growth):
         super().__init__(message)
         self.growth = growth
-        self.table = table
 
 
 def _wrap_angle(t):
@@ -86,10 +85,11 @@ def restrict(full: Field, cone_grid: PolarGrid) -> Field:
 def admissibility_gate(f: Field, p: float):
     """Membership gate for the extension at exponent p: below the dimension
     everything passes; at and above it the anti-radial part must carry a
-    non-divergent 1/r weight (at p = inf, in the sup sense)."""
+    non-divergent 1/r weight (at p = inf, in the sup sense).
+    Returns (accepted, growth_per_decade)."""
     n = f.grid.n
     if p < n:
-        return True, 0.0, None
+        return True, 0.0
     fa = radial_split(f).antiradial
     # cap-mean subtraction leaves O(eps) residue on radial fields; the 1/r^p
     # weight would amplify that noise into a spurious divergence verdict
@@ -98,7 +98,7 @@ def admissibility_gate(f: Field, p: float):
     return integrability_gate(vals, f.grid, p)
 
 
-def extend(f: Field, p: float, full_grid: PolarGrid) -> tuple[Field, dict]:
+def extend(f: Field, p: float, full_grid: PolarGrid) -> Field:
     """Extension operator at exponent p onto full_grid; raises
     ExtensionGateError on inputs whose anti-radial weighted norm trends
     divergent (no extension exists).  The extended field is cached on f per
@@ -106,15 +106,12 @@ def extend(f: Field, p: float, full_grid: PolarGrid) -> tuple[Field, dict]:
     grid = f.grid
     if grid.n != 2 or grid.kind != "cone":
         raise ValueError("the extension acts on planar cone fields")
-    ok, growth, table = admissibility_gate(f, p)
+    ok, growth = admissibility_gate(f, p)
     if not ok:
         raise ExtensionGateError(
             f"anti-radial 1/r-weighted norm grows {growth:.1%} per decade at p={p}",
-            growth, table)
-    info = {"gate_growth": growth,
-            "enlargement": default_enlargement(grid.domain.omega),
-            "sphere_measure_ratio": grid.domain.sphere_measure_ratio()}
-    return f.cached(("extension", full_grid), lambda: _extended(f, full_grid)), info
+            growth)
+    return f.cached(("extension", full_grid), lambda: _extended(f, full_grid))
 
 
 def _extended(f: Field, full: PolarGrid) -> Field:
@@ -139,8 +136,7 @@ def _extended(f: Field, full: PolarGrid) -> Field:
         sheet = fa.sheet(h)
         sampled = _interp_clamped(grid.theta, sheet, t_src)
         vals[:, inside] += mvals[None, :] * sampled
-    return Field(full, vals[None], name=f"extended({f.name})",
-                 params={"enlargement": eps})
+    return Field(full, vals[None], name=f"extended({f.name})")
 
 
 def enlarged_support_mask(full: PolarGrid, cone: PolarGrid,
@@ -156,8 +152,7 @@ def enlarged_support_mask(full: PolarGrid, cone: PolarGrid,
 
 def antiradial_extension_only(f: Field, full_grid: PolarGrid) -> Field:
     """The cutoff-reflection part alone (no radial term), for support checks."""
-    Ef, _ = extend(f, 1.0, full_grid)
-    vals = Ef.values[0] - radial_split(f).profile[:, None]
+    vals = extend(f, 1.0, full_grid).values[0] - radial_split(f).profile[:, None]
     return Field(full_grid, vals[None], name=f"xi({f.name})")
 
 
@@ -165,7 +160,12 @@ def extend_pierre_2d(f: Field, full_grid: PolarGrid) -> Field:
     """Explicit quadrant-cone extension:
     Ef(x,y) = (x^2 f(x,-y) + y^2 f(-x,y)) / (x^2 + y^2) for xy < 0,
     the identity on the quadrants.  Reflections preserve radii, so this is an
-    angular resampling with direction-dependent convex weights."""
+    angular resampling with direction-dependent convex weights.  Cached on f
+    per full grid."""
+    return f.cached(("pierre", full_grid), lambda: _pierre(f, full_grid))
+
+
+def _pierre(f: Field, full_grid: PolarGrid) -> Field:
     grid = f.grid
     if grid.domain.variant != "quadrant":
         raise ValueError("the explicit formula lives on the quadrant cone")
@@ -203,11 +203,9 @@ def extend_pierre_2d(f: Field, full_grid: PolarGrid) -> Field:
     return Field(full_grid, vals[None], name=f"pierre({f.name})")
 
 
-def wp_norm(obj, p: float) -> float:
-    """W^1_p norm ||f||_p + ||grad f||_p on the object's own grid."""
-    if isinstance(obj, Field):
-        return lp_norm(obj, p) + lp_norm(gradient(obj), p)
-    raise TypeError("expected a Field")
+def wp_norm(f: Field, p: float) -> float:
+    """W^1_p norm ||f||_p + ||grad f||_p on f's own grid, cached on f per p."""
+    return f.cached(("wp_norm", p), lambda: lp_norm(f, p) + lp_norm(gradient(f), p))
 
 
 def roundtrip_error(f: Field, Ef: Field, p: float) -> float:
@@ -222,54 +220,38 @@ def source_norm(f: Field, p: float) -> float:
     """Membership norm at exponent p: the plain Sobolev norm off the critical
     exponent, the anti-radial weighted norm at p = n."""
     base = wp_norm(f, p)
-    if p == f.grid.n:
-        fa = radial_split(f).antiradial
-        return base + lp_norm(fa, p, weight="inv_r")
-    return base
+    if p != f.grid.n:
+        return base
+    return base + lp_norm(radial_split(f).antiradial, p, weight="inv_r")
 
 
-def operator_norm_report(suites, full_grid: PolarGrid):
-    """Extend and tabulate over (p, fields) pairs: yields one row per field
-    with its source and target norms, ratio, round-trip error and gate
-    verdict.  The row's "extended" entry holds the extended field (None when
-    the gate refused the input); fields with zero source norm are skipped."""
-    for p, fields in suites:
-        for f in fields:
-            src = source_norm(f, p)
-            if src == 0.0:
-                continue
-            try:
-                Ef, info = extend(f, p, full_grid)
-            except ExtensionGateError as e:
-                yield {"field": f.name, "p": p, "source_norm": src,
-                       "target_norm": INF, "ratio": INF, "roundtrip_err": INF,
-                       "gate": "refused", "gate_growth": e.growth,
-                       "extended": None}
-                continue
-            tgt = wp_norm(Ef, p)
+def extension_rows(pairs, build):
+    """One row per (field, p) pair, extended by build(f, p): source and
+    target norms, ratio, round-trip error, gate verdict and the extended
+    field (None, with the gate's "gate_growth", when the gate refused f).
+    Pairs whose field has zero source norm are skipped."""
+    for f, p in pairs:
+        src = source_norm(f, p)
+        if src == 0.0:
+            continue
+        try:
+            Ef = build(f, p)
+        except ExtensionGateError as e:
             yield {"field": f.name, "p": p, "source_norm": src,
-                   "target_norm": tgt, "ratio": tgt / src,
-                   "roundtrip_err": roundtrip_error(f, Ef, p),
-                   "gate": "accepted", "gate_growth": info["gate_growth"],
-                   "extended": Ef}
+                   "target_norm": INF, "ratio": INF, "roundtrip_err": INF,
+                   "gate": "refused", "gate_growth": e.growth, "extended": None}
+            continue
+        tgt = wp_norm(Ef, p)
+        yield {"field": f.name, "p": p, "source_norm": src, "target_norm": tgt,
+               "ratio": tgt / src, "roundtrip_err": roundtrip_error(f, Ef, p),
+               "gate": "accepted", "extended": Ef}
 
 
-def quadrant_report(fields, ps, full_grid: PolarGrid):
-    """The explicit quadrant extension of each field and its restriction back:
-    yields one row per field and exponent with the source and target norms,
-    ratio and round-trip error, and the extended field under "extended".
-    Above p = 2 only fields with vertex limits (0, 0) or (1, 1) are
-    tabulated."""
-    for f in fields:
-        Ef = extend_pierre_2d(f, full_grid)
-        diff = restrict(Ef, f.grid) - f
-        for p in ps:
-            if p > 2.0 and f.vertex_limits not in ((0.0, 0.0), (1.0, 1.0)):
-                continue
-            src, tgt = source_norm(f, p), wp_norm(Ef, p)
-            yield {"field": f.name, "p": p, "source_norm": src,
-                   "target_norm": tgt, "ratio": tgt / src,
-                   "roundtrip_err": wp_norm(diff, p) / src, "extended": Ef}
+def quadrant_pairs(fields, ps):
+    """The quadrant formula's (field, p) pairs, field by field: above p = 2
+    only fields with vertex limits (0, 0) or (1, 1)."""
+    return ((f, p) for f in fields for p in ps
+            if p <= 2.0 or f.vertex_limits in ((0.0, 0.0), (1.0, 1.0)))
 
 
 def restriction_antiradial_ratio(full_field: Field, cone_grid: PolarGrid) -> dict:

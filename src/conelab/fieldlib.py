@@ -42,8 +42,7 @@ def make_test_field(name: str, grid: PolarGrid, **params) -> Field:
         with np.errstate(divide="ignore", invalid="ignore"):
             prof = np.where(cut > 0, np.abs(np.log(r)) ** (-beta) * cut, 0.0)
         return Field(grid, np.stack([_sign(h) * prof for h in grid.halves]),
-                     name=f"logcounter(b={beta:g})", params={"beta": beta},
-                     vertex_limits=(0.0, 0.0))
+                     name=f"logcounter(b={beta:g})", vertex_limits=(0.0, 0.0))
     if name == "radial_exp":
         return Field.from_function(grid, lambda r, t, h: r * np.exp(-r),
                                    name="radial_exp", vertex_limits=(0.0, 0.0))
@@ -56,8 +55,7 @@ def make_test_field(name: str, grid: PolarGrid, **params) -> Field:
         else:
             limits = None
         return Field.from_function(grid, lambda r, t, h: r**a * np.exp(-r),
-                                   name=f"radial_power(a={a:g})", params={"a": a},
-                                   vertex_limits=limits)
+                                   name=f"radial_power(a={a:g})", vertex_limits=limits)
     if name == "angular_bump":
         omega = grid.domain.omega
         lo = 0.0 if grid.domain.n == 3 else -omega
@@ -78,8 +76,7 @@ def make_test_field(name: str, grid: PolarGrid, **params) -> Field:
     if name == "constant":
         c = float(params.get("c", 1.0))
         return Field.from_function(grid, lambda r, t, h: np.full_like(r, c),
-                                   name=f"constant(c={c:g})", params={"c": c},
-                                   vertex_limits=(c, c))
+                                   name=f"constant(c={c:g})", vertex_limits=(c, c))
     raise ValueError(f"unknown test field {name!r}")
 
 

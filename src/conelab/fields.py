@@ -28,7 +28,6 @@ class Field:
     grid: PolarGrid
     values: np.ndarray
     name: str = ""
-    params: dict = dfield(default_factory=dict)
     vertex_limits: tuple | None = None
     _cache: dict = dfield(default_factory=dict, repr=False)
 
@@ -40,22 +39,19 @@ class Field:
         v.flags.writeable = False
 
     @classmethod
-    def from_function(cls, grid: PolarGrid, fn, name: str = "", params=None,
-                      vertex_limits=None):
+    def from_function(cls, grid: PolarGrid, fn, name: str = "", vertex_limits=None):
         """Build a field from fn(r, theta, half) evaluated on sheet meshes."""
         sheets = []
         for h in grid.halves:
             rr, tt = np.meshgrid(grid.r, grid.theta, indexing="ij")
             sheets.append(np.asarray(fn(rr, tt, h), dtype=float))
-        return cls(grid, np.stack(sheets), name=name, params=dict(params or {}),
-                   vertex_limits=vertex_limits)
+        return cls(grid, np.stack(sheets), name=name, vertex_limits=vertex_limits)
 
     def with_values(self, values: np.ndarray, name: str | None = None,
                     vertex_limits="keep") -> "Field":
         vl = self.vertex_limits if vertex_limits == "keep" else vertex_limits
         return Field(self.grid, np.array(values, dtype=float),
-                     name=self.name if name is None else name,
-                     params=dict(self.params), vertex_limits=vl)
+                     name=self.name if name is None else name, vertex_limits=vl)
 
     def sheet(self, half: str) -> np.ndarray:
         return self.values[self.grid.half_index(half)]
@@ -138,7 +134,11 @@ def lp_norm(obj, p: float, weight: str = "none", half: str | None = None) -> flo
         return float(vals.max())
     if p < 1:
         raise ValueError("exponent must be in [1, inf]")
-    w = grid.cell_measure[None, :, :]
+    return power_sum_root(vals, grid.cell_measure[None, :, :], p)
+
+
+def power_sum_root(vals: np.ndarray, w: np.ndarray, p: float) -> float:
+    """(sum vals^p w)^(1/p) for vals >= 0, finite wherever the result is."""
     with np.errstate(over="ignore"):
         total = np.sum(vals**p * w)
     if np.isinf(total) and np.isfinite(top := vals.max()):
@@ -289,21 +289,26 @@ def decade_radii(grid: PolarGrid) -> np.ndarray:
     return 10.0 ** np.arange(hi, lo - 1, -1.0)
 
 
+def gate_resolves(grid: PolarGrid) -> bool:
+    """Whether the grid has the more than GATE_DECADES decades the gate reads."""
+    return len(decade_radii(grid)) > GATE_DECADES
+
+
 def integrability_gate(f_vals: np.ndarray, grid: PolarGrid, p: float):
     """Decide whether the 1/r-weighted L^p integral (sup at p = inf) trends
     finite.
 
     Divergent iff the partial integrals (running suprema) keep growing by more
     than 1.5% per decade of the truncation radius, on average over the last
-    GATE_DECADES decades.  Returns (accepted, growth_per_decade, table).
+    GATE_DECADES decades.  Returns (accepted, growth_per_decade).
     """
-    r_mins, P = partial_norm_power_table(f_vals, grid, p)
-    if len(P) <= GATE_DECADES:
+    if not gate_resolves(grid):
         raise ValueError("table too short")
+    _, P = partial_norm_power_table(f_vals, grid, p)
     seg = P[-(GATE_DECADES + 1):]
     growth = 0.0 if seg[-1] == 0.0 else float(
         np.mean(np.diff(seg) / np.maximum(seg[:-1], 1e-300)))
-    return growth <= 0.015, growth, (r_mins, P)
+    return growth <= 0.015, growth
 
 
 def log_log_increment_slope(r_mins: np.ndarray, P: np.ndarray) -> float:

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import Field, gradient
+from .fields import Field, gradient, power_sum_root
 
 INF = float("inf")
 
@@ -73,7 +73,7 @@ class RearrangementTable:
         """L^p norm of f* on (0, inf); equals the field norm by equimeasurability."""
         if p == INF:
             return self.sup
-        return float(np.sum(self.values**p * self.widths) ** (1.0 / p))
+        return power_sum_root(self.values, self.widths, p)
 
     def measure_above(self, level: float) -> float:
         """Measure of {|f| > level}, strict (ties at the level excluded)."""

@@ -70,7 +70,7 @@ class TestConfig:
                                       {"alpha_decades": "x"},
                                       {"alpha_decades": -1},
                                       {"alpha_decades": 2.5},
-                                      {"alpha_decades": True}])
+                                      {"alpha_decades": True}, {"n": 0}])
     def test_out_of_range_exits_2(self, tmp_path, capsys, data):
         p = tmp_path / "c.json"
         p.write_text(json.dumps(data))
@@ -127,13 +127,6 @@ class TestCommands:
         rc = main(["--config", small_config, "--out", str(tmp_path / "o"),
                    "hardy", "--p", "2"])
         assert rc == 2
-
-    def test_hardy_n0_exits_2(self, tmp_path, capsys, small_config):
-        out = tmp_path / "o"
-        assert main(["--config", small_config, "--out", str(out),
-                     "hardy", "--n", "0"]) == 2
-        assert len(capsys.readouterr().err.strip().splitlines()) == 1
-        assert not out.exists()
 
     @pytest.mark.parametrize("command", [["density"],
                                          ["density", "--mode", "corrected"],
@@ -286,6 +279,22 @@ class TestCommands:
             assert {k: row[header.index(k)] for k in check} == {
                 k: repr(v) if isinstance(v, float) else str(v)
                 for k, v in check.items()}
+
+    @pytest.mark.parametrize("data,key,rule", [
+        ({"r_min": 1e-3}, "r_min", "membership gate"),
+        ({"r_min": 1e-5}, "r_min", "density-approx"),
+        ({"q": 0.9, "nr": 100}, "q", "membership gate")])
+    def test_verify_all_refuses_shallow_grid(self, tmp_path, capsys, data, key,
+                                             rule):
+        # refused before any check runs, naming the key that sets the
+        # innermost radius
+        cfgp = tmp_path / "c.json"
+        cfgp.write_text(json.dumps(data))
+        out = tmp_path / "o"
+        assert main(["--config", str(cfgp), "--out", str(out), "verify-all"]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and rule in err[0] and err[0].endswith(f"lower {key}")
+        assert not out.exists()
 
     def test_verify_all_unknown_check(self, tmp_path):
         rc = main(["--out", str(tmp_path), "verify-all", "--checks", "nope"])

@@ -6,7 +6,7 @@ import pytest
 from conelab.extension import (ExtensionGateError, admissibility_gate,
                                antiradial_extension_only, cone_map_for,
                                enlarged_support_mask, extend, extend_pierre_2d,
-                               operator_norm_report, restrict,
+                               extension_rows, quadrant_pairs, restrict,
                                restriction_antiradial_ratio, roundtrip_error,
                                source_norm, wp_norm)
 from conelab.fieldlib import make_test_field, suite_extension, suite_fullplane
@@ -65,7 +65,7 @@ class TestRestrict:
 class TestExtend:
     def test_radial_field_extends_radially(self, cone_grid, full_grid):
         f = make_test_field("radial_exp", cone_grid)
-        Ef, _ = extend(f, 1.5, full_grid)
+        Ef = extend(f, 1.5, full_grid)
         spread = np.abs(Ef.values[0] - Ef.values[0][:, :1]).max()
         assert spread <= 1e-14
         xi = antiradial_extension_only(f, full_grid)
@@ -105,15 +105,15 @@ class TestExtend:
     def test_roundtrip_small(self, cone_grid, full_grid):
         for name in ("angular_bump", "jump"):
             f = make_test_field(name, cone_grid)
-            Ef, _ = extend(f, 1.0, full_grid)
+            Ef = extend(f, 1.0, full_grid)
             assert roundtrip_error(f, Ef, 1.0) <= 1e-10
 
     def test_linearity_exact(self, cone_grid, full_grid):
         f = make_test_field("radial_exp", cone_grid)
         g = make_test_field("angular_bump", cone_grid)
-        E1, _ = extend(f, 1.5, full_grid)
-        E2, _ = extend(g, 1.5, full_grid)
-        E12, _ = extend(f + g, 1.5, full_grid)
+        E1 = extend(f, 1.5, full_grid)
+        E2 = extend(g, 1.5, full_grid)
+        E12 = extend(f + g, 1.5, full_grid)
         assert np.abs(E12.values - E1.values - E2.values).max() <= 1e-13
 
     def test_support_confined(self, cone_grid, full_grid):
@@ -137,17 +137,17 @@ class TestExtend:
     def test_gate_accepts_anti_radially_tame(self, cone_grid):
         # purely radial field with nonzero vertex value: fine at p = n
         f = make_test_field("lipschitz_compact", cone_grid)
-        ok, growth, _ = admissibility_gate(f, 2.0)
+        ok, growth = admissibility_gate(f, 2.0)
         assert ok
         # but the sign-jump field is refused at p = inf as well
         j = make_test_field("jump", cone_grid)
         assert not admissibility_gate(j, INF)[0]
 
     def test_report_rows(self, cone_grid, full_grid):
-        rows = list(operator_norm_report(
-            [(2.0, [make_test_field("logcounter", cone_grid, beta=1.0),
-                    make_test_field("logcounter", cone_grid, beta=0.25)])],
-            full_grid))
+        rows = list(extension_rows(
+            [(make_test_field("logcounter", cone_grid, beta=b), 2.0)
+             for b in (1.0, 0.25)],
+            lambda f, p: extend(f, p, full_grid)))
         by_field = {r["field"]: r for r in rows}
         accepted = by_field["logcounter(b=1)"]
         refused = by_field["logcounter(b=0.25)"]
@@ -168,20 +168,19 @@ class TestExtend:
 class TestExtensionCache:
     def test_gate_runs_on_a_warm_cache(self, cone_grid, full_grid):
         f = make_test_field("logcounter", cone_grid, beta=0.25)
-        Ef, _ = extend(f, 1.0, full_grid)
-        assert extend(f, 1.5, full_grid)[0] is Ef
+        Ef = extend(f, 1.0, full_grid)
+        assert extend(f, 1.5, full_grid) is Ef
         with pytest.raises(ExtensionGateError):
             extend(f, 2.0, full_grid)
 
     def test_warm_equals_cold(self, cone_grid, full_grid):
         warm = make_test_field("angular_bump", cone_grid)
         for p in (1.0, 2.0, 3.0, INF):
-            Ew, info_w = extend(warm, p, full_grid)
+            Ew = extend(warm, p, full_grid)
             rt_w = roundtrip_error(warm, Ew, p)
             cold = make_test_field("angular_bump", cone_grid)
-            Ec, info_c = extend(cold, p, full_grid)
+            Ec = extend(cold, p, full_grid)
             assert np.array_equal(Ew.values, Ec.values)
-            assert info_w == info_c
             assert rt_w == roundtrip_error(cold, Ec, p)
 
 
@@ -226,6 +225,15 @@ class TestPierre:
         f = make_test_field("radial_exp", cone_grid)
         with pytest.raises(ValueError):
             extend_pierre_2d(f, quad_full)
+
+    def test_pairs_above_two_need_equal_vertex_limits(self, quad_grid):
+        fields = [make_test_field(name, quad_grid) for name in
+                  ("radial_exp", "angular_bump", "lipschitz_compact", "jump")]
+        pairs = [(f.name, p) for f, p in quadrant_pairs(fields, (1.0, 3.0))]
+        assert pairs == [("radial_exp", 1.0), ("radial_exp", 3.0),
+                         ("angular_bump", 1.0), ("angular_bump", 3.0),
+                         ("lipschitz_compact", 1.0), ("lipschitz_compact", 3.0),
+                         ("jump", 1.0)]
 
     def test_ratio_finite(self, quad_grid, quad_full):
         f = make_test_field("jump", quad_grid)

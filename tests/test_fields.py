@@ -6,13 +6,14 @@ from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
 from conelab.czd import hardy_sobolev_l1, maximal_function, maximal_table
-from conelab.extension import (extend, restrict, roundtrip_error, source_norm,
-                               wp_norm)
+from conelab.extension import (extend, extend_pierre_2d, restrict,
+                               roundtrip_error, source_norm, wp_norm)
 from conelab.fieldlib import make_test_field, suite_hardy
 from conelab.fields import (Field, cap_mean, gradient, hardy_quotient,
                             integrability_gate, load_field, lp_norm,
                             partial_norm_power_table, poincare_ball_ratio,
                             poincare_rows, radial_split, save_field)
+from conelab.geometry import ConeDomain
 from conelab.grids import PolarGrid
 from conelab.profiles import plateau
 from conelab.rearrangement import rearrange, rearrange_samples
@@ -353,13 +354,13 @@ class TestFieldCache:
                lambda: rearrange(f, "inv_r"), lambda: rearrange(f, "gradient"),
                lambda: maximal_function(f, "plus"),
                lambda: maximal_table(f, "plus"),
-               lambda: extend(f, 1.0, full)[0]]
+               lambda: extend(f, 1.0, full), lambda: wp_norm(f, 1.5)]
         for op in ops:
             assert op() is op()
         # one extension per full grid: a second grid does not evict the first
-        Ef = extend(f, 1.0, full)[0]
-        other = extend(f, 1.0, PolarGrid.fullplane_matching(grid))[0]
-        assert other is not Ef and extend(f, 1.5, full)[0] is Ef
+        Ef = extend(f, 1.0, full)
+        other = extend(f, 1.0, PolarGrid.fullplane_matching(grid))
+        assert other is not Ef and extend(f, 1.5, full) is Ef
         # the round-trip difference is kept per Ef and serves every exponent
         rt = roundtrip_error(f, Ef, 1.0)
         diff = f.cached(("roundtrip", Ef), _never)
@@ -367,6 +368,16 @@ class TestFieldCache:
         roundtrip_error(f, Ef, 2.0)
         assert f.cached(("roundtrip", Ef), _never) is diff
         assert np.array_equal(diff.values, (restrict(Ef, grid) - f).values)
+
+    def test_pierre_extension_per_full_grid(self):
+        grid = PolarGrid.cone(ConeDomain(2, math.pi / 4, "quadrant"), nr=40,
+                              nt=12, r_max=4.0, r_min=4e-6)
+        full = PolarGrid.fullplane_matching(grid)
+        f = make_test_field("angular_bump", grid)
+        Ef = extend_pierre_2d(f, full)
+        assert extend_pierre_2d(f, full) is Ef
+        other = extend_pierre_2d(f, PolarGrid.fullplane_matching(grid))
+        assert other is not Ef and extend_pierre_2d(f, full) is Ef
 
     def test_derived_fields_start_empty(self, grid_small):
         f = make_test_field("angular_bump", grid_small)

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from conelab.fieldlib import make_test_field, suite_hardy
 from conelab.fields import lp_norm
+from conelab.grids import PolarGrid
 from conelab.rearrangement import (k_component_lower_bound, k_l1_linf,
                                    k_l1_linf_bruteforce, k_sobolev_estimate,
                                    k_split_random_search, rearrange,
@@ -162,6 +163,13 @@ class TestFieldTables:
         t = rearrange(f)
         for p in (1.0, 2.0, 7 / 3):
             assert t.lp_norm(p) == pytest.approx(lp_norm(f, p), rel=1e-12)
+
+    def test_equimeasurability_past_overflow(self, dom2):
+        # 1e100**4 overflows a double; both norms stay finite and agree
+        grid = PolarGrid.cone(dom2, nr=40, nt=8, r_max=40.0, r_min=1e-3)
+        f = make_test_field("constant", grid, c=1e100)
+        assert rearrange(f).lp_norm(4.0) == pytest.approx(lp_norm(f, 4.0),
+                                                          rel=1e-12)
 
     def test_weighted_table(self, grid_small):
         f = make_test_field("radial_exp", grid_small)

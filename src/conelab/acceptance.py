@@ -37,8 +37,11 @@ JUMP_OBSTRUCTION_RATIO = 0.776
 
 # The vertex depth the checks read, refused up front by verify-all: the
 # membership gate's decades, and the smallest eps whose cutoff needs rings.
+# The outer reach too: the checks that divide by the radial derivative of
+# every suite_hardy field.
 GATE_CHECKS = ("hhat-gate", "extension-roundtrip")
 CUTOFF_EPS = {"density-approx": 1e-6, "codim-obstruction": 1e-4}
+QUOTIENT_CHECKS = ("hardy-bound",)
 
 
 class AcceptanceContext:
@@ -123,14 +126,21 @@ def check_hardy_bound(ctx: AcceptanceContext) -> CheckResult:
     """Weighted-norm bound ||f/r||_p <= p/(n-p) ||d_r f||_p below the critical
     exponent, with tightness of the constant on the suite."""
     res = CheckResult("hardy-bound", "weighted Hardy quotient below p/(n-p)")
-    for grid, p in ((ctx.grid2, 1.0), (ctx.grid3, 1.0), (ctx.grid3, 2.0)):
+    # each suite is built once, for every exponent read on its grid
+    for grid, ps in ((ctx.grid2, (1.0,)), (ctx.grid3, (1.0, 2.0))):
         n = grid.n
-        rows = list(hardy_rows(suite_hardy(grid), p))
-        bound = rows[0]["bound"]
-        # the proof's constant, and tightness: some member nearly extremal
-        res.put(f"max_quotient_n{n}_p{p:g}", max(r["quotient"] for r in rows),
-                ("<=", bound * HARDY_SLACK), (">=", 0.6 * bound))
-        res.put(f"bound_n{n}_p{p:g}", bound)
+        rows = {p: [] for p in ps}
+        for f in suite_hardy(grid):
+            for p in ps:
+                rows[p] += hardy_rows((f,), p)
+            del f   # and its cached gradient, before the suite builds the next
+        for p in ps:
+            bound = rows[p][0]["bound"]
+            # the proof's constant, and tightness: some member nearly extremal
+            res.put(f"max_quotient_n{n}_p{p:g}",
+                    max(r["quotient"] for r in rows[p]),
+                    ("<=", bound * HARDY_SLACK), (">=", 0.6 * bound))
+            res.put(f"bound_n{n}_p{p:g}", bound)
     return res
 
 
@@ -291,6 +301,7 @@ def check_rearrangement_laws(ctx: AcceptanceContext) -> CheckResult:
         for p in dict.fromkeys((2.0, float(g.n))):
             ratio = table.double_star_lp(p) / table.lp_norm(p)
             ratio_worst = max(ratio_worst, ratio - p / (p - 1.0))
+        del f, table    # before the suite builds the next field
     res.put("equimeasurability_err", eq_worst, ("<=", 1e-10))
     res.put("distribution_bound_ok", dist_held, ("==", True))
     res.put("double_star_excess", ratio_worst, ("<=", 0.05 * 2.0))
@@ -308,24 +319,38 @@ def check_extension_roundtrip(ctx: AcceptanceContext) -> CheckResult:
     gf, fullf = ctx.grid2_fine, ctx.full2_fine
     worst_rt, worst_drift, finite = 0.0, 1.0, True
     ps, refused = (1.0, 1.5, 2.0, 3.0, INF), {}
-    # each field once per grid: its extension and round-trip difference are
-    # cached on it and serve every exponent whose suite holds it
-    for (f, f_ps), (f_fine, _) in zip(suite_extension_members(g, ps),
-                                      suite_extension_members(gf, ps)):
+
+    def member_rows(coarse, fine):
+        """(p, f.name, round trip, ratio, drift) per exponent of one member,
+        None in place of the three numbers where the gate refused.  Each
+        field's extension and round-trip difference are cached on it and
+        serve every exponent; all of it goes when this returns."""
+        (f, f_ps), (f_fine, _) = coarse, fine
+        rows = []
         for p in f_ps:
             try:
                 Ef = extension.extend(f, p, full)
             except extension.ExtensionGateError:
-                refused[p] = f.name
+                rows.append((p, f.name, None))
                 continue
-            rt = extension.roundtrip_error(f, Ef, p)
             ratio = extension.wp_norm(Ef, p) / extension.source_norm(f, p)
-            worst_rt = max(worst_rt, rt)
-            finite = finite and bool(np.isfinite(ratio))
             Ef_fine = extension.extend(f_fine, p, fullf)
             ratio_fine = (extension.wp_norm(Ef_fine, p)
                           / extension.source_norm(f_fine, p))
-            drift = max(ratio_fine / ratio, ratio / ratio_fine)
+            rows.append((p, f.name, (extension.roundtrip_error(f, Ef, p), ratio,
+                                     max(ratio_fine / ratio, ratio / ratio_fine))))
+        return rows
+
+    # map holds no member between calls: one member's fields at a time
+    for rows in map(member_rows, suite_extension_members(g, ps),
+                    suite_extension_members(gf, ps)):
+        for p, name, measured in rows:
+            if measured is None:
+                refused[p] = name
+                continue
+            rt, ratio, drift = measured
+            worst_rt = max(worst_rt, rt)
+            finite = finite and bool(np.isfinite(ratio))
             worst_drift = max(worst_drift, drift)
     res.measured.update((f"unexpected_refusal_p{p:g}", refused[p])
                         for p in ps if p in refused)
@@ -471,13 +496,16 @@ def check_restriction_antiradial(ctx: AcceptanceContext) -> CheckResult:
     Dirichlet energy, with a refinement-stable constant."""
     res = CheckResult("restriction-hhat",
                       "anti-radial control of restricted plane fields")
-    rows, rows_fine = [], []
-    for F in suite_fullplane(ctx.full2):
-        rows.append(extension.restriction_antiradial_ratio(F, ctx.grid2))
-    for F in suite_fullplane(ctx.full2_fine):
-        rows_fine.append(extension.restriction_antiradial_ratio(F, ctx.grid2_fine))
-    ratios = np.array([r["ratio"] for r in rows])
-    ratios_f = np.array([r["ratio"] for r in rows_fine])
+
+    def suite_ratios(full, cone):
+        out = []
+        for F in suite_fullplane(full):
+            out.append(extension.restriction_antiradial_ratio(F, cone)["ratio"])
+            del F   # and its cached gradient, before the suite builds the next
+        return np.array(out)
+
+    ratios = suite_ratios(ctx.full2, ctx.grid2)
+    ratios_f = suite_ratios(ctx.full2_fine, ctx.grid2_fine)
     # radial suite members have ratio ~ 0 (pure cap-mean noise); drift is
     # meaningful only where the anti-radial part is genuinely present
     live = ratios > 1e-6 * ratios.max()

@@ -18,8 +18,8 @@ import numpy as np
 
 from . import acceptance, czd, density, extension
 from .config import ConfigError, RunConfig, load_config
-from .fieldlib import (make_test_field, suite_cz, suite_extension_members,
-                       suite_fullplane, suite_hardy)
+from .fieldlib import (hardy_suite_resolves, make_test_field, suite_cz,
+                       suite_extension_members, suite_fullplane, suite_hardy)
 from .fields import (GATE_DECADES, cap_mean, gate_resolves, hardy_rows,
                      log_log_increment_slope, lp_norm, partial_norm_power_table,
                      radial_split, save_field)
@@ -68,6 +68,7 @@ def cmd_hardy(cfg: RunConfig, args) -> int:
     try:
         rows = list(hardy_rows(fields, p))
     except ValueError as e:
+        _require_reach(grid, "hardy")
         raise ConfigError(f"{e}; refine the grid (nr, r_min)") from e
     write_csv(os.path.join(cfg.out_dir, f"hardy_n{n}_p{p:g}.csv"), rows,
               ["field", "p", "quotient", "bound", "ok"])
@@ -111,6 +112,15 @@ def _require_depth(cfg: RunConfig, grid, use: str, gate: bool, eps=None) -> None
         return
     raise ConfigError(f"the innermost radius {grid.r_min:.3g} {shortfall} for {use}; "
                       f"lower {'q' if cfg.q is not None else 'r_min'}")
+
+
+def _require_reach(grid, use: str) -> None:
+    """Refuse a grid that ends where the jump field is still constant, so
+    that its Hardy quotient has no denominator, naming r_max."""
+    if not hardy_suite_resolves(grid):
+        raise ConfigError(f"r_max = {grid.r_max:.10g} ends inside the jump field's "
+                          f"plateau (constant out to r = 1/4), which then has no "
+                          f"radial derivative for {use}; raise r_max")
 
 
 def _require_nonzero(f) -> None:
@@ -268,12 +278,14 @@ def cmd_verify_all(cfg: RunConfig, args) -> int:
         if unknown:
             print(f"unknown checks: {sorted(unknown)}", file=sys.stderr)
             return 2
-    # refuse a grid shallower than the checks read before any of them runs;
-    # cfg.grid() shares its radii with the checks' planar grid
+    # refuse a grid shallower or shorter than the checks read before any of
+    # them runs; cfg.grid() shares its radii with the checks' planar grid
     grid = cfg.grid()
     for c in only or acceptance.CHECKS:
         _require_depth(cfg, grid, c, gate=c in acceptance.GATE_CHECKS,
                        eps=acceptance.CUTOFF_EPS.get(c))
+        if c in acceptance.QUOTIENT_CHECKS:
+            _require_reach(grid, c)
 
     def progress(res):
         status = "PASS" if res.passed else "FAIL"

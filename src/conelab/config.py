@@ -21,9 +21,9 @@ class ConfigError(ValueError):
 
 
 # Largest grid, nr * nt cells.  verify-all, the command that holds the most
-# per cell, peaked at 256.5 MiB resident at 600x96 (57,600 cells) and at
-# 879.2 MiB at 1200x192 (230,400 cells): about 3.6 KiB per cell over a
-# 49 MiB base, so a grid at the cap needs about 3.6 GiB.
+# per cell, peaked at 208.7 MiB resident at 600x96 (57,600 cells) and at
+# 706.2 MiB at 1200x192 (230,400 cells): about 2.9 KiB per cell over a
+# 43 MiB base, so a grid at the cap needs about 2.9 GiB.
 MAX_CELLS = 1_000_000
 
 
@@ -70,7 +70,7 @@ class RunConfig:
         if self.nr * self.nt > MAX_CELLS:
             raise ConfigError(f"grid nr = {self.nr}, nt = {self.nt} has {self.nr * self.nt} "
                               f"cells, above the cap of {MAX_CELLS} (verify-all holds "
-                              "about 3.6 KiB per cell)")
+                              "about 2.9 KiB per cell)")
         if not self.r_max > 0:
             raise ConfigError("r_max must be positive")
         if self.r_min is not None and not 0 < self.r_min < self.r_max:

@@ -31,18 +31,28 @@ def _radial_cut(r):
     return plateau(r, *_LOG_PLATEAU)
 
 
+def hardy_suite_resolves(grid: PolarGrid) -> bool:
+    """Whether every suite_hardy field has a radial derivative on the grid:
+    jump is constant while its cutoff is 1, out to r = 1/4, so r_max must
+    reach past the point where the cutoff falls below 1."""
+    return bool(_radial_cut(grid.r_max) < 1.0)
+
+
 def make_test_field(name: str, grid: PolarGrid, **params) -> Field:
     """Construct a named test field on the given grid."""
     if name == "logcounter":
         beta = float(params.get("beta", 1.0))
-        # the profile depends on r alone, so both sheets share one; it is 0
-        # outside the cutoff's support, where |ln r|^-beta is infinite at r = 1
-        r = np.meshgrid(grid.r, grid.theta, indexing="ij")[0]
-        cut = _radial_cut(r)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            prof = np.where(cut > 0, np.abs(np.log(r)) ** (-beta) * cut, 0.0)
-        return Field(grid, np.stack([_sign(h) * prof for h in grid.halves]),
-                     name=f"logcounter(b={beta:g})", vertex_limits=(0.0, 0.0))
+
+        def fn(r, t, half):
+            # 0 outside the cutoff's support, where |ln r|^-beta is infinite
+            # at r = 1
+            cut = _radial_cut(r)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                prof = np.where(cut > 0, np.abs(np.log(r)) ** (-beta) * cut, 0.0)
+            return _sign(half) * prof
+
+        return Field.from_function(grid, fn, name=f"logcounter(b={beta:g})",
+                                   vertex_limits=(0.0, 0.0))
     if name == "radial_exp":
         return Field.from_function(grid, lambda r, t, h: r * np.exp(-r),
                                    name="radial_exp", vertex_limits=(0.0, 0.0))
@@ -80,21 +90,26 @@ def make_test_field(name: str, grid: PolarGrid, **params) -> Field:
     raise ValueError(f"unknown test field {name!r}")
 
 
-def suite_hardy(grid: PolarGrid) -> list[Field]:
+_HARDY_MEMBERS = (
+    ("logcounter", {"beta": 0.25}),
+    ("logcounter", {"beta": 0.5}),
+    ("logcounter", {"beta": 1.0}),
+    ("radial_exp", {}),
+    ("radial_power", {"a": 0.0}),
+    ("radial_power", {"a": 0.5}),
+    ("radial_power", {"a": 2.0}),
+    ("angular_bump", {}),
+    ("jump", {}),
+    ("lipschitz_compact", {}),
+)
+
+
+def suite_hardy(grid: PolarGrid):
     """Ten fields exercising the 1/r-weighted gradient bound below the
-    critical exponent, including near-extremal radial profiles."""
-    return [
-        make_test_field("logcounter", grid, beta=0.25),
-        make_test_field("logcounter", grid, beta=0.5),
-        make_test_field("logcounter", grid, beta=1.0),
-        make_test_field("radial_exp", grid),
-        make_test_field("radial_power", grid, a=0.0),
-        make_test_field("radial_power", grid, a=0.5),
-        make_test_field("radial_power", grid, a=2.0),
-        make_test_field("angular_bump", grid),
-        make_test_field("jump", grid),
-        make_test_field("lipschitz_compact", grid),
-    ]
+    critical exponent, including near-extremal radial profiles.  Yields one
+    field at a time, so a caller that drops each field (and its cached
+    gradient and tables) before the next holds one at a time."""
+    return (make_test_field(name, grid, **params) for name, params in _HARDY_MEMBERS)
 
 
 def suite_cz(grid: PolarGrid) -> list[Field]:
@@ -148,8 +163,9 @@ def suite_extension(grid: PolarGrid, p: float) -> list[Field]:
     return [f for f, _ in suite_extension_members(grid, (p,))]
 
 
-def suite_fullplane(grid: PolarGrid) -> list[Field]:
-    """Five smooth compactly-decaying fields on the full plane."""
+def suite_fullplane(grid: PolarGrid):
+    """Five smooth compactly-decaying fields on the full plane, yielded one
+    at a time (see suite_hardy)."""
     if grid.kind != "fullplane":
         raise ValueError("needs a full-plane grid")
 
@@ -166,12 +182,11 @@ def suite_fullplane(grid: PolarGrid) -> list[Field]:
         return fn
 
     g0 = gauss(0.0, 0.0, 0.8)
-    fields = [
-        Field.from_function(grid, gauss(0.5, 0.3, 0.7), name="gauss_offset"),
-        Field.from_function(grid, g0, name="gauss_centered"),
-        Field.from_function(grid, modulated(g0, lambda x, y: x), name="gauss_x"),
-        Field.from_function(grid, modulated(g0, lambda x, y: np.sin(2 * x) + 0.5 * y),
-                            name="gauss_wave"),
-        Field.from_function(grid, gauss(-0.8, 0.6, 1.1), name="gauss_far"),
-    ]
-    return fields
+    members = (
+        ("gauss_offset", gauss(0.5, 0.3, 0.7)),
+        ("gauss_centered", g0),
+        ("gauss_x", modulated(g0, lambda x, y: x)),
+        ("gauss_wave", modulated(g0, lambda x, y: np.sin(2 * x) + 0.5 * y)),
+        ("gauss_far", gauss(-0.8, 0.6, 1.1)),
+    )
+    return (Field.from_function(grid, fn, name=name) for name, fn in members)

@@ -40,12 +40,14 @@ class Field:
 
     @classmethod
     def from_function(cls, grid: PolarGrid, fn, name: str = "", vertex_limits=None):
-        """Build a field from fn(r, theta, half) evaluated on sheet meshes."""
-        sheets = []
-        for h in grid.halves:
-            rr, tt = np.meshgrid(grid.r, grid.theta, indexing="ij")
-            sheets.append(np.asarray(fn(rr, tt, h), dtype=float))
-        return cls(grid, np.stack(sheets), name=name, vertex_limits=vertex_limits)
+        """Build a field from fn(r, theta, half), called once per sheet on
+        broadcastable (nr, 1) radii and (1, nt) angles; each sheet's result
+        is broadcast into its slot of one (halves, nr, nt) array."""
+        r, t = grid.r[:, None], grid.theta[None, :]
+        vals = np.empty(grid.shape)
+        for i, h in enumerate(grid.halves):
+            vals[i] = fn(r, t, h)
+        return cls(grid, vals, name=name, vertex_limits=vertex_limits)
 
     def with_values(self, values: np.ndarray, name: str | None = None,
                     vertex_limits="keep") -> "Field":
@@ -84,16 +86,29 @@ class GradientField:
     angular: np.ndarray   # (1/r) d/dtheta per sheet
 
     def magnitude(self) -> np.ndarray:
-        return np.sqrt(self.radial**2 + self.angular**2)
+        """sqrt(radial^2 + angular^2), in one new array and one temporary."""
+        out = self.radial**2
+        out += self.angular**2
+        return np.sqrt(out, out=out)
 
 
 @dataclass(frozen=True, eq=False)
 class RadialSplit:
-    """f = radial + antiradial, the radial part being the per-ring cap mean."""
+    """f = radial + antiradial, the radial part being the per-ring cap mean.
+    The radial part is built from the profile on each access, so a split
+    cached on its field holds one field-sized array."""
 
-    radial: Field
     antiradial: Field
     profile: np.ndarray   # (nr,) cap means
+    radial_name: str = ""
+
+    @property
+    def radial(self) -> Field:
+        # np.array keeps the broadcast's ring-major layout, which the sums
+        # over these samples follow
+        g = self.antiradial.grid
+        return Field(g, np.array(np.broadcast_to(self.profile[None, :, None], g.shape)),
+                     name=self.radial_name)
 
 
 def gradient(f: Field) -> GradientField:
@@ -104,8 +119,12 @@ def gradient(f: Field) -> GradientField:
     g = f.grid
     if g.nr < 3 or g.nt < 3:
         raise ValueError("gradient needs at least 3 nodes per direction")
-    return f.cached("gradient", lambda: GradientField(
-        g, g.d_dr(f.values), g.d_dtheta(f.values) / g.r[None, :, None]))
+
+    def build():
+        angular = g.d_dtheta(f.values)
+        angular /= g.r[None, :, None]
+        return GradientField(g, g.d_dr(f.values), angular)
+    return f.cached("gradient", build)
 
 
 def _samples_for_norm(obj) -> tuple[PolarGrid, np.ndarray]:
@@ -127,7 +146,7 @@ def lp_norm(obj, p: float, weight: str = "none", half: str | None = None) -> flo
     if half is not None:
         vals = vals[grid.half_index(half)][None]
     if weight == "inv_r":
-        vals = vals / grid.r[None, :, None]
+        vals /= grid.r[None, :, None]     # vals is a fresh array
     elif weight != "none":
         raise ValueError(f"unknown weight {weight!r}")
     if p == INF:
@@ -140,10 +159,14 @@ def lp_norm(obj, p: float, weight: str = "none", half: str | None = None) -> flo
 def power_sum_root(vals: np.ndarray, w: np.ndarray, p: float) -> float:
     """(sum vals^p w)^(1/p) for vals >= 0, finite wherever the result is."""
     with np.errstate(over="ignore"):
-        total = np.sum(vals**p * w)
+        terms = vals**p
+        terms *= w
+        total = np.sum(terms)
     if np.isinf(total) and np.isfinite(top := vals.max()):
         # vals**p overflowed: factor the largest sample out of the sum
-        return float(top * np.sum((vals / top) ** p * w) ** (1.0 / p))
+        terms = (vals / top) ** p
+        terms *= w
+        return float(top * np.sum(terms) ** (1.0 / p))
     return float(total ** (1.0 / p))
 
 
@@ -183,15 +206,16 @@ def cap_mean(f: Field) -> np.ndarray:
 
 
 def radial_split(f: Field) -> RadialSplit:
-    """Split into the per-ring cap mean and the mean-zero remainder."""
-    prof = cap_mean(f)
-    fr = f.with_values(np.broadcast_to(prof[None, :, None], f.grid.shape),
-                       name=f.name + "_radial" if f.name else "",
-                       vertex_limits=None)
-    fa = f.with_values(f.values - fr.values,
-                       name=f.name + "_antiradial" if f.name else "",
-                       vertex_limits=None)
-    return RadialSplit(fr, fa, prof)
+    """Split into the per-ring cap mean and the mean-zero remainder, cached
+    on f."""
+    def build():
+        prof = cap_mean(f)
+        prof.flags.writeable = False      # shared through the cache
+        # C-ordered whatever f's layout: the sums over it follow the layout
+        anti = np.subtract(f.values, prof[None, :, None], out=np.empty(f.grid.shape))
+        fa = Field(f.grid, anti, name=f.name + "_antiradial" if f.name else "")
+        return RadialSplit(fa, prof, f.name + "_radial" if f.name else "")
+    return f.cached("radial_split", build)
 
 
 # -- the Poincare dichotomy ----------------------------------------------------
@@ -268,13 +292,14 @@ def partial_norm_power_table(f_vals: np.ndarray, grid: PolarGrid, p: float,
     """
     vals = np.abs(f_vals)
     if weight == "inv_r":
-        vals = vals / grid.r[None, :, None]
+        vals /= grid.r[None, :, None]
     # cumulative from the outside in: P[k] = integral (or sup) over rings >= k
     if p == INF:
         tail = np.maximum.accumulate(vals.max(axis=(0, 2))[::-1])[::-1]
     else:
-        per_ring = (vals**p * grid.cell_measure[None, :, :]).sum(axis=(0, 2))
-        tail = np.cumsum(per_ring[::-1])[::-1]
+        vals **= p
+        vals *= grid.cell_measure[None, :, :]
+        tail = np.cumsum(vals.sum(axis=(0, 2))[::-1])[::-1]
     r_mins = decade_radii(grid)
     idx = np.searchsorted(grid.r, r_mins, side="left")
     P = tail[np.minimum(idx, len(tail) - 1)]

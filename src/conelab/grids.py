@@ -209,8 +209,9 @@ class PolarGrid:
         a_int, b_int, lo, hi = self._radial_stencil
         d = np.diff(vals, axis=-2)
         out = np.empty_like(vals)
-        out[..., 1:-1, :] = (a_int[:, None] * d[..., 1:, :]
-                             + b_int[:, None] * d[..., :-1, :])
+        inner = out[..., 1:-1, :]
+        np.multiply(a_int[:, None], d[..., 1:, :], out=inner)
+        inner += b_int[:, None] * d[..., :-1, :]
         out[..., 0, :] = lo[0] * d[..., 0, :] + lo[1] * d[..., 1, :]
         out[..., -1, :] = hi[0] * d[..., -1, :] + hi[1] * d[..., -2, :]
         return out
@@ -219,10 +220,13 @@ class PolarGrid:
         """Angular derivative along axis -1 (periodic wrap on full-plane grids)."""
         dt = self.dtheta
         out = np.empty_like(vals)
+        np.subtract(vals[..., 2:], vals[..., :-2], out=out[..., 1:-1])
         if self.periodic:
-            out[...] = (np.roll(vals, -1, axis=-1) - np.roll(vals, 1, axis=-1)) / (2 * dt)
+            out[..., 0] = vals[..., 1] - vals[..., -1]
+            out[..., -1] = vals[..., 0] - vals[..., -2]
+            out /= 2 * dt
             return out
-        out[..., 1:-1] = (vals[..., 2:] - vals[..., :-2]) / (2 * dt)
+        out[..., 1:-1] /= 2 * dt
         out[..., 0] = (-3 * vals[..., 0] + 4 * vals[..., 1] - vals[..., 2]) / (2 * dt)
         out[..., -1] = (3 * vals[..., -1] - 4 * vals[..., -2] + vals[..., -3]) / (2 * dt)
         return out

@@ -95,9 +95,17 @@ class RearrangementTable:
         mid, half = 0.5 * (los + his), 0.5 * (his - los)
         keep = half > 0
         lo, hi = los[keep, None], his[keep, None]
-        ts = np.clip(mid[keep, None] + half[keep, None] * xg, 1e-300, None)
-        fss = (below[keep, None] + self.values[keep, None] * (ts - lo)) / ts
-        stray = (ts < lo) | (ts >= hi)
+        # each (steps, 8) array is built in place, in the order of
+        # clip(mid + half xg) and (below + values (t - lo)) / t
+        ts = half[keep, None] * xg
+        ts += mid[keep, None]
+        np.clip(ts, 1e-300, None, out=ts)
+        fss = ts - lo
+        fss *= self.values[keep, None]
+        fss += below[keep, None]
+        fss /= ts
+        stray = ts < lo
+        stray |= ts >= hi
         fss[stray] = self.f_double_star(ts[stray])
         return ts, half[keep, None] * wg, fss
 
@@ -109,7 +117,9 @@ class RearrangementTable:
         if not len(self.values):
             return 0.0
         _, ww, fss = self.double_star_nodes()
-        acc = float(np.sum(fss**p * ww))
+        fss **= p
+        fss *= ww
+        acc = float(np.sum(fss))
         acc += self.total_integral**p * self.total_measure ** (1.0 - p) / (p - 1.0)
         return acc ** (1.0 / p)
 
@@ -133,7 +143,8 @@ def rearrange(f: Field, weight: str = "none") -> RearrangementTable:
         if weight == "none":
             vals = np.abs(f.values)
         elif weight == "inv_r":
-            vals = np.abs(f.values) / f.grid.r[None, :, None]
+            vals = np.abs(f.values)
+            vals /= f.grid.r[None, :, None]
         elif weight == "gradient":
             vals = gradient(f).magnitude()
         else:

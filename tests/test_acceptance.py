@@ -9,10 +9,13 @@ import importlib.util
 import json
 import pathlib
 import sys
+import tracemalloc
 
+import numpy as np
 import pytest
 
 from conelab import acceptance
+from conelab.config import RunConfig
 from conelab.report import CheckResult, Limit, write_json
 
 
@@ -111,3 +114,29 @@ class TestLimit:
         res.put("flag", False, ("==", True))
         assert not res.passed
         assert res.closest()[1].key == "flag"
+
+
+# The traced peak of each streamed check on the CLI tests' SMALL grid, in
+# bytes of the largest field it builds (on the named grid): one suite field
+# with its caches at a time, plus one step's working arrays; for
+# rearrangement-laws these are f**'s node arrays, 8 samples per sample.
+# A check that holds its whole suite reads 34, 87 and 18.
+PEAK_FIELDS = {"hardy-bound": ("grid2", 10), "rearrangement-laws": ("grid2", 56),
+               "restriction-hhat": ("full2_fine", 10)}
+
+
+@pytest.mark.parametrize("check_id", list(PEAK_FIELDS))
+def test_streamed_checks_hold_one_field_at_a_time(check_id):
+    ctx = acceptance.AcceptanceContext(RunConfig(nr=220, nt=48, r_min=4e-8))
+    for grid in (ctx.grid2, ctx.grid3, ctx.full2, ctx.grid2_fine, ctx.full2_fine):
+        grid.cell_measure
+    grid_name, limit = PEAK_FIELDS[check_id]
+    field_bytes = 8 * np.prod(getattr(ctx, grid_name).shape)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        assert acceptance.CHECKS[check_id](ctx).passed
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= limit * field_bytes, f"{peak / field_bytes:.1f} fields"

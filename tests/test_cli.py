@@ -296,6 +296,20 @@ class TestCommands:
         assert len(err) == 1 and rule in err[0] and err[0].endswith(f"lower {key}")
         assert not out.exists()
 
+    @pytest.mark.parametrize("r_max", [1e-6, 0.25])
+    @pytest.mark.parametrize("command", [["verify-all"], ["hardy"]])
+    def test_r_max_inside_the_jump_plateau_exits_2(self, tmp_path, capsys, r_max,
+                                                    command):
+        # the jump field is constant for r <= 1/4: its Hardy quotient has no
+        # denominator, so the grid is refused before any check runs
+        cfgp = tmp_path / "c.json"
+        cfgp.write_text(json.dumps({"r_max": r_max, "nr": 200, "nt": 48}))
+        out = tmp_path / "o"
+        assert main(["--config", str(cfgp), "--out", str(out)] + command) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].endswith("raise r_max")
+        assert not out.exists()
+
     def test_verify_all_unknown_check(self, tmp_path):
         rc = main(["--out", str(tmp_path), "verify-all", "--checks", "nope"])
         assert rc == 2

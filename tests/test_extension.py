@@ -51,13 +51,13 @@ class TestRestrict:
         assert np.abs(rf.values).max() == 0.0
 
     def test_norm_monotone(self, cone_grid, full_grid):
-        F = suite_fullplane(full_grid)[0]
+        F = next(suite_fullplane(full_grid))
         rf = restrict(F, cone_grid)
         for p in (1.0, 2.0):
             assert lp_norm(rf, p) <= lp_norm(F, p) * (1 + 1e-9)
 
     def test_antiradial_chain(self, cone_grid, full_grid):
-        out = restriction_antiradial_ratio(suite_fullplane(full_grid)[0],
+        out = restriction_antiradial_ratio(next(suite_fullplane(full_grid)),
                                            cone_grid)
         assert 0.0 < out["ratio"] < 10.0
 

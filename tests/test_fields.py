@@ -8,7 +8,7 @@ from scipy.integrate import quad
 from conelab.czd import hardy_sobolev_l1, maximal_function, maximal_table
 from conelab.extension import (extend, extend_pierre_2d, restrict,
                                roundtrip_error, source_norm, wp_norm)
-from conelab.fieldlib import make_test_field, suite_hardy
+from conelab.fieldlib import make_test_field, suite_fullplane, suite_hardy
 from conelab.fields import (Field, cap_mean, gradient, hardy_quotient,
                             integrability_gate, load_field, lp_norm,
                             partial_norm_power_table, poincare_ball_ratio,
@@ -354,7 +354,8 @@ class TestFieldCache:
                lambda: rearrange(f, "inv_r"), lambda: rearrange(f, "gradient"),
                lambda: maximal_function(f, "plus"),
                lambda: maximal_table(f, "plus"),
-               lambda: extend(f, 1.0, full), lambda: wp_norm(f, 1.5)]
+               lambda: extend(f, 1.0, full), lambda: wp_norm(f, 1.5),
+               lambda: radial_split(f)]
         for op in ops:
             assert op() is op()
         # one extension per full grid: a second grid does not evict the first
@@ -394,3 +395,65 @@ class TestFieldCache:
         got = rearrange(f, "gradient")
         for name in ("values", "widths", "cum", "integral"):
             assert np.array_equal(getattr(got, name), getattr(want, name)), name
+
+
+def _meshgrid_from_function(cls, grid, fn, name="", vertex_limits=None):
+    """The per-half meshgrid evaluation that Field.from_function's broadcast
+    axes replace, kept as their oracle."""
+    sheets = []
+    for h in grid.halves:
+        rr, tt = np.meshgrid(grid.r, grid.theta, indexing="ij")
+        sheets.append(np.asarray(fn(rr, tt, h), dtype=float))
+    return cls(grid, np.stack(sheets), name=name, vertex_limits=vertex_limits)
+
+
+@pytest.fixture(scope="module")
+def quad_small():
+    return PolarGrid.cone(ConeDomain(2, math.pi / 4, "quadrant"), nr=120, nt=32,
+                          r_max=4.0, r_min=4e-7)
+
+
+class TestFromFunction:
+    """Broadcast (nr, 1) radii and (1, nt) angles give every field bit for
+    bit what the per-half meshes gave."""
+
+    NAMED = (("logcounter", {"beta": 0.25}), ("logcounter", {"beta": 1.0}),
+             ("radial_exp", {}), ("radial_power", {"a": 0.0}),
+             ("radial_power", {"a": 0.5}), ("radial_power", {"a": -0.5}),
+             ("angular_bump", {}), ("jump", {}), ("lipschitz_compact", {}),
+             ("constant", {"c": 2.5}))
+
+    @staticmethod
+    def assert_meshgrid_equal(monkeypatch, build):
+        new = build()
+        with monkeypatch.context() as m:
+            m.setattr(Field, "from_function", classmethod(_meshgrid_from_function))
+            old = build()
+        assert len(new) == len(old)
+        for a, b in zip(new, old):
+            assert (a.name, a.vertex_limits) == (b.name, b.vertex_limits)
+            assert a.values.shape == b.values.shape
+            assert a.values.tobytes() == b.values.tobytes(), a.name
+
+    @pytest.mark.parametrize("grid_name", ["grid_small", "grid3_small",
+                                           "full_small", "quad_small"])
+    def test_named_fields(self, request, monkeypatch, grid_name):
+        grid = request.getfixturevalue(grid_name)
+        self.assert_meshgrid_equal(monkeypatch, lambda: [
+            make_test_field(name, grid, **params) for name, params in self.NAMED])
+
+    @pytest.mark.parametrize("cone_name", ["grid_small", "quad_small"])
+    def test_fullplane_suite(self, request, monkeypatch, cone_name):
+        full = PolarGrid.fullplane_matching(request.getfixturevalue(cone_name))
+        self.assert_meshgrid_equal(monkeypatch, lambda: list(suite_fullplane(full)))
+
+    @pytest.mark.parametrize("grid_name", ["grid_small", "quad_small"])
+    def test_pierre_linear_sum(self, request, monkeypatch, grid_name):
+        grid = request.getfixturevalue(grid_name)
+
+        def xplusy(r, t, h):    # check_pierre's x + y
+            ax = grid.domain.axis_angle(h)
+            return r * (np.cos(ax + t) + np.sin(ax + t))
+
+        self.assert_meshgrid_equal(monkeypatch, lambda: [
+            Field.from_function(grid, xplusy, name="linear_sum")])

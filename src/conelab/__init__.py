@@ -7,7 +7,7 @@ verified at desk scale on polar grids.
 """
 
 from .config import RunConfig, load_config
-from .fieldlib import make_test_field, suite_cz, suite_extension, suite_hardy
+from .fieldlib import make_test_field, suite_cz, suite_hardy
 from .fields import (Field, GradientField, RadialSplit, gradient,
                      hardy_quotient, lp_norm, poincare_ball_ratio, radial_split)
 from .geometry import (BilipschitzConeMap, ConeDomain, HomogeneousCutoff,

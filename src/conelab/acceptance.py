@@ -22,9 +22,9 @@ from . import czd, density, extension, rearrangement as rar
 from .config import RunConfig
 from .fieldlib import (make_test_field, suite_cz, suite_extension_members,
                        suite_fullplane, suite_hardy)
-from .fields import (HARDY_SLACK, Field, gradient, hardy_rows,
-                     log_log_increment_slope, lp_norm,
-                     partial_norm_power_table, poincare_rows)
+from .fields import (HARDY_SLACK, Field, critical_sweep, decade_growth,
+                     gradient, hardy_rows, lp_norm, partial_norm_power_table,
+                     poincare_rows)
 from .geometry import ConeDomain, doubling_ratio
 from .grids import PolarGrid
 from .report import CheckResult, VerificationReport
@@ -153,24 +153,20 @@ def check_hardy_critical(ctx: AcceptanceContext) -> CheckResult:
     the beta=1 member converges, and all gradients converge."""
     res = CheckResult("hardy-critical",
                       "critical-exponent divergence rates of the log family")
-    g = ctx.grid_deep
-
-    f25 = make_test_field("logcounter", g, beta=0.25)
-    r_mins, P = partial_norm_power_table(f25.values, g, 2.0)
-    res.put("weighted_growth_slope_beta025", log_log_increment_slope(r_mins, P),
-            ("+/-", 0.5, 0.05))
-
-    f1 = make_test_field("logcounter", g, beta=1.0)
-    _, P1 = partial_norm_power_table(f1.values, g, 2.0)
-    res.put("weighted_last_decade_incr_beta1", (P1[-1] - P1[-2]) / P1[-2],
-            ("<", 0.02))
-
-    for beta in (0.25, 0.5, 1.0):
-        fb = make_test_field("logcounter", g, beta=beta)
-        gm = gradient(fb).magnitude()
-        _, Pg = partial_norm_power_table(gm, g, 2.0, weight="none")
-        res.put(f"grad_last_decade_incr_beta{beta:g}", (Pg[-1] - Pg[-2]) / Pg[-2],
-                ("<", 0.02))
+    g, grad_incr = ctx.grid_deep, {}
+    for f, _, out in critical_sweep(g, (0.25, 0.5, 1.0)):
+        beta = out["beta"]
+        if beta == 0.25:
+            res.put("weighted_growth_slope_beta025", out["measured_slope"],
+                    ("+/-", 0.5, 0.05))
+        elif beta == 1.0:
+            res.put("weighted_last_decade_incr_beta1", out["last_decade_increment"],
+                    ("<", 0.02))
+        _, Pg = partial_norm_power_table(gradient(f).magnitude(), g, 2.0,
+                                         weight="none")
+        grad_incr[beta] = decade_growth(Pg, 1)
+    for beta, incr in grad_incr.items():
+        res.put(f"grad_last_decade_incr_beta{beta:g}", incr, ("<", 0.02))
     return res
 
 

@@ -20,9 +20,8 @@ from . import acceptance, czd, density, extension
 from .config import ConfigError, RunConfig, load_config
 from .fieldlib import (hardy_suite_resolves, make_test_field, suite_cz,
                        suite_extension_members, suite_fullplane, suite_hardy)
-from .fields import (GATE_DECADES, cap_mean, gate_resolves, hardy_rows,
-                     log_log_increment_slope, lp_norm, partial_norm_power_table,
-                     radial_split, save_field)
+from .fields import (GATE_DECADES, cap_mean, critical_sweep, decade_radii,
+                     hardy_rows, lp_norm, radial_split, save_field)
 from .geometry import ConeDomain
 from .grids import PolarGrid
 from .report import write_csv, write_json
@@ -58,19 +57,17 @@ def cmd_norm(cfg: RunConfig, args) -> int:
 
 
 def cmd_hardy(cfg: RunConfig, args) -> int:
+    p = _exponent(args)
     grid = cfg.grid()
-    n, p = grid.n, float(args.p)
-    if p >= n:
-        print(f"the weighted bound needs p < n (got p={p}, n={n})",
-              file=sys.stderr)
-        return 2
+    if p >= grid.n:
+        raise ConfigError(f"the weighted bound needs p < n (got p={p}, n={grid.n})")
     fields = _suite(args.suite, grid)
     try:
         rows = list(hardy_rows(fields, p))
     except ValueError as e:
         _require_reach(grid, "hardy")
         raise ConfigError(f"{e}; refine the grid (nr, r_min)") from e
-    write_csv(os.path.join(cfg.out_dir, f"hardy_n{n}_p{p:g}.csv"), rows,
+    write_csv(os.path.join(cfg.out_dir, f"hardy_n{grid.n}_p{p:g}.csv"), rows,
               ["field", "p", "quotient", "bound", "ok"])
     return 0 if all(r["ok"] for r in rows) else 1
 
@@ -94,6 +91,21 @@ def cmd_split(cfg: RunConfig, args) -> int:
     return 0
 
 
+def _exponent(args) -> float:
+    """The --p exponent of the norms, refused below 1."""
+    if not args.p >= 1:
+        raise ConfigError(f"--p must be >= 1, got {args.p:g}")
+    return args.p
+
+
+def _test_field(args, grid, **params):
+    """The --field test field, refused if make_test_field does not know it."""
+    try:
+        return make_test_field(args.field, grid, **params)
+    except ValueError as e:
+        raise ConfigError(f"--field: {e}") from e
+
+
 def _require_planar(cfg: RunConfig, command: str) -> None:
     """`command` works on planar (n = 2) grids only."""
     if cfg.n != 2:
@@ -103,7 +115,7 @@ def _require_planar(cfg: RunConfig, command: str) -> None:
 def _require_depth(cfg: RunConfig, grid, use: str, gate: bool, eps=None) -> None:
     """Refuse a grid too shallow for the membership gate (if `gate`) or the
     vertex cutoff at eps, naming the config key that sets its inner radius."""
-    if gate and not gate_resolves(grid):
+    if gate and len(decade_radii(grid)) <= GATE_DECADES:
         shortfall = (f"leaves the membership gate fewer than {GATE_DECADES + 1} "
                      "decades below r_max")
     elif eps is not None and eps / 2.0 <= grid.r_min:
@@ -138,7 +150,7 @@ def cmd_cz(cfg: RunConfig, args) -> int:
         kw["beta"] = args.beta
     elif args.field == "radial_power" and args.a is not None:
         kw["a"] = args.a
-    f = make_test_field(args.field, grid, **kw)
+    f = _test_field(args, grid, **kw)
     _require_nonzero(f)
     rows, ok = [], True
     try:
@@ -224,15 +236,16 @@ def cmd_pierre(cfg: RunConfig, args) -> int:
 
 
 def cmd_density(cfg: RunConfig, args) -> int:
+    p = _exponent(args)
     grid = cfg.grid()
     if min(cfg.eps_list) / 2.0 <= grid.r_min:
         raise ConfigError(
             f"eps_list goes down to {min(cfg.eps_list):g}, which the grid does not "
             f"resolve (eps/2 <= r_min = {grid.r_min:.3g}); raise eps_list or lower r_min")
-    f = make_test_field(args.field, grid)
+    f = _test_field(args, grid)
     mode = args.mode
     rows = density.convergence_table(
-        f, float(args.p), mode, cfg.eps_list,
+        f, p, mode, cfg.eps_list,
         cfg.k_list if mode == "corrected" else None)
     write_csv(os.path.join(cfg.out_dir, f"density_{f.name}_{mode}.csv"), rows,
               ["eps", "k", "l_p_err", "grad_err", "trend"]
@@ -246,24 +259,14 @@ def cmd_counterexample(cfg: RunConfig, args) -> int:
                f"to fit the vertex tail; raise r_max")
     if not cfg.r_max > 1e-12:
         raise ConfigError(shallow)
-    dom = ConeDomain(2, cfg.omega)
-    grid = PolarGrid.cone(dom, nr=cfg.nr, nt=cfg.nt, r_max=cfg.r_max,
-                          r_min=1e-12)
+    grid = acceptance.AcceptanceContext(cfg).grid_deep
     beta = float(args.beta)
-    f = make_test_field("logcounter", grid, beta=beta)
-    r_mins, P = partial_norm_power_table(f.values, grid, 2.0)
+    try:
+        _, (r_mins, P), out = next(critical_sweep(grid, (beta,)))
+    except ValueError as e:
+        raise ConfigError(f"{shallow} ({e})") from e
     rows = [{"r_min": float(r), "partial_weighted_sq": float(v)}
             for r, v in zip(r_mins, P)]
-    if len(P) < 2:
-        raise ConfigError(shallow)
-    out = {"beta": beta, "expected_slope": 1.0 - 2.0 * beta}
-    if beta < 0.5:
-        try:
-            out["measured_slope"] = log_log_increment_slope(r_mins, P)
-        except ValueError as e:
-            raise ConfigError(f"{shallow} ({e})") from e
-    else:
-        out["last_decade_increment"] = float((P[-1] - P[-2]) / P[-2])
     write_csv(os.path.join(cfg.out_dir, f"counterexample_b{beta:g}.csv"),
               rows, ["r_min", "partial_weighted_sq"])
     write_json(os.path.join(cfg.out_dir, f"counterexample_b{beta:g}.json"), out)
@@ -273,11 +276,8 @@ def cmd_counterexample(cfg: RunConfig, args) -> int:
 
 def cmd_verify_all(cfg: RunConfig, args) -> int:
     only = args.checks.split(",") if args.checks else None
-    if only:
-        unknown = set(only) - set(acceptance.CHECKS)
-        if unknown:
-            print(f"unknown checks: {sorted(unknown)}", file=sys.stderr)
-            return 2
+    if unknown := set(only or ()) - set(acceptance.CHECKS):
+        raise ConfigError(f"unknown checks: {sorted(unknown)}")
     # refuse a grid shallower or shorter than the checks read before any of
     # them runs; cfg.grid() shares its radii with the checks' planar grid
     grid = cfg.grid()

@@ -8,11 +8,12 @@ g = f - sum b_i.  A verifier measures the constants of the advertised
 estimates; the set-theoretic properties (disjointness, coverage, overline
 balls meeting the complement) hold exactly by construction.
 
-The greedy uses c1 >= 3: a candidate center is skipped iff its underline ball
-would overlap an accepted one, and every skipped cell lies within 2 underline
-radii of its blocker, which is exactly where the partition bump is still
-positive.  For c1 < 3 the bump support (1+c1)/2 is smaller than the blocking
-reach 2 and a partition of unity of this form cannot be guaranteed.
+The Whitney constant c1 is fixed at 3, since the greedy needs c1 >= 3: a
+candidate center is skipped iff its underline ball would overlap an accepted
+one, and every skipped cell lies within 2 underline radii of its blocker,
+which is exactly where the partition bump is still positive.  For c1 < 3 the
+bump support (1+c1)/2 is smaller than the blocking reach 2 and a partition
+of unity of this form cannot be guaranteed.
 """
 
 from __future__ import annotations
@@ -42,19 +43,16 @@ class DegenerateLevelError(ValueError):
 
 @dataclass(frozen=True)
 class CZParams:
-    """Level and Whitney constants; c2 = 4*c1 throughout."""
+    """The level alpha.  The Whitney constants c1 (see the module docstring)
+    and c2 = 4*c1 and the exponent p of the level-set estimate are fixed."""
 
     alpha: float
-    c1: float = 3.0
-    p: float = 2.0
+    c1 = 3.0      # class constants, not fields
+    p = 2.0
 
     def __post_init__(self):
         if self.alpha <= 0:
             raise ValueError("level alpha must be positive")
-        if self.c1 < 3.0:
-            raise ValueError("need c1 >= 3 for an exact partition of unity")
-        if self.p < 1.0:
-            raise ValueError("p must be >= 1")
 
     @property
     def c2(self) -> float:
@@ -467,7 +465,7 @@ def level_sweep(f: Field, decades: float, points: int):
         yield {**verify(res), "decomposition": res}
 
 
-def glue_good_parts(res_plus: CZResult, res_minus: CZResult):
+def glue_good_parts(res_plus: CZResult, res_minus: CZResult) -> Field:
     """Join the two half-cone good parts into one double-cone field.
 
     Requires the vertex compatibility |g| <= C alpha r at the innermost ring,
@@ -488,15 +486,7 @@ def glue_good_parts(res_plus: CZResult, res_minus: CZResult):
     if inner > tol:
         raise ValueError(
             f"vertex mismatch: innermost |g| = {inner:.3e} exceeds {tol:.3e}")
-    g = f.with_values(vals, name="good_part", vertex_limits=(0.0, 0.0))
-    gm = gradient(g).magnitude()
-    report = {
-        "lipschitz_seminorm": float(gm.max()),
-        "sup_g_over_r": lp_norm(g, INF, weight="inv_r"),
-        "sup_g": lp_norm(g, INF),
-        "alpha": alpha,
-    }
-    return g, report
+    return f.with_values(vals, name="good_part", vertex_limits=(0.0, 0.0))
 
 
 def hardy_sobolev_l1(b: Field) -> float:
@@ -521,15 +511,13 @@ def k_upper_via_cz(f: Field, t: float) -> dict:
     alpha = float(max(alphas))
     if alpha <= 0.0 or alpha >= maxM:
         alpha = min(alpha, maxM) if alpha > 0 else maxM
-        g = f
-        b_norm = 0.0
-        g_norm = hardy_sobolev_sup(g)
-        return {"t": t, "alpha": alpha, "value": b_norm + t * g_norm,
-                "b_norm": b_norm, "g_norm": g_norm, "n_balls": 0}
+        g_norm = hardy_sobolev_sup(f)
+        return {"t": t, "alpha": alpha, "value": t * g_norm,
+                "b_norm": 0.0, "g_norm": g_norm, "n_balls": 0}
     params = CZParams(alpha=alpha)
     res_p = decompose(f, params, "plus")
     res_m = decompose(f, params, "minus")
-    g, _ = glue_good_parts(res_p, res_m)
+    g = glue_good_parts(res_p, res_m)
     b = f - g
     b_norm = hardy_sobolev_l1(b)
     g_norm = hardy_sobolev_sup(g)

@@ -158,11 +158,6 @@ def suite_extension_members(grid: PolarGrid, ps):
             yield make_test_field(name, grid, **params), held
 
 
-def suite_extension(grid: PolarGrid, p: float) -> list[Field]:
-    """Fields admissible for the extension operator at exponent p."""
-    return [f for f, _ in suite_extension_members(grid, (p,))]
-
-
 def suite_fullplane(grid: PolarGrid):
     """Five smooth compactly-decaying fields on the full plane, yielded one
     at a time (see suite_hardy)."""

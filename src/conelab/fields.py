@@ -135,16 +135,12 @@ def _samples_for_norm(obj) -> tuple[PolarGrid, np.ndarray]:
     raise TypeError("expected a Field or GradientField")
 
 
-def lp_norm(obj, p: float, weight: str = "none", half: str | None = None) -> float:
-    """Quadrature L^p norm; sample sup for p = inf; weight 'inv_r' divides by r.
-
-    half restricts the norm to one half-cone's sheet (default: whole domain).
-    """
+def lp_norm(obj, p: float, weight: str = "none") -> float:
+    """Quadrature L^p norm over the whole domain; sample sup for p = inf;
+    weight 'inv_r' divides by r."""
     grid, vals = _samples_for_norm(obj)
     if vals.size == 0:
         raise ValueError("empty field")
-    if half is not None:
-        vals = vals[grid.half_index(half)][None]
     if weight == "inv_r":
         vals /= grid.r[None, :, None]     # vals is a fresh array
     elif weight != "none":
@@ -172,7 +168,8 @@ def power_sum_root(vals: np.ndarray, w: np.ndarray, p: float) -> float:
 
 def hardy_quotient(f: Field, p: float) -> float:
     """||f/r||_p divided by the L^p norm of the radial derivative."""
-    den = lp_norm_radial_derivative(f, p)
+    g = gradient(f)
+    den = lp_norm(GradientField(f.grid, g.radial, np.zeros_like(g.radial)), p)
     if den == 0.0:
         raise ValueError(f"{f.name} has no radial derivative on this grid")
     return lp_norm(f, p, weight="inv_r") / den
@@ -186,12 +183,6 @@ def hardy_rows(fields, p: float):
         q = hardy_quotient(f, p)
         yield {"field": f.name, "p": p, "quotient": q, "bound": bound,
                "ok": q <= bound * HARDY_SLACK}
-
-
-def lp_norm_radial_derivative(f: Field, p: float) -> float:
-    g = gradient(f)
-    rad = GradientField(f.grid, g.radial, np.zeros_like(g.radial))
-    return lp_norm(rad, p)
 
 
 def cap_mean(f: Field) -> np.ndarray:
@@ -314,11 +305,6 @@ def decade_radii(grid: PolarGrid) -> np.ndarray:
     return 10.0 ** np.arange(hi, lo - 1, -1.0)
 
 
-def gate_resolves(grid: PolarGrid) -> bool:
-    """Whether the grid has the more than GATE_DECADES decades the gate reads."""
-    return len(decade_radii(grid)) > GATE_DECADES
-
-
 def integrability_gate(f_vals: np.ndarray, grid: PolarGrid, p: float):
     """Decide whether the 1/r-weighted L^p integral (sup at p = inf) trends
     finite.
@@ -327,13 +313,36 @@ def integrability_gate(f_vals: np.ndarray, grid: PolarGrid, p: float):
     than 1.5% per decade of the truncation radius, on average over the last
     GATE_DECADES decades.  Returns (accepted, growth_per_decade).
     """
-    if not gate_resolves(grid):
-        raise ValueError("table too short")
     _, P = partial_norm_power_table(f_vals, grid, p)
-    seg = P[-(GATE_DECADES + 1):]
-    growth = 0.0 if seg[-1] == 0.0 else float(
-        np.mean(np.diff(seg) / np.maximum(seg[:-1], 1e-300)))
+    growth = decade_growth(P, GATE_DECADES)
     return growth <= 0.015, growth
+
+
+def decade_growth(P: np.ndarray, decades: int) -> float:
+    """Relative growth per decade of a partial-integral table, averaged over
+    its last `decades` decades; 0 for a table that ends at 0."""
+    if len(P) <= decades:
+        raise ValueError("table too short")
+    seg = P[-(decades + 1):]
+    return 0.0 if seg[-1] == 0.0 else float(
+        np.mean(np.diff(seg) / np.maximum(seg[:-1], 1e-300)))
+
+
+def critical_sweep(grid: PolarGrid, betas):
+    """The critical-exponent law at p = n = 2: per beta, the logcounter
+    field, its weighted partial-integral table (r_mins, P) and a summary:
+    beta, the expected growth exponent 1 - 2 beta of P, and the measured one
+    (beta < 1/2, P diverges) or the last decade's increment (P converges)."""
+    from .fieldlib import make_test_field     # fieldlib builds on this module
+    for beta in betas:
+        f = make_test_field("logcounter", grid, beta=beta)
+        r_mins, P = partial_norm_power_table(f.values, grid, 2.0)
+        out = {"beta": beta, "expected_slope": 1.0 - 2.0 * beta}
+        if beta < 0.5:
+            out["measured_slope"] = log_log_increment_slope(r_mins, P)
+        else:
+            out["last_decade_increment"] = decade_growth(P, 1)
+        yield f, (r_mins, P), out
 
 
 def log_log_increment_slope(r_mins: np.ndarray, P: np.ndarray) -> float:
@@ -380,40 +389,3 @@ def save_field(f: Field, path: str) -> None:
                 lines.append(f"{r!r} {float(th[j])!r} {float(f.values[i, k, j])!r}")
     _atomic_write(path, "\n".join(lines) + "\n")
 
-
-def load_field(path: str) -> Field:
-    from .geometry import ConeDomain
-
-    with open(path) as fh:
-        raw = [ln.strip() for ln in fh if ln.strip()]
-    head = {}
-    body_start = 0
-    for i, ln in enumerate(raw):
-        if "=" in ln and " " not in ln:
-            k, v = ln.split("=", 1)
-            head[k] = v
-            body_start = i + 1
-        else:
-            break
-    n, nr = int(head["n"]), int(head["K"])
-    jtot, q, rmax = int(head["J"]), float(head["q"]), float(head["rmax"])
-    omega, variant = float(head["omega"]), head["variant"]
-    if variant == "fullspace":
-        dom = ConeDomain(n, omega, "double")
-        grid = PolarGrid.fullplane(dom, nr=nr, nt=jtot, r_max=rmax, q=q)
-    else:
-        dom = ConeDomain(n, omega, variant)
-        grid = PolarGrid.cone(dom, nr=nr, nt=jtot // 2, r_max=rmax, q=q)
-    vals = np.empty(grid.shape)
-    order = sorted(range(grid.nhalves),
-                   key=lambda i: grid.global_theta(grid.halves[i])[0])
-    rows = [ln.split() for ln in raw[body_start:]]
-    if len(rows) != nr * jtot:
-        raise ValueError("sample count does not match the header")
-    pos = 0
-    for k in range(nr - 1, -1, -1):
-        for i in order:
-            for j in range(grid.nt):
-                vals[i, k, j] = float(rows[pos][2])
-                pos += 1
-    return Field(grid, vals)

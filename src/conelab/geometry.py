@@ -42,10 +42,6 @@ class ConeDomain:
         if self.variant == "quadrant" and self.n != 2:
             raise ValueError("quadrant variant is two-dimensional")
 
-    @property
-    def halves(self) -> tuple[str, str]:
-        return ("plus", "minus")
-
     def axis(self, half: str = "plus") -> np.ndarray:
         """Unit axis direction of one half-cone."""
         if self.variant == "quadrant":
@@ -73,23 +69,6 @@ class ConeDomain:
     def sphere_measure_ratio(self) -> float:
         """sigma(cone on unit sphere) / sigma(unit sphere); the radial-norm constant."""
         return self.sector_measure(2) / FULL_SPHERE[self.n]
-
-
-def classify(domain: ConeDomain, points) -> np.ndarray:
-    """Return +1 / -1 / 0 for membership in the plus half, minus half, or neither."""
-    x = np.asarray(points, dtype=float)
-    if x.shape[-1] != domain.n:
-        raise ValueError(f"expected points in R^{domain.n}, got shape {x.shape}")
-    r = np.linalg.norm(x, axis=-1)
-    a = domain.axis("plus")
-    proj = x @ a
-    cosw = math.cos(domain.omega)
-    plus = proj > r * cosw
-    minus = -proj > r * cosw
-    out = np.zeros(x.shape[:-1], dtype=int)
-    out[plus & (r > 0)] = 1
-    out[minus & (r > 0)] = -1
-    return out
 
 
 def _gauss_panels(breaks: np.ndarray, order: int = 48):

@@ -218,6 +218,36 @@ class TestCommands:
         data = json.loads((out / "counterexample_b0.25.json").read_text())
         assert abs(float(data["measured_slope"]) - 0.5) < 0.1
 
+    def test_counterexample_matches_hardy_critical(self, tmp_path, small_config):
+        # one sweep serves both: the command's slope and increment are the
+        # check's measured values, bit for bit
+        out = tmp_path / "out"
+        for beta in ("0.25", "1"):
+            assert main(["--config", small_config, "--out", str(out),
+                         "counterexample", "--beta", beta]) == 0
+        assert main(["--config", small_config, "--out", str(out),
+                     "verify-all", "--checks", "hardy-critical"]) in (0, 1)
+        measured = json.loads((out / "verify_all.json").read_text())["checks"][0]
+        b025 = json.loads((out / "counterexample_b0.25.json").read_text())
+        b1 = json.loads((out / "counterexample_b1.json").read_text())
+        assert b025["measured_slope"] == measured["weighted_growth_slope_beta025"]
+        assert b1["last_decade_increment"] == measured["weighted_last_decade_incr_beta1"]
+
+    @pytest.mark.parametrize("command,name", [
+        (["cz", "--field", "bogus"], "bogus"),
+        (["density", "--field", "bogus"], "bogus"),
+        (["hardy", "--p", "0.5"], "--p"),
+        (["density", "--p", "0.5"], "--p")],
+        ids=["cz-field", "density-field", "hardy-p", "density-p"])
+    def test_unknown_field_or_exponent_below_1_exits_2(self, tmp_path, capsys,
+                                                       small_config, command,
+                                                       name):
+        out = tmp_path / "o"
+        assert main(["--config", small_config, "--out", str(out)] + command) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and name in err[0]
+        assert not out.exists()
+
     @pytest.mark.parametrize("r_max,beta", [(1e-10, "0.25"), (1e-11, "1"),
                                             (1e-13, "1")])
     def test_counterexample_shallow_r_max_exits_2(self, tmp_path, capsys,
@@ -378,10 +408,11 @@ SMALL_CONFIGS = st.fixed_dictionaries(
 
 
 @settings(max_examples=25, deadline=None)
-@given(data=SMALL_CONFIGS, p=st.sampled_from(["1", "1.5"]),
+@given(data=SMALL_CONFIGS, p=st.sampled_from(["0.5", "1", "1.5"]),
        mode=st.sampled_from(["plain", "corrected"]),
        beta=st.sampled_from(["0.25", "1"]),
-       field=st.sampled_from(["logcounter", "radial_exp", "angular_bump"]))
+       field=st.sampled_from(["logcounter", "radial_exp", "angular_bump",
+                              "bogus"]))
 def test_random_small_configs_exit_cleanly(tmp_path_factory, data, p, mode, beta,
                                            field):
     """No traceback, an exit code of 0, 1 or 2, and no NaN in any CSV."""

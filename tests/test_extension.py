@@ -9,7 +9,8 @@ from conelab.extension import (ExtensionGateError, admissibility_gate,
                                extension_rows, quadrant_pairs, restrict,
                                restriction_antiradial_ratio, roundtrip_error,
                                source_norm, wp_norm)
-from conelab.fieldlib import make_test_field, suite_extension, suite_fullplane
+from conelab.fieldlib import (make_test_field, suite_extension_members,
+                               suite_fullplane)
 from conelab.fields import Field, lp_norm, radial_split
 from conelab.geometry import ConeDomain
 from conelab.grids import PolarGrid
@@ -157,7 +158,7 @@ class TestExtend:
         assert refused["ratio"] == INF and refused["gate_growth"] > 0.015
 
     def test_sup_gate_verdicts(self, grid_small):
-        fields = (suite_extension(grid_small, INF)
+        fields = ([f for f, _ in suite_extension_members(grid_small, (INF,))]
                   + [make_test_field("jump", grid_small)])
         verdicts = {f.name: admissibility_gate(f, INF)[0] for f in fields}
         assert verdicts == {"radial_exp": True, "radial_power(a=2)": True,

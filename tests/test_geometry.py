@@ -5,8 +5,26 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conelab.geometry import (BilipschitzConeMap, ConeDomain, ball_measure,
-                              classify, cutoff_for_map, default_enlargement,
+                              cutoff_for_map, default_enlargement,
                               doubling_ratio)
+
+
+def classify(domain: ConeDomain, points) -> np.ndarray:
+    """+1 / -1 / 0 for membership in the plus half, the minus half or
+    neither: the membership oracle of the measure and cone-map tests."""
+    x = np.asarray(points, dtype=float)
+    if x.shape[-1] != domain.n:
+        raise ValueError(f"expected points in R^{domain.n}, got shape {x.shape}")
+    r = np.linalg.norm(x, axis=-1)
+    a = domain.axis("plus")
+    proj = x @ a
+    cosw = math.cos(domain.omega)
+    plus = proj > r * cosw
+    minus = -proj > r * cosw
+    out = np.zeros(x.shape[:-1], dtype=int)
+    out[plus & (r > 0)] = 1
+    out[minus & (r > 0)] = -1
+    return out
 
 
 class TestMembership:

@@ -7,21 +7,12 @@ set of balls at once.  For one radius, the balls around all center rings split
 into full rings (a range per center, served by row totals) and partial rings,
 listed as flat (center ring, ring, half-width) pairs.  Ball averages gather
 window sums of every pair from per-ring prefix sums in one pass, and ball
-dilations take every pair's row of stacked power-of-two sliding maxima, each
-level the max of the one below at two shifts (doubling), built only on the
-rings and up to the level that some pair reads; both accumulate per center
-with unbuffered ufunc.at in pair order, so the sums are added in the same
-order as a loop over rings would add them.  Averages, dilations and the
-maximal function also take a stack of sheets on a leading axis: the sheets
-then share each radius's ring cuts, window-sum gather indices, measure
-window sums and the levels its dilation pairs read.  The exact distance
-transform folds, per ring and column, the nearest target column on either
-side into one cosine (the larger of the two, read from a table of
-cos |theta_a - theta_b| built once per sheet), bounds each query ring's
-distances by its nearest target rings, and evaluates all (query ring,
-target ring) pairs within that bound in blocks, one row gather per pair.
-Everything here works per half-cone sheet on planar (n=2) grids, where the
-decomposition machinery runs.
+dilations take every pair's row of power-of-two sliding maxima built by
+doubling; both accumulate per center with unbuffered ufunc.at in pair order,
+so the sums are added in the same order as a loop over rings would add them.
+`distance_to_cells` is the exact distance transform.  Every operation takes
+one (nr, nt) half-cone sheet of a planar (n=2) grid, where the decomposition
+machinery runs.
 """
 
 from __future__ import annotations
@@ -45,13 +36,6 @@ def expand_ranges(lo: np.ndarray, hi: np.ndarray):
     owner = np.repeat(np.arange(len(counts)), counts)
     first = np.cumsum(counts) - counts
     return owner, lo[owner] + np.arange(len(owner)) - first[owner]
-
-
-def _stacked(sheets: list, shape) -> np.ndarray:
-    """Per-sheet flat arrays as one array of `shape`; one sheet is not
-    copied.  ufunc.at runs slower on a view than on an array that owns its
-    data, so each sheet is accumulated in its own array."""
-    return (sheets[0] if len(sheets) == 1 else np.stack(sheets)).reshape(shape)
 
 
 class SheetBalls:
@@ -156,17 +140,13 @@ class SheetBalls:
 
     def _window_sums(self, cums, centers: np.ndarray, rings: np.ndarray,
                      ws: np.ndarray) -> list:
-        """Per prefix-sum array in `cums`, an array of its leading shape
-        plus (nr, nt): at each node (k, j) of each sheet, the sum over
-        center k's pairs of the pair ring's window [j - w, j + w], added in
-        pair order.  The gather indices are built once for all sheets.
-
-        Each cum has shape (..., nr, nt+1) with a leading zero column.
-        """
+        """Per (nr, nt+1) prefix-sum array in `cums` (leading zero column),
+        an (nr, nt) array: at each node (k, j), the sum over center k's pairs
+        of the pair ring's window [j - w, j + w], added in pair order.  The
+        gather indices are built once for all of `cums`."""
         nt = self.nt
         j = np.arange(nt)
-        sheets = [[(c, np.zeros(self.nr * nt)) for c in cum.reshape(-1, self.nr, nt + 1)]
-                  for cum in cums]
+        outs = [np.zeros(self.nr * nt) for _ in cums]
         for i0 in range(0, len(rings), _PAIR_BLOCK):
             blk = slice(i0, i0 + _PAIR_BLOCK)
             w = ws[blk, None]
@@ -174,17 +154,14 @@ class SheetBalls:
             lo = row + np.maximum(j - w, 0)
             hi = row + np.minimum(j + w + 1, nt)
             cells = self._pair_cells(centers[blk]).ravel()
-            for cum, out in (pair for pairs in sheets for pair in pairs):
+            for cum, out in zip(cums, outs):
                 np.add.at(out, cells, (cum.take(hi) - cum.take(lo)).ravel())
-        return [_stacked([out for _, out in pairs], cum.shape[:-1] + (nt,))
-                for cum, pairs in zip(cums, sheets)]
+        return [out.reshape(self.nr, nt) for out in outs]
 
     def ball_dilate(self, values: np.ndarray, rho: float) -> np.ndarray:
-        """Array of values' shape, (nr, nt) or a stack of sheets (..., nr,
-        nt): max of `values` over the centers within rho of each node, with
-        partial angular windows rounded down to powers of two (a minorant of
-        the exact ball dilation).  The ring cuts and pair levels are built
-        once for all sheets."""
+        """(nr, nt) array: max of the sheet `values` over the centers within
+        rho of each node, with partial angular windows rounded down to powers
+        of two (a minorant of the exact ball dilation)."""
         nr, nt = self.nr, self.nt
         flo, fhi, parts = self.cut_rings(rho)
         # a pair of half-width w reads level q = floor(log2 w) + 1 (0 at w = 0),
@@ -195,30 +172,25 @@ class SheetBalls:
         qidx = np.frexp(ws)[1]   # the bit length of w
         top = np.zeros(nr, dtype=np.int64)   # highest level read per ring
         np.maximum.at(top, rings, qidx)
-        needs = [np.flatnonzero(top >= q) for q in range(1, int(top.max()) + 1)]
-        bounds = np.stack([flo, fhi + 1], axis=1).ravel()
+        # reduceat over the bounds flo, fhi+1, ... : even slots hold the max
+        # over rings [flo, fhi]; the -inf pad keeps the bound fhi+1 = nr valid
+        base = np.maximum.reduceat(np.append(values.max(axis=1), -np.inf),
+                                   np.stack([flo, fhi + 1], axis=1).ravel())
+        out = np.repeat(np.where(fhi >= flo, base[::2], -np.inf), nt)
         j = np.arange(nt)
-        outs = []
-        # the level stacks one sheet at a time: interleaving the sheets' stacks
-        # in the pair loop was no faster
-        for sheet in values.reshape(-1, nr, nt):
-            # reduceat over the bounds flo, fhi+1, ... : even slots hold the max
-            # over rings [flo, fhi]; the -inf pad keeps the bound fhi+1 = nr valid
-            base = np.maximum.reduceat(np.append(sheet.max(axis=1), -np.inf), bounds)
-            out = np.repeat(np.where(fhi >= flo, base[::2], -np.inf), nt)
-            filt = np.empty((len(needs) + 1, nr, nt))
-            filt[0] = sheet
-            for q, need in enumerate(needs, start=1):
-                prev, h = filt[q - 1, need], 1 << max(q - 2, 0)
-                filt[q, need] = np.maximum(np.maximum(prev[:, np.maximum(j - h, 0)], prev),
-                                           prev[:, np.minimum(j + h, nt - 1)])
-            rows = filt.reshape(-1, nt)
-            for i0 in range(0, len(rings), _PAIR_BLOCK):
-                blk = slice(i0, i0 + _PAIR_BLOCK)
-                np.maximum.at(out, self._pair_cells(centers[blk]).ravel(),
-                              rows[qidx[blk] * nr + rings[blk]].ravel())
-            outs.append(out)
-        return _stacked(outs, values.shape)
+        filt = np.empty((int(top.max()) + 1, nr, nt))
+        filt[0] = values
+        for q in range(1, len(filt)):
+            need = np.flatnonzero(top >= q)
+            prev, h = filt[q - 1, need], 1 << max(q - 2, 0)
+            filt[q, need] = np.maximum(np.maximum(prev[:, np.maximum(j - h, 0)], prev),
+                                       prev[:, np.minimum(j + h, nt - 1)])
+        rows = filt.reshape(-1, nt)
+        for i0 in range(0, len(rings), _PAIR_BLOCK):
+            blk = slice(i0, i0 + _PAIR_BLOCK)
+            np.maximum.at(out, self._pair_cells(centers[blk]).ravel(),
+                          rows[qidx[blk] * nr + rings[blk]].ravel())
+        return out.reshape(nr, nt)
 
     def dyadic_radii(self) -> np.ndarray:
         """Ball radius family r_max * 2^{-m} down to the inner grid scale."""
@@ -226,53 +198,41 @@ class SheetBalls:
         return self.grid.r_max * 2.0 ** -np.arange(m + 1)
 
     def maximal(self, intensity: np.ndarray) -> np.ndarray:
-        """Discrete maximal function: sup over the dyadic-radius family of
-        ball averages over balls containing each node, floored by the node
-        value itself (single-cell ball).  `intensity` is one sheet (nr, nt)
-        or a stack of sheets (..., nr, nt), which share each radius's ball
-        geometry."""
+        """Discrete maximal function of one sheet (nr, nt): sup over the
+        dyadic-radius family of ball averages over balls containing each
+        node, floored by the node value itself (single-cell ball)."""
         out = np.array(intensity, dtype=float)
         av = BallAverager(self, intensity)
         for rho in self.dyadic_radii():
-            avg = av.averages(rho)
-            np.maximum(out, self.ball_dilate(avg, rho), out=out)
+            np.maximum(out, self.ball_dilate(av.averages(rho), rho), out=out)
         return out
 
 
 class BallAverager:
-    """Reusable prefix sums for ball averages of one intensity array: one
-    sheet (nr, nt) or a stack of sheets (..., nr, nt)."""
+    """Reusable prefix sums for ball averages of one (nr, nt) intensity sheet."""
 
     def __init__(self, sheet: SheetBalls, intensity: np.ndarray):
         self.sheet = sheet
         meas = sheet.grid.cell_measure
         weighted = intensity * meas
-        lead = weighted.shape[:-1]
-        self.num_c = np.concatenate([np.zeros(lead + (1,)),
-                                     np.cumsum(weighted, axis=-1)], axis=-1)
-        self.den_c = np.concatenate([np.zeros((sheet.nr, 1)),
-                                     np.cumsum(meas, axis=1)], axis=1)
-        self.row_num = np.concatenate([np.zeros(lead[:-1] + (1,)),
-                                       np.cumsum(weighted.sum(axis=-1), axis=-1)],
-                                      axis=-1)
-        self.row_den = np.concatenate([[0.0], np.cumsum(meas.sum(axis=1))])
+        # per-row prefix sums with a leading zero column, and row-total ones
+        self.num_c, self.den_c = (np.pad(np.cumsum(a, axis=1), ((0, 0), (1, 0)))
+                                  for a in (weighted, meas))
+        self.row_num, self.row_den = (np.r_[0.0, np.cumsum(a.sum(axis=1))]
+                                      for a in (weighted, meas))
 
     def averages(self, rho: float) -> np.ndarray:
-        """Array of the intensity's shape: measure-weighted mean of the
-        intensity over the cells of B(node, rho), for every node of each
-        sheet; -inf where the ball holds no cell.  The measure's window sums
-        are taken once for all sheets."""
+        """(nr, nt) array: measure-weighted mean of the intensity over the
+        cells of B(node, rho), for every node; -inf where the ball holds no
+        cell."""
         sh = self.sheet
         flo, fhi, parts = sh.cut_rings(rho)
         full = fhi >= flo
-        num = np.where(full, self.row_num[..., fhi + 1] - self.row_num[..., flo],
-                       0.0)[..., None]
-        den = np.where(full, self.row_den[fhi + 1] - self.row_den[flo], 0.0)[:, None]
-        for centers, rings, ws in parts:
-            pnum, pden = sh._window_sums((self.num_c, self.den_c),
-                                         centers, rings, ws)
-            num = num + pnum
-            den = den + pden
+        num, den = (np.where(full, row[fhi + 1] - row[flo], 0.0)[:, None]
+                    for row in (self.row_num, self.row_den))
+        for part in parts:
+            pnum, pden = sh._window_sums((self.num_c, self.den_c), *part)
+            num, den = num + pnum, den + pden
         # a ball below the grid's resolution can hold no node: -inf there,
         # the identity of the max that ball_dilate takes
         return np.divide(num, den, out=np.full(num.shape, -np.inf), where=den > 0)

@@ -98,6 +98,13 @@ def _exponent(args) -> float:
     return args.p
 
 
+def _require_finite(args, *flags) -> None:
+    """Refuse a non-finite numeric flag (an unset one passes) before any work."""
+    for flag in flags:
+        if not math.isfinite(v := getattr(args, flag) or 0.0):
+            raise ConfigError(f"--{flag} must be finite, got {v}")
+
+
 def _test_field(args, grid, **params):
     """The --field test field, refused if make_test_field does not know it."""
     try:
@@ -143,6 +150,7 @@ def _require_nonzero(f) -> None:
 
 
 def cmd_cz(cfg: RunConfig, args) -> int:
+    _require_finite(args, "beta", "a")
     _require_planar(cfg, "cz")
     grid = cfg.grid()
     kw = {}
@@ -254,6 +262,7 @@ def cmd_density(cfg: RunConfig, args) -> int:
 
 
 def cmd_counterexample(cfg: RunConfig, args) -> int:
+    _require_finite(args, "beta")
     _require_planar(cfg, "counterexample")
     shallow = (f"r_max = {cfg.r_max:g} leaves too few decades above r_min = 1e-12 "
                f"to fit the vertex tail; raise r_max")

@@ -132,22 +132,11 @@ def combined_intensity(f: Field, half: str) -> np.ndarray:
             + gradient(f).magnitude()[f.grid.half_index(half)])
 
 
-def maximal_function(f: Field, half="plus") -> np.ndarray:
+def maximal_function(f: Field, half: str = "plus") -> np.ndarray:
     """Discrete uncentered maximal function of the combined intensity on one
-    sheet (dyadic radii, grid-node centers, single-cell floor).  Cached per
-    half.  `half` may also be a tuple of halves: the ones not cached yet
-    share one stacked pass, and the (halves, nr, nt) stack is returned."""
-    key = ("maximal", half)
-    if key not in f._cache:
-        halves = (half,) if isinstance(half, str) else tuple(half)
-        todo = [h for h in halves if ("maximal", h) not in f._cache]
-        if todo:
-            M = SheetBalls(f.grid).maximal(
-                np.stack([combined_intensity(f, h) for h in todo]))
-            f._cache.update(zip([("maximal", h) for h in todo], M))
-        if not isinstance(half, str):
-            f._cache[key] = np.stack([f._cache[("maximal", h)] for h in halves])
-    return f._cache[key]
+    sheet, cached per half (dyadic radii, grid-node centers, single-cell floor)."""
+    return f.cached(("maximal", half), lambda: SheetBalls(f.grid).maximal(
+        combined_intensity(f, half)))
 
 
 def maximal_table(f: Field, half: str):
@@ -505,10 +494,8 @@ def k_upper_via_cz(f: Field, t: float) -> dict:
     run the decomposition at alpha(t) = max over sheets of the rearranged
     maximal function at t, and price the split ||b||_1-side + t ||g||_inf-side."""
     grid = f.grid
-    # both halves' maximal functions in one pass, cached for the tables below
-    maxM = float(maximal_function(f, grid.halves).max())
-    alphas = [maximal_table(f, h).f_star(t) for h in grid.halves]
-    alpha = float(max(alphas))
+    maxM = max(float(maximal_function(f, h).max()) for h in grid.halves)
+    alpha = float(max(maximal_table(f, h).f_star(t) for h in grid.halves))
     if alpha <= 0.0 or alpha >= maxM:
         alpha = min(alpha, maxM) if alpha > 0 else maxM
         g_norm = hardy_sobolev_sup(f)

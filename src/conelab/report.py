@@ -161,6 +161,13 @@ def _atomic_write(path: str, text: str) -> None:
         raise
 
 
+def _has_nan(obj) -> bool:
+    """Whether a float NaN sits anywhere in obj, through dicts, lists and tuples."""
+    if isinstance(obj, (dict, list, tuple)):
+        return any(map(_has_nan, obj.values() if isinstance(obj, dict) else obj))
+    return isinstance(obj, (float, np.floating)) and bool(np.isnan(obj))
+
+
 def write_csv(path: str, rows: list[dict], columns: list[str] | None = None) -> None:
     """Write dict rows with a fixed column order (union of keys by default).
     A NaN cell raises ValueError and nothing is written; inf stays, the
@@ -174,12 +181,15 @@ def write_csv(path: str, rows: list[dict], columns: list[str] | None = None) -> 
     lines = [",".join(_csv_cell(c) for c in columns)]
     for r in rows:
         cells = [r.get(c, "") for c in columns]
-        if any(isinstance(v, (float, np.floating)) and np.isnan(v) for v in cells):
+        if _has_nan(cells):
             raise ValueError(f"NaN in a row for {path}: {r}")
         lines.append(",".join(_csv_cell(_fmt(v)) for v in cells))
     _atomic_write(path, "\n".join(lines) + "\n")
 
 
 def write_json(path: str, obj) -> None:
+    """Sorted, indented JSON; a NaN anywhere raises ValueError, as in write_csv."""
+    if _has_nan(obj):
+        raise ValueError(f"NaN in the object for {path}")
     _atomic_write(path, json.dumps(obj, indent=2, sort_keys=True,
                                    default=_fmt) + "\n")

@@ -242,54 +242,39 @@ class TestWindows:
 
 
 class TestMaximal:
-    def test_equals_ring_loop_on_alpha_suite(self):
+    def test_equals_ring_loop_on_alpha_suite(self, tiny):
         ctx = AcceptanceContext(RunConfig(nr=220, nt=48, r_min=4e-8))
         sheet = SheetBalls(ctx.grid2)
         for f in ctx.alpha_suite():
             for half in ("plus", "minus"):
                 x = combined_intensity(f, half)
                 assert np.array_equal(sheet.maximal(x), loop_maximal(sheet, x))
+        # and random sheets on the tiny grid
+        grid, sheet, _ = tiny
+        for x in np.random.default_rng(9).uniform(0.1, 5.0, (2, grid.nr, grid.nt)):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                got = sheet.maximal(x)
+            assert np.array_equal(got, loop_maximal(sheet, x))
 
     def test_empty_balls_average_to_minus_inf(self):
         # r_min 4e-77: from rho ~ 1e-15 on, a ball around an outer ring holds
         # no node, not even its center (rho is below half an ulp of r)
         grid = RunConfig(nr=40, nt=3, q=0.01).grid()
         sheet = SheetBalls(grid)
-        x = np.random.default_rng(8).uniform(0.1, 5.0, (grid.nr, grid.nt))
-        av = BallAverager(sheet, x)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", RuntimeWarning)
-            got = sheet.maximal(x)
-            avgs = [av.averages(rho) for rho in sheet.dyadic_radii()]
-        assert not any(np.isnan(a).any() for a in avgs)
-        assert sum(np.isneginf(a).sum() for a in avgs) > 0
-        assert not np.isnan(got).any()
-        with np.errstate(invalid="ignore"):   # the ring loop divides 0/0
-            assert np.array_equal(got, loop_maximal(sheet, x))
-
-
-class TestStackedSheets:
-    # the tiny sheet, and the grid whose outer balls hold no node at small rho
-    @pytest.mark.parametrize("grid_of", [
-        lambda dom2: PolarGrid.cone(dom2, nr=40, nt=12, r_max=4.0, r_min=4e-3),
-        lambda dom2: RunConfig(nr=40, nt=3, q=0.01).grid()])
-    def test_maximal_equals_ring_loop_per_sheet(self, dom2, grid_of):
-        grid = grid_of(dom2)
-        sheet = SheetBalls(grid)
-        x = np.random.default_rng(9).uniform(0.1, 5.0, (2, grid.nr, grid.nt))
-        av, one = BallAverager(sheet, x), [BallAverager(sheet, xs) for xs in x]
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", RuntimeWarning)
-            got = sheet.maximal(x)
-            for rho in sheet.dyadic_radii():
-                avg = av.averages(rho)
-                assert np.array_equal(avg, [a.averages(rho) for a in one])
-                assert np.array_equal(sheet.ball_dilate(avg, rho),
-                                      [sheet.ball_dilate(a, rho) for a in avg])
-        assert got.shape == x.shape
-        with np.errstate(invalid="ignore"):   # the ring loop divides 0/0
-            for xs, ms in zip(x, got):
-                assert np.array_equal(ms, loop_maximal(sheet, xs))
+        shape = (grid.nr, grid.nt)
+        for x in (np.random.default_rng(8).uniform(0.1, 5.0, shape),
+                  *np.random.default_rng(9).uniform(0.1, 5.0, (2,) + shape)):
+            av = BallAverager(sheet, x)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                got = sheet.maximal(x)
+                avgs = [av.averages(rho) for rho in sheet.dyadic_radii()]
+            assert not any(np.isnan(a).any() for a in avgs)
+            assert sum(np.isneginf(a).sum() for a in avgs) > 0
+            assert not np.isnan(got).any()
+            with np.errstate(invalid="ignore"):   # the ring loop divides 0/0
+                assert np.array_equal(got, loop_maximal(sheet, x))
 
 
 def level_masks(grid, seed):

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from conelab import extension
 from conelab.cli import main
 from conelab.config import MAX_CELLS, ConfigError, RunConfig, load_config
-from conelab.report import write_csv
+from conelab.report import write_csv, write_json
 
 SMALL = {"nr": 220, "nt": 48, "r_min": 4e-8, "alpha_decades": 2,
          "alpha_points": 3, "t_points": 3, "eps_list": [1e-2, 1e-3],
@@ -386,6 +386,14 @@ class TestReport:
             write_csv(str(path), [{"a": 1.0}, {"a": float("nan")}])
         assert not path.exists() and not list(tmp_path.iterdir())
 
+    def test_write_json_refuses_nan(self, tmp_path):
+        path = tmp_path / "t.json"
+        with pytest.raises(ValueError):
+            write_json(str(path), {"a": [1.0, {"b": (float("inf"), float("nan"))}]})
+        assert not path.exists() and not list(tmp_path.iterdir())
+        write_json(str(path), {"a": float("inf")})
+        assert json.loads(path.read_text()) == {"a": float("inf")}
+
     def test_write_csv_keeps_infinity(self, tmp_path):
         path = tmp_path / "t.csv"
         write_csv(str(path), [{"a": float("inf"), "b": "refused"}])
@@ -410,12 +418,12 @@ SMALL_CONFIGS = st.fixed_dictionaries(
 @settings(max_examples=25, deadline=None)
 @given(data=SMALL_CONFIGS, p=st.sampled_from(["0.5", "1", "1.5"]),
        mode=st.sampled_from(["plain", "corrected"]),
-       beta=st.sampled_from(["0.25", "1"]),
+       beta=st.sampled_from(["0.25", "1", "nan", "inf"]),
        field=st.sampled_from(["logcounter", "radial_exp", "angular_bump",
                               "bogus"]))
 def test_random_small_configs_exit_cleanly(tmp_path_factory, data, p, mode, beta,
                                            field):
-    """No traceback, an exit code of 0, 1 or 2, and no NaN in any CSV."""
+    """No traceback, an exit code of 0, 1 or 2, and no NaN in any CSV or JSON."""
     tmp = tmp_path_factory.mktemp("cfg")
     cfgp = tmp / "c.json"
     cfgp.write_text(json.dumps(data))
@@ -423,8 +431,14 @@ def test_random_small_configs_exit_cleanly(tmp_path_factory, data, p, mode, beta
     for command in (["norm"], ["split"], ["hardy", "--p", p],
                     ["density", "--p", p, "--mode", mode],
                     ["counterexample", "--beta", beta], ["pierre"], ["restrict"],
-                    ["extend"], ["kfunc"], ["cz", "--field", field]):
+                    ["extend"], ["kfunc"], ["cz", "--field", field, "--beta", beta]):
         assert main(["--config", str(cfgp), "--out", str(out)] + command) in (0, 1, 2)
     for csv in (out.glob("*.csv") if out.exists() else []):
         cells = csv.read_text().replace("\n", ",").split(",")
         assert "nan" not in cells, csv.name
+
+    for js in (out.glob("*.json") if out.exists() else []):
+        def no_nan(constant):
+            assert constant != "NaN", js.name
+            return float(constant)
+        json.loads(js.read_text(), parse_constant=no_nan)

@@ -1,4 +1,5 @@
 import math
+import pathlib
 
 import numpy as np
 import pytest
@@ -384,6 +385,12 @@ def _never():
 
 
 class TestFieldCache:
+    def test_only_fields_touches_the_cache(self):
+        # Field.cached is the one entry point, so that its hits can be counted
+        src = pathlib.Path(__file__).resolve().parents[1] / "src" / "conelab"
+        assert [p.name for p in sorted(src.glob("*.py"))
+                if "_cache" in p.read_text()] == ["fields.py"]
+
     def test_repeat_calls_return_the_stored_object(self, dom2):
         grid = PolarGrid.cone(dom2, nr=40, nt=12, r_max=40.0, r_min=4e-8)
         full = PolarGrid.fullplane_matching(grid)

@@ -8,8 +8,8 @@ verified at desk scale on polar grids.
 
 from .config import RunConfig, load_config
 from .fieldlib import make_test_field, suite_cz, suite_hardy
-from .fields import (Field, GradientField, RadialSplit, gradient,
-                     hardy_quotient, lp_norm, poincare_ball_ratio, radial_split)
+from .fields import (WEIGHTS, Field, RadialSplit, hardy_quotient, lp_norm,
+                     poincare_ball_ratio, radial_split, samples)
 from .geometry import (BilipschitzConeMap, ConeDomain, HomogeneousCutoff,
                        ball_measure, doubling_ratio)
 from .grids import PolarGrid

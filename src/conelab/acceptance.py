@@ -23,8 +23,8 @@ from .config import RunConfig
 from .fieldlib import (make_test_field, suite_cz, suite_extension_members,
                        suite_fullplane, suite_hardy)
 from .fields import (HARDY_SLACK, Field, critical_sweep, decade_growth,
-                     gradient, hardy_rows, lp_norm, partial_norm_power_table,
-                     poincare_rows)
+                     hardy_rows, lp_norm, partial_norm_power_table,
+                     poincare_rows, samples)
 from .geometry import ConeDomain, doubling_ratio
 from .grids import PolarGrid
 from .report import CheckResult, VerificationReport
@@ -162,8 +162,7 @@ def check_hardy_critical(ctx: AcceptanceContext) -> CheckResult:
         elif beta == 1.0:
             res.put("weighted_last_decade_incr_beta1", out["last_decade_increment"],
                     ("<", 0.02))
-        _, Pg = partial_norm_power_table(gradient(f).magnitude(), g, 2.0,
-                                         weight="none")
+        _, Pg = partial_norm_power_table(samples(f, "gradient"), g, 2.0)
         grad_incr[beta] = decade_growth(Pg, 1)
     for beta, incr in grad_incr.items():
         res.put(f"grad_last_decade_incr_beta{beta:g}", incr, ("<", 0.02))

@@ -20,8 +20,9 @@ from . import acceptance, czd, density, extension
 from .config import ConfigError, RunConfig, load_config
 from .fieldlib import (hardy_suite_resolves, make_test_field, suite_cz,
                        suite_extension_members, suite_fullplane, suite_hardy)
-from .fields import (GATE_DECADES, cap_mean, critical_sweep, decade_radii,
-                     hardy_rows, lp_norm, radial_split, save_field)
+from .fields import (GATE_DECADES, WEIGHTS, cap_mean, critical_sweep,
+                     decade_radii, hardy_rows, lp_norm, radial_split, samples,
+                     save_field)
 from .geometry import ConeDomain
 from .grids import PolarGrid
 from .report import write_csv, write_json
@@ -149,17 +150,33 @@ def _require_nonzero(f) -> None:
                           f"[{f.grid.r_min:.3g}, {f.grid.r_max:.3g}]; lower r_min")
 
 
+def _require_bounded(f, flag: str) -> None:
+    """Refuse a field whose |f|, |f|/r or |grad f| passes czd.MAX_SAMPLE,
+    above which the sweep's squared estimates overflow, naming the flag that
+    sets the field.  |f| is read first: a gradient of overflowed samples is
+    not defined."""
+    for w, family in zip(WEIGHTS, ("|f|", "|f|/r", "|grad f|")):
+        if not (top := float(samples(f, w).max())) <= czd.MAX_SAMPLE:
+            raise ConfigError(f"{flag} gives {f.name} a {family} of {top:.3g}, above "
+                              f"the {czd.MAX_SAMPLE:g} whose square cz can hold")
+
+
+# cz's field parameters: flag -> the one field that reads it
+_CZ_PARAMS = {"beta": "logcounter", "a": "radial_power"}
+
+
 def cmd_cz(cfg: RunConfig, args) -> int:
-    _require_finite(args, "beta", "a")
+    _require_finite(args, *_CZ_PARAMS)
+    kw = {k: getattr(args, k) for k in _CZ_PARAMS if getattr(args, k) is not None}
+    for k in kw:
+        if args.field != _CZ_PARAMS[k]:
+            raise ConfigError(f"--{k} applies to --field {_CZ_PARAMS[k]} only, "
+                              f"not {args.field}")
     _require_planar(cfg, "cz")
     grid = cfg.grid()
-    kw = {}
-    if args.field == "logcounter":
-        kw["beta"] = args.beta
-    elif args.field == "radial_power" and args.a is not None:
-        kw["a"] = args.a
     f = _test_field(args, grid, **kw)
     _require_nonzero(f)
+    _require_bounded(f, " ".join(f"--{k} = {v:g}" for k, v in kw.items()) or "--field")
     rows, ok = [], True
     try:
         for rep in czd.level_sweep(f, cfg.alpha_decades, cfg.alpha_points):
@@ -272,6 +289,8 @@ def cmd_counterexample(cfg: RunConfig, args) -> int:
     beta = float(args.beta)
     try:
         _, (r_mins, P), out = next(critical_sweep(grid, (beta,)))
+    except OverflowError as e:
+        raise ConfigError(f"--beta = {beta:g}: {e}") from e
     except ValueError as e:
         raise ConfigError(f"{shallow} ({e})") from e
     rows = [{"r_min": float(r), "partial_weighted_sq": float(v)}
@@ -333,7 +352,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--suite", default="hardy")
     p = add("cz", cmd_cz, help="Calderon-Zygmund decomposition sweep")
     p.add_argument("--field", default="logcounter")
-    p.add_argument("--beta", type=float, default=1.0)
+    p.add_argument("--beta", type=float, default=None)
     p.add_argument("--a", type=float, default=None)
     p.add_argument("--dump-cover", action="store_true")
     add("kfunc", cmd_kfunc, help="K-functional tables")

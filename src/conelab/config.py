@@ -26,6 +26,13 @@ class ConfigError(ValueError):
 # 43 MiB base, so a grid at the cap needs about 2.9 GiB.
 MAX_CELLS = 1_000_000
 
+# Largest r_max: cell measures integrate r^(n-1) dr as differences of r^n,
+# which overflow a double (1.8e308) past r = 5.6e102 at n = 3.
+MAX_R = 1e100
+# Largest alpha_decades: the cz sweep's lowest level is 10^-alpha_decades
+# times its highest, and normal doubles reach down to 2.2e-308.
+MAX_DECADES = 308
+
 
 @dataclass
 class RunConfig:
@@ -71,8 +78,9 @@ class RunConfig:
             raise ConfigError(f"grid nr = {self.nr}, nt = {self.nt} has {self.nr * self.nt} "
                               f"cells, above the cap of {MAX_CELLS} (verify-all holds "
                               "about 2.9 KiB per cell)")
-        if not self.r_max > 0:
-            raise ConfigError("r_max must be positive")
+        if not 0 < self.r_max <= MAX_R:
+            raise ConfigError(f"r_max must lie in (0, {MAX_R:g}], where cell measures "
+                              "(r^n, n <= 3) stay finite")
         if self.r_min is not None and not 0 < self.r_min < self.r_max:
             raise ConfigError("r_min must lie in (0, r_max)")
         if self.q is not None and not 0 < self.q < 1:
@@ -89,15 +97,22 @@ class RunConfig:
             raise ConfigError("every eps in eps_list must lie in (0, 1)")
         if not all(k >= 1 for k in self.k_list):
             raise ConfigError("every k in k_list must be >= 1")
+        if not all(eps ** (1.0 / k) < 1 for eps in self.eps_list for k in self.k_list):
+            raise ConfigError("every k in k_list must keep the corrector radius "
+                              "eps^(1/k) below 1 for each eps in eps_list")
         if not all(p >= 1 for p in self.p_list):
             raise ConfigError("every p in p_list must be >= 1")
         self.p_list = [float(p) for p in self.p_list]
-        if self.alpha_decades < 0:
-            raise ConfigError("alpha_decades must be >= 0")
+        if not 0 <= self.alpha_decades <= MAX_DECADES:
+            raise ConfigError(f"alpha_decades must lie in [0, {MAX_DECADES}], the "
+                              "decades a double spans below 1")
         if self.alpha_points < 2:
             raise ConfigError("alpha_points must be at least 2")
-        if not 0 < self.t_lo < self.t_hi or self.t_points < 2:
-            raise ConfigError("invalid t sweep")
+        if not 0 < self.t_lo < self.t_hi < math.inf:
+            raise ConfigError(f"t_lo and t_hi must satisfy 0 < t_lo < t_hi < inf, got "
+                              f"t_lo = {self.t_lo}, t_hi = {self.t_hi}")
+        if self.t_points < 2:
+            raise ConfigError("t_points must be at least 2")
 
     def domain(self) -> ConeDomain:
         return ConeDomain(self.n, self.omega, self.variant)

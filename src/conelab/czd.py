@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ballops import SheetBalls, distance_to_cells, expand_ranges
-from .fields import Field, gradient, lp_norm
+from .fields import WEIGHTS, Field, lp_norm, samples
 from .grids import radial_difference_weights
 from .profiles import plateau
 from .rearrangement import (k_component_lower_bound, k_sobolev_estimate,
@@ -35,6 +35,12 @@ INF = float("inf")
 # chunk's per-cell temporaries), and candidates scanned per chunk start.
 _CHUNK_CELLS = 1 << 14
 _LOOKAHEAD = 4096
+
+# Largest |f|, |f|/r or |grad f| sample the estimates can square: the
+# level-set estimate sums intensity^2 over up to config.MAX_CELLS cells of measure
+# below 1 (large samples sit at the vertex), and an intensity of three such
+# samples keeps that sum below DBL_MAX = 1.8e308 (sqrt(1.8e308 / 9e6) = 4.5e150).
+MAX_SAMPLE = 1e150
 
 
 class DegenerateLevelError(ValueError):
@@ -127,9 +133,8 @@ def _ball_sums(values: np.ndarray, ball, ring, lo, hi, n: int) -> np.ndarray:
 
 def combined_intensity(f: Field, half: str) -> np.ndarray:
     """|f| + |f|/r + |grad f| on one sheet."""
-    vals = np.abs(f.sheet(half))
-    return (vals + vals / f.grid.r[:, None]
-            + gradient(f).magnitude()[f.grid.half_index(half)])
+    i = f.grid.half_index(half)
+    return sum(samples(f, w)[i] for w in WEIGHTS)
 
 
 def maximal_function(f: Field, half: str = "plus") -> np.ndarray:
@@ -447,9 +452,12 @@ def level_sweep(f: Field, decades: float, points: int):
     """Decompose and verify the plus sheet of f at `points` levels, geometric
     from 0.5 max M 10^-decades up to 0.5 max M.  Yields each level's `verify`
     report with the decomposition under "decomposition"; a level below the
-    maximal function's minimum raises DegenerateLevelError."""
+    maximal function's minimum, or one that underflows to 0, raises
+    DegenerateLevelError."""
     amax = float(maximal_function(f, "plus").max())
-    for alpha in np.geomspace(0.5 * amax * 10.0**-decades, 0.5 * amax, points):
+    if not (lowest := 0.5 * amax * 10.0**-decades) > 0.0:
+        raise DegenerateLevelError(f"a lowest level of {lowest:g}, an underflow")
+    for alpha in np.geomspace(lowest, 0.5 * amax, points):
         res = decompose(f, CZParams(alpha=float(alpha)), "plus")
         yield {**verify(res), "decomposition": res}
 
@@ -478,15 +486,10 @@ def glue_good_parts(res_plus: CZResult, res_minus: CZResult) -> Field:
     return f.with_values(vals, name="good_part", vertex_limits=(0.0, 0.0))
 
 
-def hardy_sobolev_l1(b: Field) -> float:
-    """int (|b| + |b|/r + |grad b|): the endpoint norm of the bad part."""
-    return (lp_norm(b, 1.0) + lp_norm(b, 1.0, weight="inv_r")
-            + lp_norm(gradient(b), 1.0))
-
-
-def hardy_sobolev_sup(f: Field) -> float:
-    return (lp_norm(f, INF) + lp_norm(f, INF, weight="inv_r")
-            + lp_norm(gradient(f), INF))
+def hardy_sobolev_norm(f: Field, p: float) -> float:
+    """||f||_p + ||f/r||_p + ||grad f||_p: at p = 1 the endpoint norm of the
+    bad part, at p = inf that of the good part."""
+    return sum(lp_norm(f, p, w) for w in WEIGHTS)
 
 
 def k_upper_via_cz(f: Field, t: float) -> dict:
@@ -498,7 +501,7 @@ def k_upper_via_cz(f: Field, t: float) -> dict:
     alpha = float(max(maximal_table(f, h).f_star(t) for h in grid.halves))
     if alpha <= 0.0 or alpha >= maxM:
         alpha = min(alpha, maxM) if alpha > 0 else maxM
-        g_norm = hardy_sobolev_sup(f)
+        g_norm = hardy_sobolev_norm(f, INF)
         return {"t": t, "alpha": alpha, "value": t * g_norm,
                 "b_norm": 0.0, "g_norm": g_norm, "n_balls": 0}
     params = CZParams(alpha=alpha)
@@ -506,8 +509,8 @@ def k_upper_via_cz(f: Field, t: float) -> dict:
     res_m = decompose(f, params, "minus")
     g = glue_good_parts(res_p, res_m)
     b = f - g
-    b_norm = hardy_sobolev_l1(b)
-    g_norm = hardy_sobolev_sup(g)
+    b_norm = hardy_sobolev_norm(b, 1.0)
+    g_norm = hardy_sobolev_norm(g, INF)
     return {"t": t, "alpha": alpha, "value": b_norm + t * g_norm,
             "b_norm": b_norm, "g_norm": g_norm,
             "n_balls": len(res_p.balls) + len(res_m.balls)}

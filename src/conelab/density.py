@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import Field, gradient, lp_norm, power_sum_root
+from .fields import Field, lp_norm, power_sum_root
 from .profiles import plateau
 
 
@@ -104,7 +104,7 @@ def approximant(f: Field, eps: float, k: float | None = None) -> Field:
 
 def approximation_errors(f: Field, approx: Field, p: float) -> tuple[float, float]:
     diff = f - approx
-    return lp_norm(diff, p), lp_norm(gradient(diff), p)
+    return lp_norm(diff, p), lp_norm(diff, p, "gradient")
 
 
 def convergence_table(f: Field, p: float, mode: str, eps_list,

@@ -21,7 +21,7 @@ import math
 
 import numpy as np
 
-from .fields import Field, gradient, integrability_gate, lp_norm, radial_split
+from .fields import Field, integrability_gate, lp_norm, radial_split, samples
 from .geometry import BilipschitzConeMap, cutoff_for_map, default_enlargement
 from .grids import PolarGrid
 
@@ -94,8 +94,9 @@ def admissibility_gate(f: Field, p: float):
     # cap-mean subtraction leaves O(eps) residue on radial fields; the 1/r^p
     # weight would amplify that noise into a spurious divergence verdict
     floor = 1e-13 * float(np.abs(f.values).max())
-    vals = np.where(np.abs(fa.values) > floor, fa.values, 0.0)
-    return integrability_gate(vals, f.grid, p)
+    v = samples(fa, "inv_r")
+    v[np.abs(fa.values) <= floor] = 0.0
+    return integrability_gate(v, f.grid, p)
 
 
 def extend(f: Field, p: float, full_grid: PolarGrid) -> Field:
@@ -205,7 +206,7 @@ def _pierre(f: Field, full_grid: PolarGrid) -> Field:
 
 def wp_norm(f: Field, p: float) -> float:
     """W^1_p norm ||f||_p + ||grad f||_p on f's own grid, cached on f per p."""
-    return f.cached(("wp_norm", p), lambda: lp_norm(f, p) + lp_norm(gradient(f), p))
+    return f.cached(("wp_norm", p), lambda: lp_norm(f, p) + lp_norm(f, p, "gradient"))
 
 
 def roundtrip_error(f: Field, Ef: Field, p: float) -> float:
@@ -260,6 +261,6 @@ def restriction_antiradial_ratio(full_field: Field, cone_grid: PolarGrid) -> dic
     rf = restrict(full_field, cone_grid)
     fa = radial_split(rf).antiradial
     num = lp_norm(fa, 2.0, weight="inv_r")
-    den = lp_norm(gradient(full_field), 2.0)
+    den = lp_norm(full_field, 2.0, "gradient")
     return {"field": full_field.name, "anti_norm": num, "grad_norm": den,
             "ratio": num / den if den > 0 else 0.0}

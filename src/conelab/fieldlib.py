@@ -45,9 +45,9 @@ def make_test_field(name: str, grid: PolarGrid, **params) -> Field:
 
         def fn(r, t, half):
             # 0 outside the cutoff's support, where |ln r|^-beta is infinite
-            # at r = 1
+            # at r = 1; inf where it overflows a double
             cut = _radial_cut(r)
-            with np.errstate(divide="ignore", invalid="ignore"):
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
                 prof = np.where(cut > 0, np.abs(np.log(r)) ** (-beta) * cut, 0.0)
             return _sign(half) * prof
 
@@ -64,8 +64,14 @@ def make_test_field(name: str, grid: PolarGrid, **params) -> Field:
             limits = (1.0, 1.0)
         else:
             limits = None
-        return Field.from_function(grid, lambda r, t, h: r**a * np.exp(-r),
-                                   name=f"radial_power(a={a:g})", vertex_limits=limits)
+
+        def fn(r, t, half):
+            # inf, or NaN past exp's underflow, where r^a overflows a double
+            with np.errstate(over="ignore", invalid="ignore"):
+                return r**a * np.exp(-r)
+
+        return Field.from_function(grid, fn, name=f"radial_power(a={a:g})",
+                                   vertex_limits=limits)
     if name == "angular_bump":
         omega = grid.domain.omega
         lo = 0.0 if grid.domain.n == 3 else -omega

@@ -1,9 +1,10 @@
 """Scalar fields on cone grids: gradients, weighted norms, splits, Poincare ratios.
 
 A Field stacks one sample sheet per half-cone (or one periodic sheet for the
-full plane).  All reductions are plain measure-weighted sums over the grid's
-exact cell measures; divergent quantities are never reported as infinities but
-as partial-integral tables over the inner truncation radius.
+full plane).  Every norm, table and intensity reads one of three sample
+families, |f|, |f|/r or |grad f| (`samples`), in plain measure-weighted sums
+over the grid's exact cell measures; divergent quantities are never reported
+as infinities but as partial-integral tables over the inner truncation radius.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from .report import _atomic_write
 INF = float("inf")
 GATE_DECADES = 4      # the integrability gate averages growth over these
 HARDY_SLACK = 1.05    # quadrature slack on the sharp Hardy constant p/(n-p)
+WEIGHTS = ("none", "inv_r", "gradient")   # the sample families of `samples`
 
 
 @dataclass(frozen=True, eq=False)
@@ -86,9 +88,11 @@ class GradientField:
     angular: np.ndarray   # (1/r) d/dtheta per sheet
 
     def magnitude(self) -> np.ndarray:
-        """sqrt(radial^2 + angular^2), in one new array and one temporary."""
-        out = self.radial**2
-        out += self.angular**2
+        """sqrt(radial^2 + angular^2), in one new array and one temporary;
+        inf where a square overflows a double."""
+        with np.errstate(over="ignore"):
+            out = self.radial**2
+            out += self.angular**2
         return np.sqrt(out, out=out)
 
 
@@ -127,29 +131,29 @@ def gradient(f: Field) -> GradientField:
     return f.cached("gradient", build)
 
 
-def _samples_for_norm(obj) -> tuple[PolarGrid, np.ndarray]:
-    if isinstance(obj, Field):
-        return obj.grid, np.abs(obj.values)
-    if isinstance(obj, GradientField):
-        return obj.grid, obj.magnitude()
-    raise TypeError("expected a Field or GradientField")
-
-
-def lp_norm(obj, p: float, weight: str = "none") -> float:
-    """Quadrature L^p norm over the whole domain; sample sup for p = inf;
-    weight 'inv_r' divides by r."""
-    grid, vals = _samples_for_norm(obj)
-    if vals.size == 0:
-        raise ValueError("empty field")
-    if weight == "inv_r":
-        vals /= grid.r[None, :, None]     # vals is a fresh array
-    elif weight != "none":
+def samples(f: Field, weight: str = "none") -> np.ndarray:
+    """A fresh array of |f| (weight "none"), |f|/r ("inv_r") or |grad f|
+    ("gradient"): the three sample families that every norm, table and
+    intensity reads."""
+    if weight == "gradient":
+        return gradient(f).magnitude()
+    if weight not in WEIGHTS:
         raise ValueError(f"unknown weight {weight!r}")
+    vals = np.abs(f.values)
+    if weight == "inv_r":
+        vals /= f.grid.r[None, :, None]
+    return vals
+
+
+def lp_norm(f: Field, p: float, weight: str = "none") -> float:
+    """Quadrature L^p norm of samples(f, weight) over the whole domain;
+    sample sup for p = inf."""
+    vals = samples(f, weight)
     if p == INF:
         return float(vals.max())
     if p < 1:
         raise ValueError("exponent must be in [1, inf]")
-    return power_sum_root(vals, grid.cell_measure[None, :, :], p)
+    return power_sum_root(vals, f.grid.cell_measure[None, :, :], p)
 
 
 def power_sum_root(vals: np.ndarray, w: np.ndarray, p: float) -> float:
@@ -167,9 +171,9 @@ def power_sum_root(vals: np.ndarray, w: np.ndarray, p: float) -> float:
 
 
 def hardy_quotient(f: Field, p: float) -> float:
-    """||f/r||_p divided by the L^p norm of the radial derivative."""
-    g = gradient(f)
-    den = lp_norm(GradientField(f.grid, g.radial, np.zeros_like(g.radial)), p)
+    """||f/r||_p divided by the L^p norm of the radial derivative, p finite."""
+    den = power_sum_root(np.abs(gradient(f).radial),
+                         f.grid.cell_measure[None, :, :], p)
     if den == 0.0:
         raise ValueError(f"{f.name} has no radial derivative on this grid")
     return lp_norm(f, p, weight="inv_r") / den
@@ -226,7 +230,7 @@ def poincare_ball_ratio(f: Field, center, radius: float, q: float) -> float:
         raise ValueError("ball does not meet the grid")
     fbar = float(np.sum(f.values * w)) / tot
     num = (float(np.sum(np.abs(f.values - fbar) ** q * w)) / tot) ** (1.0 / q)
-    grad = float(np.sum(gradient(f).magnitude() ** q * w)) / tot
+    grad = float(np.sum(samples(f, "gradient") ** q * w)) / tot
     den = radius * grad ** (1.0 / q)
     if num < 1e-300:
         return 0.0
@@ -273,24 +277,27 @@ def _sign_split(grid: PolarGrid, profile: str, eps: float) -> Field:
 # -- partial-integral tables and divergence gates ----------------------------
 
 
-def partial_norm_power_table(f_vals: np.ndarray, grid: PolarGrid, p: float,
-                             weight: str = "inv_r"):
-    """Partial integrals P(r_min') = int_{r >= r_min'} |v/r|^p dlambda per decade;
-    at p = inf, the running sup of |v/r| over r >= r_min'.
+def partial_norm_power_table(v: np.ndarray, grid: PolarGrid, p: float):
+    """Partial integrals P(r_min') = int_{r >= r_min'} v^p dlambda per decade
+    of samples v >= 0 (see `samples`); at p = inf, the running sup of v over
+    r >= r_min'.  A term v^p w that fits a double stays finite where v^p
+    alone overflows, as in `power_sum_root`.
 
     Returns (r_mins, P) with r_mins descending by decades from just below
     r_max down to the grid's inner radius.
     """
-    vals = np.abs(f_vals)
-    if weight == "inv_r":
-        vals /= grid.r[None, :, None]
     # cumulative from the outside in: P[k] = integral (or sup) over rings >= k
     if p == INF:
-        tail = np.maximum.accumulate(vals.max(axis=(0, 2))[::-1])[::-1]
+        tail = np.maximum.accumulate(v.max(axis=(0, 2))[::-1])[::-1]
     else:
-        vals **= p
-        vals *= grid.cell_measure[None, :, :]
-        tail = np.cumsum(vals.sum(axis=(0, 2))[::-1])[::-1]
+        w = grid.cell_measure[None, :, :]
+        with np.errstate(over="ignore"):
+            terms = v**p
+            terms *= w
+            over = np.isinf(terms)
+            if over.any():
+                terms[over] = (v * w ** (1.0 / p))[over] ** p
+            tail = np.cumsum(terms.sum(axis=(0, 2))[::-1])[::-1]
     r_mins = decade_radii(grid)
     idx = np.searchsorted(grid.r, r_mins, side="left")
     P = tail[np.minimum(idx, len(tail) - 1)]
@@ -305,15 +312,15 @@ def decade_radii(grid: PolarGrid) -> np.ndarray:
     return 10.0 ** np.arange(hi, lo - 1, -1.0)
 
 
-def integrability_gate(f_vals: np.ndarray, grid: PolarGrid, p: float):
-    """Decide whether the 1/r-weighted L^p integral (sup at p = inf) trends
-    finite.
+def integrability_gate(v: np.ndarray, grid: PolarGrid, p: float):
+    """Decide whether the L^p integral (sup at p = inf) of samples v >= 0,
+    such as |f|/r, trends finite.
 
     Divergent iff the partial integrals (running suprema) keep growing by more
     than 1.5% per decade of the truncation radius, on average over the last
     GATE_DECADES decades.  Returns (accepted, growth_per_decade).
     """
-    _, P = partial_norm_power_table(f_vals, grid, p)
+    _, P = partial_norm_power_table(v, grid, p)
     growth = decade_growth(P, GATE_DECADES)
     return growth <= 0.015, growth
 
@@ -336,7 +343,9 @@ def critical_sweep(grid: PolarGrid, betas):
     from .fieldlib import make_test_field     # fieldlib builds on this module
     for beta in betas:
         f = make_test_field("logcounter", grid, beta=beta)
-        r_mins, P = partial_norm_power_table(f.values, grid, 2.0)
+        r_mins, P = partial_norm_power_table(samples(f, "inv_r"), grid, 2.0)
+        if not np.isfinite(P).all():
+            raise OverflowError(f"the partial integrals of {f.name} overflow a double")
         out = {"beta": beta, "expected_slope": 1.0 - 2.0 * beta}
         if beta < 0.5:
             out["measured_slope"] = log_log_increment_slope(r_mins, P)

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import Field, gradient, power_sum_root
+from .fields import WEIGHTS, Field, power_sum_root, samples
 
 INF = float("inf")
 
@@ -137,18 +137,9 @@ def rearrange_samples(values, weights) -> RearrangementTable:
 
 
 def rearrange(f: Field, weight: str = "none") -> RearrangementTable:
-    """Rearrangement table of |f|, of |f|/r (weight "inv_r") or of |grad f|
-    (weight "gradient"), cached on f per weight."""
+    """Rearrangement table of samples(f, weight), cached on f per weight."""
     def build():
-        if weight == "none":
-            vals = np.abs(f.values)
-        elif weight == "inv_r":
-            vals = np.abs(f.values)
-            vals /= f.grid.r[None, :, None]
-        elif weight == "gradient":
-            vals = gradient(f).magnitude()
-        else:
-            raise ValueError(f"unknown weight {weight!r}")
+        vals = samples(f, weight)
         meas = np.broadcast_to(f.grid.cell_measure[None, :, :], vals.shape)
         return rearrange_samples(vals, meas)
     return f.cached(("rearrangement", weight), build)
@@ -162,24 +153,16 @@ def k_l1_linf(table: RearrangementTable, t: float) -> float:
     return float(table.f_star_integral(t))
 
 
-def sobolev_k_tables(f: Field):
-    return tuple(rearrange(f, w) for w in ("none", "inv_r", "gradient"))
-
-
 def k_sobolev_estimate(f: Field, t: float) -> float:
     """t (f**(t) + (|f|/r)**(t) + |grad f|**(t)): the two-sided K estimate for
     the weighted Sobolev couple (p=1 vs p=inf endpoints)."""
-    tf, tw, tg = sobolev_k_tables(f)
-    return float(tf.f_star_integral(t) + tw.f_star_integral(t)
-                 + tg.f_star_integral(t))
+    return float(sum(rearrange(f, w).f_star_integral(t) for w in WEIGHTS))
 
 
 def k_component_lower_bound(f: Field, t: float) -> float:
     """max over the three components of K(., t; L^1, L^inf): any splitting of f
     in the weighted Sobolev couple costs at least this much."""
-    tf, tw, tg = sobolev_k_tables(f)
-    return float(max(tf.f_star_integral(t), tw.f_star_integral(t),
-                     tg.f_star_integral(t)))
+    return float(max(rearrange(f, w).f_star_integral(t) for w in WEIGHTS))
 
 
 # -- independent oracles --------------------------------------------------------

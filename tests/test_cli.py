@@ -8,7 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 from conelab import extension
 from conelab.cli import main
-from conelab.config import MAX_CELLS, ConfigError, RunConfig, load_config
+from conelab.config import (MAX_CELLS, MAX_DECADES, MAX_R, ConfigError, RunConfig,
+                            load_config)
 from conelab.report import write_csv, write_json
 
 SMALL = {"nr": 220, "nt": 48, "r_min": 4e-8, "alpha_decades": 2,
@@ -70,7 +71,8 @@ class TestConfig:
                                       {"alpha_decades": "x"},
                                       {"alpha_decades": -1},
                                       {"alpha_decades": 2.5},
-                                      {"alpha_decades": True}, {"n": 0}])
+                                      {"alpha_decades": True}, {"n": 0},
+                                      {"k_list": [math.inf]}, {"k_list": [1e17]}])
     def test_out_of_range_exits_2(self, tmp_path, capsys, data):
         p = tmp_path / "c.json"
         p.write_text(json.dumps(data))
@@ -89,6 +91,28 @@ class TestConfig:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and "nr" in err[0] and "nt" in err[0]
         assert not out.exists()
+
+    @pytest.mark.parametrize("data", [{"r_max": math.inf}, {"r_max": 1e300},
+                                      {"t_hi": math.inf}, {"alpha_decades": 400}],
+                             ids=["r_max-inf", "r_max-1e300", "t_hi-inf",
+                                  "alpha_decades-400"])
+    @pytest.mark.parametrize("command", [["norm"], ["hardy"], ["cz"], ["kfunc"],
+                                         ["verify-all", "--checks", "poincare"]],
+                             ids=lambda c: c[0])
+    def test_non_finite_or_overflowing_value_exits_2(self, tmp_path, capsys, data,
+                                                     command):
+        # json writes inf as Infinity, which json.loads reads back
+        p = tmp_path / "c.json"
+        p.write_text(json.dumps({"nr": 40, "nt": 8, **data}))
+        out = tmp_path / "o"
+        assert main(["--config", str(p), "--out", str(out)] + command) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and next(iter(data)) in err[0]
+        assert not out.exists()
+
+    def test_ceilings_are_admitted(self):
+        cfg = RunConfig(r_max=MAX_R, alpha_decades=MAX_DECADES)
+        assert cfg.grid().radial_weight[-1] < math.inf
 
     def test_grid_at_the_cap_is_admitted(self):
         assert RunConfig(nr=MAX_CELLS // 1000, nt=1000).nr * 1000 == MAX_CELLS
@@ -248,6 +272,37 @@ class TestCommands:
         assert len(err) == 1 and name in err[0]
         assert not out.exists()
 
+    @pytest.mark.parametrize("command,flag", [
+        (["cz", "--field", "angular_bump", "--beta", "5"], "--beta"),
+        (["cz", "--field", "logcounter", "--a", "0.3"], "--a"),
+        (["cz", "--field", "radial_exp", "--a", "1"], "--a"),
+        (["cz", "--beta=-130"], "--beta"),
+        (["cz", "--field", "radial_power", "--a=-50"], "--a"),
+        (["counterexample", "--beta=-130"], "--beta"),
+        (["counterexample", "--beta=-160"], "--beta")],
+        ids=["cz-beta-elsewhere", "cz-a-elsewhere", "cz-a-radial_exp",
+             "cz-beta-square", "cz-a-square", "counterexample-130",
+             "counterexample-160"])
+    def test_field_parameter_refusals_exit_2(self, tmp_path, capsys, small_config,
+                                             command, flag):
+        # a flag the field does not read, or a parameter whose samples (cz's
+        # squares, counterexample's partial integrals) overflow a double
+        out = tmp_path / "o"
+        assert main(["--config", small_config, "--out", str(out)] + command) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and flag in err[0]
+        assert not out.exists()
+
+    def test_counterexample_past_the_power_overflow(self, tmp_path, capsys,
+                                                    small_config):
+        # at beta = -100 the innermost rings' v^2 overflows while v^2 w fits
+        out = tmp_path / "o"
+        assert main(["--config", small_config, "--out", str(out),
+                     "counterexample", "--beta=-100"]) == 0
+        assert not capsys.readouterr().err
+        cells = (out / "counterexample_b-100.csv").read_text().replace("\n", ",")
+        assert "inf" not in cells.split(",")
+
     @pytest.mark.parametrize("r_max,beta", [(1e-10, "0.25"), (1e-11, "1"),
                                             (1e-13, "1")])
     def test_counterexample_shallow_r_max_exits_2(self, tmp_path, capsys,
@@ -404,10 +459,11 @@ _ranged = st.floats(-0.5, 1.5)
 SMALL_CONFIGS = st.fixed_dictionaries(
     {"nr": st.integers(3, 40), "nt": st.integers(3, 16),
      "alpha_points": st.integers(2, 3), "t_points": st.integers(2, 3)},
-    optional={"r_max": st.sampled_from([40.0, 1.0, 1e-4, 1e-10, 2e-12, 1e-12]),
-              "alpha_decades": st.integers(0, 8),
+    optional={"r_max": st.sampled_from([40.0, 1.0, 1e-4, 1e-10, 2e-12, 1e-12,
+                                        math.inf]),
+              "alpha_decades": st.integers(0, 8) | st.just(400),
               "t_lo": st.sampled_from([1e-6, 1e-3, 1.0]),
-              "t_hi": st.sampled_from([1e-2, 1.0, 1e3]),
+              "t_hi": st.sampled_from([1e-2, 1.0, 1e3, math.inf]),
               "r_min": st.sampled_from([1e-12, 1e-6, 1e-3, 0.5, 40.0, -1.0]),
               "q": _ranged,
               "p_list": st.lists(st.floats(0.5, 6.0) | st.just("inf"),
@@ -418,7 +474,7 @@ SMALL_CONFIGS = st.fixed_dictionaries(
 @settings(max_examples=25, deadline=None)
 @given(data=SMALL_CONFIGS, p=st.sampled_from(["0.5", "1", "1.5"]),
        mode=st.sampled_from(["plain", "corrected"]),
-       beta=st.sampled_from(["0.25", "1", "nan", "inf"]),
+       beta=st.sampled_from(["0.25", "1", "nan", "inf", "-130"]),
        field=st.sampled_from(["logcounter", "radial_exp", "angular_bump",
                               "bogus"]))
 def test_random_small_configs_exit_cleanly(tmp_path_factory, data, p, mode, beta,
@@ -430,8 +486,10 @@ def test_random_small_configs_exit_cleanly(tmp_path_factory, data, p, mode, beta
     out = tmp / "out"
     for command in (["norm"], ["split"], ["hardy", "--p", p],
                     ["density", "--p", p, "--mode", mode],
-                    ["counterexample", "--beta", beta], ["pierre"], ["restrict"],
-                    ["extend"], ["kfunc"], ["cz", "--field", field, "--beta", beta]):
+                    ["counterexample", "--beta=" + beta], ["pierre"], ["restrict"],
+                    ["extend"], ["kfunc"],
+                    ["cz", "--field", field] + (["--beta=" + beta]
+                                                if field == "logcounter" else [])):
         assert main(["--config", str(cfgp), "--out", str(out)] + command) in (0, 1, 2)
     for csv in (out.glob("*.csv") if out.exists() else []):
         cells = csv.read_text().replace("\n", ",").split(",")

@@ -7,7 +7,7 @@ from conelab.density import (ApproxParams, approximation_errors, approximant,
                              eta_profile, fit_decay_slope, log_corrector,
                              vertex_cutoff)
 from conelab.fieldlib import make_test_field
-from conelab.fields import gradient, lp_norm
+from conelab.fields import lp_norm
 
 
 class TestParams:
@@ -125,7 +125,7 @@ class TestTables:
 class TestObstruction:
     def test_jump_field_stays_far_above_dimension(self, grid_small):
         f = make_test_field("jump", grid_small)
-        norm_f = lp_norm(f, 4.0) + lp_norm(gradient(f), 4.0)
+        norm_f = lp_norm(f, 4.0) + lp_norm(f, 4.0, "gradient")
         dists = []
         for eps in (0.25, 0.1, 0.01, 1e-3):
             dists.append(sum(approximation_errors(

@@ -1,3 +1,4 @@
+import ast
 import math
 import pathlib
 
@@ -6,14 +7,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
-from conelab.czd import hardy_sobolev_l1, maximal_function, maximal_table
+from conelab.czd import hardy_sobolev_norm, maximal_function, maximal_table
 from conelab.extension import (extend, extend_pierre_2d, restrict,
                                roundtrip_error, source_norm, wp_norm)
 from conelab.fieldlib import make_test_field, suite_fullplane, suite_hardy
-from conelab.fields import (Field, cap_mean, gradient, hardy_quotient,
+from conelab.fields import (WEIGHTS, Field, cap_mean, gradient, hardy_quotient,
                             integrability_gate, lp_norm,
                             partial_norm_power_table, poincare_ball_ratio,
-                            poincare_rows, radial_split, save_field)
+                            poincare_rows, radial_split, samples, save_field)
 from conelab.geometry import ConeDomain
 from conelab.grids import PolarGrid
 from conelab.profiles import plateau
@@ -58,6 +59,48 @@ class TestGradient:
         gradient(f)  # minimal size passes
 
 
+class TestSamples:
+    def test_families_bit_for_bit(self, grid_small):
+        g = grid_small
+        f = make_test_field("angular_bump", g)
+        r = g.r[None, :, None]
+        dr = g.d_dr(f.values)
+        ang = g.d_dtheta(f.values) / r
+        want = {"none": np.abs(f.values), "inv_r": np.abs(f.values) / r,
+                "gradient": np.sqrt(dr**2 + ang**2)}
+        assert WEIGHTS == tuple(want)
+        for w in WEIGHTS:
+            got = samples(f, w)
+            assert got.tobytes() == want[w].tobytes(), w
+            got[...] = -1.0     # a fresh array: the next call is unchanged
+            assert samples(f, w).tobytes() == want[w].tobytes(), w
+
+    def test_unknown_weight(self, grid_small):
+        f = make_test_field("radial_exp", grid_small)
+        for weight in ("inv-r", "grad", ""):
+            with pytest.raises(ValueError):
+                samples(f, weight)
+
+    def test_only_fields_computes_gradients(self):
+        # every |grad f| sample comes from fields.samples: no other module
+        # imports gradient, calls it or calls .magnitude()
+        src = pathlib.Path(__file__).resolve().parents[1] / "src" / "conelab"
+        users = set()
+        for path in sorted(src.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.ImportFrom):
+                    names = {a.name for a in node.names}
+                elif isinstance(node, ast.Call):
+                    fn = node.func
+                    names = {fn.id if isinstance(fn, ast.Name) else
+                             getattr(fn, "attr", None)}
+                else:
+                    continue
+                if names & {"gradient", "magnitude"}:
+                    users.add(path.name)
+        assert users == {"fields.py"}
+
+
 class TestNorms:
     def test_zero_field(self, grid_small):
         z = make_test_field("constant", grid_small, c=0.0)
@@ -82,7 +125,7 @@ class TestNorms:
 
     def test_norm_kinds(self, grid_small):
         f = make_test_field("radial_exp", grid_small)
-        assert lp_norm(f, 1.0) < wp_norm(f, 1.0) < hardy_sobolev_l1(f)
+        assert lp_norm(f, 1.0) < wp_norm(f, 1.0) < hardy_sobolev_norm(f, 1.0)
         assert lp_norm(f, 2.0) < wp_norm(f, 2.0)
         # at p = n the membership norm adds the anti-radial part: 0 here
         assert source_norm(f, 2.0) == pytest.approx(wp_norm(f, 2.0), rel=1e-10)
@@ -205,9 +248,8 @@ class TestSplits:
             sp = radial_split(f)
             for p in (1.0, 2.0):
                 assert lp_norm(sp.radial, p) <= lp_norm(f, p) * (1 + 1e-12)
-                dr = gradient(sp.radial)
-                gm = gradient(f)
-                assert lp_norm(dr, p) <= lp_norm(gm, p) * (1 + 1e-12)
+                assert (lp_norm(sp.radial, p, "gradient")
+                        <= lp_norm(f, p, "gradient") * (1 + 1e-12))
 
     def test_even_odd_matches_antiradial_verdicts(self, grid_small):
         # at the critical exponent the anti-radial part and the odd part
@@ -216,8 +258,9 @@ class TestSplits:
             f = make_test_field("logcounter", grid_small, beta=beta)
             fa = radial_split(f).antiradial
             fo = 0.5 * (f.values - f.values[::-1])
-            va = integrability_gate(fa.values, grid_small, 2.0)[0]
-            vo = integrability_gate(fo, grid_small, 2.0)[0]
+            va = integrability_gate(samples(fa, "inv_r"), grid_small, 2.0)[0]
+            vo = integrability_gate(np.abs(fo) / grid_small.r[None, :, None],
+                                    grid_small, 2.0)[0]
             assert va == vo
 
 
@@ -264,7 +307,7 @@ class TestDivergenceTables:
     def test_logcounter_beta_quarter_slope(self, grid_default):
         from conelab.fields import log_log_increment_slope
         f = make_test_field("logcounter", grid_default, beta=0.25)
-        r_mins, P = partial_norm_power_table(f.values, grid_default, 2.0)
+        r_mins, P = partial_norm_power_table(samples(f, "inv_r"), grid_default, 2.0)
         s = log_log_increment_slope(r_mins, P)
         assert s == pytest.approx(0.5, abs=0.05)
 
@@ -272,8 +315,33 @@ class TestDivergenceTables:
         verdicts = {}
         for beta in (0.25, 0.5, 1.0):
             f = make_test_field("logcounter", grid_default, beta=beta)
-            verdicts[beta] = integrability_gate(f.values, grid_default, 2.0)[0]
+            verdicts[beta] = integrability_gate(samples(f, "inv_r"), grid_default,
+                                                2.0)[0]
         assert verdicts == {0.25: False, 0.5: False, 1.0: True}
+
+    def test_table_past_overflow(self, grid_small):
+        # 1e200**2 overflows a double, but each term v^2 w fits: the table
+        # factors the cell measure into the power where the power overflows
+        g = grid_small
+        one = np.ones(g.shape)
+        _, P1 = partial_norm_power_table(one, g, 2.0)
+        with np.errstate(over="raise"):   # no warning escapes the table
+            _, P = partial_norm_power_table(1e100 * one, g, 2.0)
+        assert np.all(np.isfinite(P)) and P[-1] > 0
+        assert P == pytest.approx(1e200 * P1, rel=1e-12)
+        # a table of sums past the largest double holds inf, not NaN
+        with np.errstate(over="raise"):
+            _, Pinf = partial_norm_power_table(1e300 * one, g, 2.0)
+        assert np.isinf(Pinf[-1]) and not np.isnan(Pinf).any()
+
+    def test_table_bits_unchanged_without_overflow(self, grid_small):
+        g = grid_small
+        v = samples(make_test_field("logcounter", g, beta=0.25), "inv_r")
+        want = v**2 * g.cell_measure[None]
+        tail = np.cumsum(want.sum(axis=(0, 2))[::-1])[::-1]
+        r_mins, P = partial_norm_power_table(v, g, 2.0)
+        idx = np.minimum(np.searchsorted(g.r, r_mins), g.nr - 1)
+        assert P.tobytes() == tail[idx].tobytes()
 
     def test_sup_table_matches_bruteforce(self, grid_small):
         # p = inf: the running sup of |v|/r over the rings with r >= r_min'
@@ -281,7 +349,8 @@ class TestDivergenceTables:
         for f in (make_test_field("jump", g),
                   make_test_field("logcounter", g, beta=0.25)):
             v = radial_split(f).antiradial.values
-            r_mins, P = partial_norm_power_table(v, g, INF)
+            r_mins, P = partial_norm_power_table(
+                samples(radial_split(f).antiradial, "inv_r"), g, INF)
             w = np.abs(v) / g.r[None, :, None]
             for r0, got in zip(r_mins, P):
                 assert got == w[:, g.r >= r0, :].max()

@@ -8,13 +8,15 @@ every check (optionally a subset), times it, and is what the command-line
 `verify-all` and the acceptance tests call.
 
 Grids are built lazily and shared across checks; maximal functions and
-rearrangement tables are cached on the fields.
+rearrangement tables are cached on the fields, which each check builds for
+itself.
 """
 
 from __future__ import annotations
 
 import math
 import time
+from functools import cached_property
 
 import numpy as np
 
@@ -37,86 +39,75 @@ JUMP_OBSTRUCTION_RATIO = 0.776
 
 # The vertex depth the checks read, refused up front by verify-all: the
 # membership gate's decades, and the smallest eps whose cutoff needs rings.
-# The outer reach too: the checks that divide by the radial derivative of
-# every suite_hardy field.
+# The reach too, at both ends of grid2 and grid3: the checks that divide by
+# the radial derivative of every suite_hardy field.
 GATE_CHECKS = ("hhat-gate", "extension-roundtrip")
 CUTOFF_EPS = {"density-approx": 1e-6, "codim-obstruction": 1e-4}
 QUOTIENT_CHECKS = ("hardy-bound",)
 
 
 class AcceptanceContext:
-    """Lazily built grids and suites shared by the checks."""
+    """Lazily built grids shared by the checks.  The suites are built afresh
+    on each call, so a check's fields and their caches go when it returns."""
 
     def __init__(self, cfg: RunConfig | None = None):
         self.cfg = cfg or RunConfig()
-        self._memo = {}
 
-    def _get(self, key, builder):
-        if key not in self._memo:
-            self._memo[key] = builder()
-        return self._memo[key]
-
-    @property
+    @cached_property
     def grid2(self) -> PolarGrid:
         c = self.cfg
-        return self._get("grid2", lambda: PolarGrid.cone(
-            ConeDomain(2, c.omega), nr=c.nr, nt=c.nt, r_max=c.r_max,
-            r_min=c.r_min, q=c.q))
+        return PolarGrid.cone(ConeDomain(2, c.omega), nr=c.nr, nt=c.nt,
+                              r_max=c.r_max, r_min=c.r_min, q=c.q)
 
-    @property
+    @cached_property
     def grid3(self) -> PolarGrid:
         c = self.cfg
-        return self._get("grid3", lambda: PolarGrid.cone(
-            ConeDomain(3, c.omega), nr=c.nr, nt=c.nt, r_max=c.r_max))
+        return PolarGrid.cone(ConeDomain(3, c.omega), nr=c.nr, nt=c.nt,
+                              r_max=c.r_max)
 
-    @property
+    @cached_property
     def grid_deep(self) -> PolarGrid:
         c = self.cfg
-        return self._get("grid_deep", lambda: PolarGrid.cone(
-            ConeDomain(2, c.omega), nr=c.nr, nt=c.nt, r_max=c.r_max,
-            r_min=1e-12))
+        return PolarGrid.cone(ConeDomain(2, c.omega), nr=c.nr, nt=c.nt,
+                              r_max=c.r_max, r_min=1e-12)
 
-    @property
+    @cached_property
     def full2(self) -> PolarGrid:
-        return self._get("full2", lambda: PolarGrid.fullplane_matching(self.grid2))
+        return PolarGrid.fullplane_matching(self.grid2)
 
-    @property
+    @cached_property
     def grid2_fine(self) -> PolarGrid:
+        """grid2 refined 1.5x in each direction, over the same radii."""
         c = self.cfg
-        return self._get("grid2_fine", lambda: PolarGrid.cone(
-            ConeDomain(2, c.omega), nr=int(c.nr * 1.5), nt=int(c.nt * 1.5),
-            r_max=c.r_max))
+        return PolarGrid.cone(ConeDomain(2, c.omega), nr=int(c.nr * 1.5),
+                              nt=int(c.nt * 1.5), r_max=c.r_max, r_min=c.r_inner)
 
-    @property
+    @cached_property
     def full2_fine(self) -> PolarGrid:
-        return self._get("full2_fine",
-                         lambda: PolarGrid.fullplane_matching(self.grid2_fine))
+        return PolarGrid.fullplane_matching(self.grid2_fine)
 
-    @property
+    @cached_property
     def gridq(self) -> PolarGrid:
-        return self._get("gridq", lambda: PolarGrid.cone(
-            ConeDomain(2, math.pi / 4, "quadrant"), nr=400, nt=96,
-            r_max=4.0, r_min=4e-7))
+        return PolarGrid.cone(ConeDomain(2, math.pi / 4, "quadrant"), nr=400,
+                              nt=96, r_max=4.0, r_min=4e-7)
 
-    @property
+    @cached_property
     def fullq(self) -> PolarGrid:
-        return self._get("fullq", lambda: PolarGrid.fullplane_matching(self.gridq))
+        return PolarGrid.fullplane_matching(self.gridq)
 
     def kfunc_suite(self):
-        return self._get("kfunc_suite", lambda: suite_cz(self.grid2))
+        return suite_cz(self.grid2)
 
-    def alpha_suite(self):
+    def alpha_suite(self) -> list[Field]:
         """Vertex-singular fields whose maximal function spans well over four
         decades on the truncated grid, so the level sweep stays anchored at
         the vertex singularity."""
         g = self.grid2
-        return self._get("alpha_suite", lambda: [
-            make_test_field("logcounter", g, beta=1.0),
-            make_test_field("logcounter", g, beta=0.75),
-            make_test_field("radial_power", g, a=0.25),
-            make_test_field("radial_power", g, a=0.4),
-            make_test_field("radial_power", g, a=0.5),
-        ])
+        return [make_test_field("logcounter", g, beta=1.0),
+                make_test_field("logcounter", g, beta=0.75),
+                make_test_field("radial_power", g, a=0.25),
+                make_test_field("radial_power", g, a=0.4),
+                make_test_field("radial_power", g, a=0.5)]
 
 
 # -- 1 -----------------------------------------------------------------------
@@ -236,6 +227,7 @@ def check_kfunc_equivalence(ctx: AcceptanceContext) -> CheckResult:
         for row in czd.k_band(f, c.t_lo, c.t_hi, c.t_points):
             ratios.append(row["ratio"])
             lower_held &= row["K_upper_cz"] >= row["K_lower"] * (1 - 1e-9)
+        del f   # and its caches, before the suite builds the next
     res.put("band_lo", min(ratios))
     res.put("band_hi", max(ratios))
     res.put("band_ratio", max(ratios) / min(ratios), ("<=", 50.0))

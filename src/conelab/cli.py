@@ -66,7 +66,7 @@ def cmd_hardy(cfg: RunConfig, args) -> int:
     try:
         rows = list(hardy_rows(fields, p))
     except ValueError as e:
-        _require_reach(grid, "hardy")
+        _require_reach(grid, "hardy", _inner_key(cfg))
         raise ConfigError(f"{e}; refine the grid (nr, r_min)") from e
     write_csv(os.path.join(cfg.out_dir, f"hardy_n{grid.n}_p{p:g}.csv"), rows,
               ["field", "p", "quotient", "bound", "ok"])
@@ -120,6 +120,11 @@ def _require_planar(cfg: RunConfig, command: str) -> None:
         raise ConfigError(f"{command} needs a planar grid (n = 2), got n = {cfg.n}")
 
 
+def _inner_key(cfg: RunConfig) -> str:
+    """The config key that sets the configured grid's inner radius."""
+    return "q" if cfg.q is not None else "r_min"
+
+
 def _require_depth(cfg: RunConfig, grid, use: str, gate: bool, eps=None) -> None:
     """Refuse a grid too shallow for the membership gate (if `gate`) or the
     vertex cutoff at eps, naming the config key that sets its inner radius."""
@@ -131,16 +136,25 @@ def _require_depth(cfg: RunConfig, grid, use: str, gate: bool, eps=None) -> None
     else:
         return
     raise ConfigError(f"the innermost radius {grid.r_min:.3g} {shortfall} for {use}; "
-                      f"lower {'q' if cfg.q is not None else 'r_min'}")
+                      f"lower {_inner_key(cfg)}")
 
 
-def _require_reach(grid, use: str) -> None:
-    """Refuse a grid that ends where the jump field is still constant, so
-    that its Hardy quotient has no denominator, naming r_max."""
-    if not hardy_suite_resolves(grid):
+def _require_reach(grid, use: str, inner_key: str) -> None:
+    """Refuse a grid on which a suite_hardy field has no radial derivative,
+    so that its Hardy quotient has no denominator: one that ends where the
+    jump field is still constant, naming r_max, or one that starts where the
+    logcounter and jump fields vanish, naming inner_key, the config key that
+    sets the grid's inner radius."""
+    inner, outer = hardy_suite_resolves(grid)
+    if not outer:
         raise ConfigError(f"r_max = {grid.r_max:.10g} ends inside the jump field's "
                           f"plateau (constant out to r = 1/4), which then has no "
                           f"radial derivative for {use}; raise r_max")
+    if not inner:
+        raise ConfigError(f"the innermost radius {grid.r_min:.3g} of the n = {grid.n} "
+                          f"grid is not below r = 1/2, where the logcounter and jump "
+                          f"fields vanish, which then have no radial derivative for "
+                          f"{use}; lower {inner_key}")
 
 
 def _require_nonzero(f) -> None:
@@ -202,10 +216,9 @@ def cmd_cz(cfg: RunConfig, args) -> int:
 def cmd_kfunc(cfg: RunConfig, args) -> int:
     _require_planar(cfg, "kfunc")
     grid = cfg.grid()
-    fields = suite_cz(grid)
-    for f in fields:        # refuse before any file is written
+    for f in suite_cz(grid):    # refuse before any file is written
         _require_nonzero(f)
-    for f in fields:
+    for f in suite_cz(grid):
         rows = list(czd.k_band(f, cfg.t_lo, cfg.t_hi, cfg.t_points))
         write_csv(os.path.join(cfg.out_dir, f"kfunc_{f.name}.csv"), rows,
                   ["t", "K_estimate", "K_upper_cz", "ratio"])
@@ -313,7 +326,9 @@ def cmd_verify_all(cfg: RunConfig, args) -> int:
         _require_depth(cfg, grid, c, gate=c in acceptance.GATE_CHECKS,
                        eps=acceptance.CUTOFF_EPS.get(c))
         if c in acceptance.QUOTIENT_CHECKS:
-            _require_reach(grid, c)
+            # the n = 3 grid starts at 1e-12 r_max, whatever r_min and q say
+            _require_reach(acceptance.AcceptanceContext(cfg).grid3, c, "r_max")
+            _require_reach(grid, c, _inner_key(cfg))
 
     def progress(res):
         status = "PASS" if res.passed else "FAIL"

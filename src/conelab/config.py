@@ -21,9 +21,10 @@ class ConfigError(ValueError):
 
 
 # Largest grid, nr * nt cells.  verify-all, the command that holds the most
-# per cell, peaked at 208.7 MiB resident at 600x96 (57,600 cells) and at
-# 706.2 MiB at 1200x192 (230,400 cells): about 2.9 KiB per cell over a
-# 43 MiB base, so a grid at the cap needs about 2.9 GiB.
+# per cell, peaked at 109.4 MiB resident at 600x96 (57,600 cells) and at
+# 288.2-294.2 MiB at 1200x192 (230,400 cells, two runs each): about
+# 1.1 KiB per cell over a 48 MiB base, so a grid at the cap needs about
+# 1.1 GiB.
 MAX_CELLS = 1_000_000
 
 # Largest r_max: cell measures integrate r^(n-1) dr as differences of r^n,
@@ -77,7 +78,7 @@ class RunConfig:
         if self.nr * self.nt > MAX_CELLS:
             raise ConfigError(f"grid nr = {self.nr}, nt = {self.nt} has {self.nr * self.nt} "
                               f"cells, above the cap of {MAX_CELLS} (verify-all holds "
-                              "about 2.9 KiB per cell)")
+                              "about 1.1 KiB per cell)")
         if not 0 < self.r_max <= MAX_R:
             raise ConfigError(f"r_max must lie in (0, {MAX_R:g}], where cell measures "
                               "(r^n, n <= 3) stay finite")
@@ -88,9 +89,7 @@ class RunConfig:
         if self.q is not None and self.r_min is not None:
             raise ConfigError("set r_min or q, not both: q fixes the innermost "
                               "radius r_max q^(nr-1)")
-        inner = (self.r_max * self.q ** (self.nr - 1) if self.q is not None
-                 else self.r_min or 1e-12 * self.r_max)
-        if not inner >= 1e-100 * self.r_max:
+        if not self.r_inner >= 1e-100 * self.r_max:
             raise ConfigError("the innermost radius (r_min, or r_max q^(nr-1)) must be "
                               "at least 1e-100 r_max, where cell measures stay positive")
         if not all(0 < eps < 1 for eps in self.eps_list):
@@ -113,6 +112,13 @@ class RunConfig:
                               f"t_lo = {self.t_lo}, t_hi = {self.t_hi}")
         if self.t_points < 2:
             raise ConfigError("t_points must be at least 2")
+
+    @property
+    def r_inner(self) -> float:
+        """The innermost radius of the configured grid: r_min, r_max q^(nr-1),
+        or by default 1e-12 r_max."""
+        return (self.r_max * self.q ** (self.nr - 1) if self.q is not None
+                else self.r_min or 1e-12 * self.r_max)
 
     def domain(self) -> ConeDomain:
         return ConeDomain(self.n, self.omega, self.variant)

@@ -31,11 +31,13 @@ def _radial_cut(r):
     return plateau(r, *_LOG_PLATEAU)
 
 
-def hardy_suite_resolves(grid: PolarGrid) -> bool:
-    """Whether every suite_hardy field has a radial derivative on the grid:
-    jump is constant while its cutoff is 1, out to r = 1/4, so r_max must
-    reach past the point where the cutoff falls below 1."""
-    return bool(_radial_cut(grid.r_max) < 1.0)
+def hardy_suite_resolves(grid: PolarGrid) -> tuple[bool, bool]:
+    """Whether every suite_hardy field has a radial derivative on the grid,
+    at its inner and at its outer end: logcounter and jump vanish from
+    r = 1/2 on, so r_min must lie below 1/2, and jump is constant while its
+    cutoff is 1, out to r = 1/4, so r_max must reach past the point where
+    the cutoff falls below 1."""
+    return bool(_radial_cut(grid.r_min) > 0.0), bool(_radial_cut(grid.r_max) < 1.0)
 
 
 def make_test_field(name: str, grid: PolarGrid, **params) -> Field:
@@ -118,16 +120,20 @@ def suite_hardy(grid: PolarGrid):
     return (make_test_field(name, grid, **params) for name, params in _HARDY_MEMBERS)
 
 
-def suite_cz(grid: PolarGrid) -> list[Field]:
+_CZ_MEMBERS = (
+    ("logcounter", {"beta": 1.0}),
+    ("radial_exp", {}),
+    ("radial_power", {"a": 0.5}),
+    ("radial_power", {"a": 2.0}),
+    ("angular_bump", {}),
+)
+
+
+def suite_cz(grid: PolarGrid):
     """Five fields with finite weighted Sobolev data at p=2, the inputs of the
-    decomposition and K-functional sweeps."""
-    return [
-        make_test_field("logcounter", grid, beta=1.0),
-        make_test_field("radial_exp", grid),
-        make_test_field("radial_power", grid, a=0.5),
-        make_test_field("radial_power", grid, a=2.0),
-        make_test_field("angular_bump", grid),
-    ]
+    decomposition and K-functional sweeps, yielded one at a time (see
+    suite_hardy)."""
+    return (make_test_field(name, grid, **params) for name, params in _CZ_MEMBERS)
 
 
 # The extension suites, one entry per field in suite order: the exponent

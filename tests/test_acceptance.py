@@ -16,6 +16,8 @@ import pytest
 
 from conelab import acceptance
 from conelab.config import RunConfig
+from conelab.geometry import ConeDomain
+from conelab.grids import PolarGrid
 from conelab.report import CheckResult, Limit, write_json
 
 
@@ -119,10 +121,11 @@ class TestLimit:
 # The traced peak of each streamed check on the CLI tests' SMALL grid, in
 # bytes of the largest field it builds (on the named grid): one suite field
 # with its caches at a time, plus one step's working arrays; for
-# rearrangement-laws these are f**'s node arrays, 8 samples per sample.
-# A check that holds its whole suite reads 34, 87 and 18.
+# rearrangement-laws these are f**'s node arrays, 8 samples per sample;
+# for kfunc-equiv the K band's maximal functions and tables on one field.
+# A check that holds its whole suite reads 34, 87, 18 and 120.
 PEAK_FIELDS = {"hardy-bound": ("grid2", 10), "rearrangement-laws": ("grid2", 56),
-               "restriction-hhat": ("full2_fine", 10)}
+               "restriction-hhat": ("full2_fine", 10), "kfunc-equiv": ("grid2", 60)}
 
 
 @pytest.mark.parametrize("check_id", list(PEAK_FIELDS))
@@ -140,3 +143,35 @@ def test_streamed_checks_hold_one_field_at_a_time(check_id):
     finally:
         tracemalloc.stop()
     assert peak <= limit * field_bytes, f"{peak / field_bytes:.1f} fields"
+
+
+@pytest.mark.parametrize("check_id", ["cz-prop41", "kfunc-equiv"])
+def test_checks_drop_their_fields_on_return(check_id):
+    # the suites are built per call, so no field or cache outlives its check
+    ctx = acceptance.AcceptanceContext(RunConfig(nr=220, nt=48, r_min=4e-8))
+    ctx.grid2.cell_measure
+    field_bytes = 8 * np.prod(ctx.grid2.shape)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        acceptance.CHECKS[check_id](ctx)    # cz-prop41 fails on this grid
+        held = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    assert held <= field_bytes, f"{held / field_bytes:.1f} fields"
+
+
+@pytest.mark.parametrize("config", [{"r_min": 1e-3}, {"nr": 100, "q": 0.9},
+                                    {"nr": 220, "nt": 48, "r_min": 4e-8}])
+def test_fine_grid_refines_grid2(config):
+    ctx = acceptance.AcceptanceContext(RunConfig(**config))
+    g, fine = ctx.grid2, ctx.grid2_fine
+    assert fine.r_min == pytest.approx(g.r_min, rel=1e-12)
+    assert fine.r_max == g.r_max and fine.q > g.q
+
+
+def test_fine_grid_radii_unchanged_at_the_defaults():
+    ctx = acceptance.AcceptanceContext()
+    plain = PolarGrid.cone(ConeDomain(2, ctx.cfg.omega), nr=900, nt=144, r_max=40.0)
+    assert np.array_equal(ctx.grid2_fine.r, plain.r)
+    assert np.array_equal(ctx.grid2_fine.r_edges, plain.r_edges)

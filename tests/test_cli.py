@@ -395,6 +395,26 @@ class TestCommands:
         assert len(err) == 1 and err[0].endswith("raise r_max")
         assert not out.exists()
 
+    @pytest.mark.parametrize("config,key", [
+        ({"r_min": 0.6}, "r_min"),
+        # the n = 3 grid of hardy-bound starts at 1e-12 r_max = 1
+        ({"nr": 40, "nt": 8, "r_max": 1e12}, "r_max")])
+    def test_inner_radius_past_the_hardy_support_exits_2(self, tmp_path, capsys,
+                                                         config, key):
+        # logcounter and jump vanish for r >= 1/2, so on a grid starting
+        # there they have no radial derivative
+        cfgp = tmp_path / "c.json"
+        cfgp.write_text(json.dumps(config))
+        out = tmp_path / "o"
+        argv = ["--config", str(cfgp), "--out", str(out)]
+        assert main(argv + ["verify-all", "--checks", "hardy-bound"]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].endswith(f"lower {key}")
+        assert main(argv + ["hardy"]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].endswith("lower r_min")
+        assert not out.exists()
+
     def test_verify_all_unknown_check(self, tmp_path):
         rc = main(["--out", str(tmp_path), "verify-all", "--checks", "nope"])
         assert rc == 2

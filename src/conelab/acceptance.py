@@ -22,8 +22,8 @@ import numpy as np
 
 from . import czd, density, extension, rearrangement as rar
 from .config import RunConfig
-from .fieldlib import (make_test_field, suite_cz, suite_extension_members,
-                       suite_fullplane, suite_hardy)
+from .fieldlib import (QUADRANT_MEMBERS, make_test_field, suite_cz,
+                       suite_extension_members, suite_fullplane, suite_hardy)
 from .fields import (HARDY_SLACK, Field, critical_sweep, decade_growth,
                      hardy_rows, lp_norm, partial_norm_power_table,
                      poincare_rows, samples)
@@ -307,38 +307,33 @@ def check_extension_roundtrip(ctx: AcceptanceContext) -> CheckResult:
     worst_rt, worst_drift, finite = 0.0, 1.0, True
     ps, refused = (1.0, 1.5, 2.0, 3.0, INF), {}
 
-    def member_rows(coarse, fine):
-        """(p, f.name, round trip, ratio, drift) per exponent of one member,
-        None in place of the three numbers where the gate refused.  Each
-        field's extension and round-trip difference are cached on it and
-        serve every exponent; all of it goes when this returns."""
-        (f, f_ps), (f_fine, _) = coarse, fine
-        rows = []
-        for p in f_ps:
-            try:
-                Ef = extension.extend(f, p, full)
-            except extension.ExtensionGateError:
-                rows.append((p, f.name, None))
-                continue
-            ratio = extension.wp_norm(Ef, p) / extension.source_norm(f, p)
-            Ef_fine = extension.extend(f_fine, p, fullf)
-            ratio_fine = (extension.wp_norm(Ef_fine, p)
-                          / extension.source_norm(f_fine, p))
-            rows.append((p, f.name, (extension.roundtrip_error(f, Ef, p), ratio,
-                                     max(ratio_fine / ratio, ratio / ratio_fine))))
-        return rows
+    def pair_row(coarse, fine):
+        """(p, f.name, round trip, ratio, drift) of one (field, p) pair, None
+        in place of the three numbers where the gate refused.  Each field's
+        extension and round-trip difference are cached on it and serve every
+        exponent of its member."""
+        (f, p), (f_fine, _) = coarse, fine
+        try:
+            Ef = extension.extend(f, p, full)
+        except extension.ExtensionGateError:
+            return p, f.name, None
+        ratio = extension.wp_norm(Ef, p) / extension.source_norm(f, p)
+        Ef_fine = extension.extend(f_fine, p, fullf)
+        ratio_fine = extension.wp_norm(Ef_fine, p) / extension.source_norm(f_fine, p)
+        return p, f.name, (extension.roundtrip_error(f, Ef, p), ratio,
+                           max(ratio_fine / ratio, ratio / ratio_fine))
 
-    # map holds no member between calls: one member's fields at a time
-    for rows in map(member_rows, suite_extension_members(g, ps),
-                    suite_extension_members(gf, ps)):
-        for p, name, measured in rows:
-            if measured is None:
-                refused[p] = name
-                continue
-            rt, ratio, drift = measured
-            worst_rt = max(worst_rt, rt)
-            finite = finite and bool(np.isfinite(ratio))
-            worst_drift = max(worst_drift, drift)
+    # map holds no pair between calls, so the streams drop each member's
+    # fields before they build the next (a for loop's targets would not)
+    for p, name, measured in map(pair_row, suite_extension_members(g, ps),
+                                 suite_extension_members(gf, ps)):
+        if measured is None:
+            refused[p] = name
+            continue
+        rt, ratio, drift = measured
+        worst_rt = max(worst_rt, rt)
+        finite = finite and bool(np.isfinite(ratio))
+        worst_drift = max(worst_drift, drift)
     res.measured.update((f"unexpected_refusal_p{p:g}", refused[p])
                         for p in ps if p in refused)
     res.put("max_roundtrip", worst_rt, ("<=", 0.02))
@@ -375,16 +370,17 @@ def check_pierre(ctx: AcceptanceContext) -> CheckResult:
     res.put("closed_form_err", float(np.abs(Ef.values[0][:, off] - exact).max()),
             ("<=", 1e-10))
 
-    def suite():    # one at a time: a field's cached extension goes with it
-        yield fxy
-        for name in ("radial_exp", "angular_bump", "lipschitz_compact", "jump"):
-            yield make_test_field(name, g)
-        yield make_test_field("logcounter", g, beta=1.0)
+    ps = (1.0, 1.5, 3.0, INF)
+
+    def pairs():    # one field at a time: its cached extension goes with it
+        yield from ((fxy, p) for p in ps if p <= 2.0)    # below and at n = 2
+        yield from suite_extension_members(g, ps, QUADRANT_MEMBERS)
+        f = make_test_field("logcounter", g, beta=1.0)
+        yield from ((f, p) for p in ps)
 
     worst_rt, worst_seam, max_ratio = 0.0, 0.0, 0.0
     for row in extension.extension_rows(
-            extension.quadrant_pairs(suite(), (1.0, 1.5, 3.0, INF)),
-            lambda f, p: extension.extend_pierre_2d(f, full)):
+            pairs(), lambda f, p: extension.extend_pierre_2d(f, full)):
         if row["p"] == 1.0:       # every field has a p = 1 row
             worst_rt = max(worst_rt, row["roundtrip_err"])
             worst_seam = max(worst_seam, _seam_excess(row["extended"], full))

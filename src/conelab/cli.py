@@ -18,8 +18,9 @@ import numpy as np
 
 from . import acceptance, czd, density, extension
 from .config import ConfigError, RunConfig, load_config
-from .fieldlib import (hardy_suite_resolves, make_test_field, suite_cz,
-                       suite_extension_members, suite_fullplane, suite_hardy)
+from .fieldlib import (QUADRANT_MEMBERS, hardy_suite_resolves, make_test_field,
+                       suite_cz, suite_extension_members, suite_fullplane,
+                       suite_hardy)
 from .fields import (GATE_DECADES, WEIGHTS, cap_mean, critical_sweep,
                      decade_radii, hardy_rows, lp_norm, radial_split, samples,
                      save_field)
@@ -37,10 +38,9 @@ def _suite(name: str, grid):
     if name == "cz":
         return suite_cz(grid)
     if name == "radial":
-        return [make_test_field("radial_exp", grid),
-                make_test_field("radial_power", grid, a=0.0),
-                make_test_field("radial_power", grid, a=0.5),
-                make_test_field("radial_power", grid, a=2.0)]
+        return (make_test_field(family, grid, **params) for family, params in
+                (("radial_exp", {}), ("radial_power", {"a": 0.0}),
+                 ("radial_power", {"a": 0.5}), ("radial_power", {"a": 2.0})))
     raise ConfigError(f"unknown suite {name!r}")
 
 
@@ -157,11 +157,12 @@ def _require_reach(grid, use: str, inner_key: str) -> None:
                           f"{use}; lower {inner_key}")
 
 
-def _require_nonzero(f) -> None:
+def _require_nonzero(cfg: RunConfig, f) -> None:
     """The level sweep and the K ratio are undefined on the zero field."""
     if not f.values.any():
         raise ConfigError(f"{f.name} vanishes on the grid's radii "
-                          f"[{f.grid.r_min:.3g}, {f.grid.r_max:.3g}]; lower r_min")
+                          f"[{f.grid.r_min:.3g}, {f.grid.r_max:.3g}]; "
+                          f"lower {_inner_key(cfg)}")
 
 
 def _require_bounded(f, flag: str) -> None:
@@ -189,7 +190,7 @@ def cmd_cz(cfg: RunConfig, args) -> int:
     _require_planar(cfg, "cz")
     grid = cfg.grid()
     f = _test_field(args, grid, **kw)
-    _require_nonzero(f)
+    _require_nonzero(cfg, f)
     _require_bounded(f, " ".join(f"--{k} = {v:g}" for k, v in kw.items()) or "--field")
     rows, ok = [], True
     try:
@@ -217,7 +218,7 @@ def cmd_kfunc(cfg: RunConfig, args) -> int:
     _require_planar(cfg, "kfunc")
     grid = cfg.grid()
     for f in suite_cz(grid):    # refuse before any file is written
-        _require_nonzero(f)
+        _require_nonzero(cfg, f)
     for f in suite_cz(grid):
         rows = list(czd.k_band(f, cfg.t_lo, cfg.t_hi, cfg.t_points))
         write_csv(os.path.join(cfg.out_dir, f"kfunc_{f.name}.csv"), rows,
@@ -229,17 +230,17 @@ def cmd_extend(cfg: RunConfig, args) -> int:
     _require_planar(cfg, "extend")
     grid = cfg.grid()
     _require_depth(cfg, grid, f"p >= {grid.n}", gate=max(cfg.p_list) >= grid.n)
-    members = list(suite_extension_members(grid, cfg.p_list))
     full = PolarGrid.fullplane_matching(grid)
     rows = []
     for row in extension.extension_rows(
-            ((f, p) for p in cfg.p_list for f, held in members if p in held),
+            suite_extension_members(grid, cfg.p_list),
             lambda f, p: extension.extend(f, p, full)):
         Ef = row.pop("extended")
         if args.dump_fields and Ef is not None:
             save_field(Ef, os.path.join(
                 cfg.out_dir, f"extended_{row['field']}_p{row['p']:g}.txt"))
         rows.append(row)
+    rows.sort(key=lambda row: cfg.p_list.index(row["p"]))    # p-major, stable
     write_csv(os.path.join(cfg.out_dir, "extension.csv"), rows, EXTENSION_COLUMNS)
     write_json(os.path.join(cfg.out_dir, "extension_meta.json"),
                {"sphere_measure_ratio": grid.domain.sphere_measure_ratio(),
@@ -263,12 +264,13 @@ def cmd_pierre(cfg: RunConfig, args) -> int:
     dom = ConeDomain(2, math.pi / 4, "quadrant")
     grid = PolarGrid.cone(dom, nr=cfg.nr, nt=cfg.nt, r_max=min(cfg.r_max, 4.0),
                           r_min=1e-7 * min(cfg.r_max, 4.0))
-    fields = [make_test_field(name, grid) for name in
-              ("radial_exp", "angular_bump", "lipschitz_compact", "jump")]
     full = PolarGrid.fullplane_matching(grid)
-    rows = list(extension.extension_rows(
-        extension.quadrant_pairs(fields, cfg.p_list),
-        lambda f, p: extension.extend_pierre_2d(f, full)))
+    rows = []
+    for row in extension.extension_rows(
+            suite_extension_members(grid, cfg.p_list, QUADRANT_MEMBERS),
+            lambda f, p: extension.extend_pierre_2d(f, full)):
+        del row["extended"]     # which would outlive its member
+        rows.append(row)
     write_csv(os.path.join(cfg.out_dir, "pierre.csv"), rows, EXTENSION_COLUMNS)
     return 0
 
@@ -276,10 +278,8 @@ def cmd_pierre(cfg: RunConfig, args) -> int:
 def cmd_density(cfg: RunConfig, args) -> int:
     p = _exponent(args)
     grid = cfg.grid()
-    if min(cfg.eps_list) / 2.0 <= grid.r_min:
-        raise ConfigError(
-            f"eps_list goes down to {min(cfg.eps_list):g}, which the grid does not "
-            f"resolve (eps/2 <= r_min = {grid.r_min:.3g}); raise eps_list or lower r_min")
+    _require_depth(cfg, grid, "density's eps_list", gate=False,
+                   eps=min(cfg.eps_list))
     f = _test_field(args, grid)
     mode = args.mode
     rows = density.convergence_table(

@@ -21,10 +21,12 @@ class ConfigError(ValueError):
 
 
 # Largest grid, nr * nt cells.  verify-all, the command that holds the most
-# per cell, peaked at 109.4 MiB resident at 600x96 (57,600 cells) and at
-# 288.2-294.2 MiB at 1200x192 (230,400 cells, two runs each): about
-# 1.1 KiB per cell over a 48 MiB base, so a grid at the cap needs about
-# 1.1 GiB.
+# per cell, peaked at 106.4-107.3 MiB resident at 600x96 (57,600 cells) and
+# at 292.7-300.4 MiB at 1200x192 (230,400 cells): about 1.1 KiB per cell
+# over a 44 MiB base, so a grid at the cap needs about 1.1 GiB.  Its
+# tracemalloc peaks, 50.0 and 191.6 MiB, do not move with allocator layout
+# as its resident peak does.  Next come kfunc (0.75-0.77 KiB per cell) and
+# extend (0.43).
 MAX_CELLS = 1_000_000
 
 # Largest r_max: cell measures integrate r^(n-1) dr as differences of r^n,
@@ -102,6 +104,8 @@ class RunConfig:
         if not all(p >= 1 for p in self.p_list):
             raise ConfigError("every p in p_list must be >= 1")
         self.p_list = [float(p) for p in self.p_list]
+        if len(set(self.p_list)) < len(self.p_list):
+            raise ConfigError(f"p_list repeats an exponent: {self.p_list}")
         if not 0 <= self.alpha_decades <= MAX_DECADES:
             raise ConfigError(f"alpha_decades must lie in [0, {MAX_DECADES}], the "
                               "decades a double spans below 1")

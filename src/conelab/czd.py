@@ -483,7 +483,7 @@ def glue_good_parts(res_plus: CZResult, res_minus: CZResult) -> Field:
     if inner > tol:
         raise ValueError(
             f"vertex mismatch: innermost |g| = {inner:.3e} exceeds {tol:.3e}")
-    return f.with_values(vals, name="good_part", vertex_limits=(0.0, 0.0))
+    return f.with_values(vals, name="good_part")
 
 
 def hardy_sobolev_norm(f: Field, p: float) -> float:

@@ -60,8 +60,7 @@ def vertex_cutoff(f: Field, eps: float) -> Field:
     if eps / 2.0 <= g.r_min:
         raise ValueError("eps below the grid resolution")
     w = 1.0 - chi_profile(g.r, eps)
-    return f.with_values(f.values * w[None, :, None], name=f"{f.name}|cut",
-                         vertex_limits=(0.0, 0.0))
+    return f.with_values(f.values * w[None, :, None], name=f"{f.name}|cut")
 
 
 def log_corrector(f: Field, eps: float, k: float) -> Field:
@@ -70,8 +69,7 @@ def log_corrector(f: Field, eps: float, k: float) -> Field:
     params = ApproxParams(eps, k)
     g = f.grid
     w = eta_profile(g.r, params.delta) * (1.0 - chi_profile(g.r, eps))
-    return f.with_values(f.values * w[None, :, None],
-                         name=f"{f.name}|corr(k={k:g})", vertex_limits=(0.0, 0.0))
+    return f.with_values(f.values * w[None, :, None], name=f"{f.name}|corr(k={k:g})")
 
 
 def eta_gradient_norm(grid, eps: float, k: float, p: float) -> float:

@@ -248,13 +248,6 @@ def extension_rows(pairs, build):
                "gate": "accepted", "extended": Ef}
 
 
-def quadrant_pairs(fields, ps):
-    """The quadrant formula's (field, p) pairs, field by field: above p = 2
-    only fields with vertex limits (0, 0) or (1, 1)."""
-    return ((f, p) for f in fields for p in ps
-            if p <= 2.0 or f.vertex_limits in ((0.0, 0.0), (1.0, 1.0)))
-
-
 def restriction_antiradial_ratio(full_field: Field, cone_grid: PolarGrid) -> dict:
     """The critical-exponent restriction chain: ||(Rf)_a / r||_2 against the
     full-plane Dirichlet energy ||grad f||_2."""

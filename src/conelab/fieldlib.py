@@ -53,27 +53,19 @@ def make_test_field(name: str, grid: PolarGrid, **params) -> Field:
                 prof = np.where(cut > 0, np.abs(np.log(r)) ** (-beta) * cut, 0.0)
             return _sign(half) * prof
 
-        return Field.from_function(grid, fn, name=f"logcounter(b={beta:g})",
-                                   vertex_limits=(0.0, 0.0))
+        return Field.from_function(grid, fn, name=f"logcounter(b={beta:g})")
     if name == "radial_exp":
         return Field.from_function(grid, lambda r, t, h: r * np.exp(-r),
-                                   name="radial_exp", vertex_limits=(0.0, 0.0))
+                                   name="radial_exp")
     if name == "radial_power":
         a = float(params.get("a", 2.0))
-        if a > 0:
-            limits = (0.0, 0.0)
-        elif a == 0:
-            limits = (1.0, 1.0)
-        else:
-            limits = None
 
         def fn(r, t, half):
             # inf, or NaN past exp's underflow, where r^a overflows a double
             with np.errstate(over="ignore", invalid="ignore"):
                 return r**a * np.exp(-r)
 
-        return Field.from_function(grid, fn, name=f"radial_power(a={a:g})",
-                                   vertex_limits=limits)
+        return Field.from_function(grid, fn, name=f"radial_power(a={a:g})")
     if name == "angular_bump":
         omega = grid.domain.omega
         lo = 0.0 if grid.domain.n == 3 else -omega
@@ -83,18 +75,17 @@ def make_test_field(name: str, grid: PolarGrid, **params) -> Field:
             bump = plateau(np.abs(s - 0.5), 0.1, 0.45)
             return r * np.exp(-r) * bump
 
-        return Field.from_function(grid, fn, name="angular_bump",
-                                   vertex_limits=(0.0, 0.0))
+        return Field.from_function(grid, fn, name="angular_bump")
     if name == "jump":
         return Field.from_function(grid, lambda r, t, h: _sign(h) * _radial_cut(r),
-                                   name="jump", vertex_limits=(1.0, -1.0))
+                                   name="jump")
     if name == "lipschitz_compact":
         return Field.from_function(grid, lambda r, t, h: np.maximum(0.0, 1.0 - r),
-                                   name="lipschitz_compact", vertex_limits=(1.0, 1.0))
+                                   name="lipschitz_compact")
     if name == "constant":
         c = float(params.get("c", 1.0))
         return Field.from_function(grid, lambda r, t, h: np.full_like(r, c),
-                                   name=f"constant(c={c:g})", vertex_limits=(c, c))
+                                   name=f"constant(c={c:g})")
     raise ValueError(f"unknown test field {name!r}")
 
 
@@ -150,6 +141,15 @@ _EXTENSION_MEMBERS = (
     ("logcounter", {"beta": 1.0}, ("below", "at")),
     ("radial_power", {"a": 0.5}, ("at", "above")),
 )
+# The quadrant formula's members.  Above the dimension a field has a limit
+# at the vertex on each cone, and the formula extends only fields whose two
+# limits agree: not jump's +1 and -1.
+QUADRANT_MEMBERS = (
+    ("radial_exp", {}, _EVERY_RANGE),
+    ("angular_bump", {}, _EVERY_RANGE),
+    ("lipschitz_compact", {}, _EVERY_RANGE),
+    ("jump", {}, ("below", "at")),
+)
 
 
 def _exponent_range(p: float, n: int) -> str:
@@ -160,14 +160,19 @@ def _exponent_range(p: float, n: int) -> str:
     return "inf" if p == float("inf") else "above"
 
 
-def suite_extension_members(grid: PolarGrid, ps):
-    """Each field of the extension suites over the exponents ps, built once,
-    with the exponents of ps whose suite holds it: yields (field, ps_held)."""
+def suite_extension_members(grid: PolarGrid, ps, members=_EXTENSION_MEMBERS):
+    """The (field, p) pairs of an extension member table (by default the
+    extension operator's, or QUADRANT_MEMBERS) over the exponents ps, member
+    by member: each field is built once, paired with every p of ps whose
+    suite holds it, and dropped before the next is built."""
     n = grid.domain.n
-    for name, params, ranges in _EXTENSION_MEMBERS:
+    for name, params, ranges in members:
         held = [p for p in ps if _exponent_range(p, n) in ranges]
         if held:
-            yield make_test_field(name, grid, **params), held
+            f = make_test_field(name, grid, **params)
+            for p in held:
+                yield f, p
+            del f
 
 
 def suite_fullplane(grid: PolarGrid):

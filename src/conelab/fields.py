@@ -30,7 +30,6 @@ class Field:
     grid: PolarGrid
     values: np.ndarray
     name: str = ""
-    vertex_limits: tuple | None = None
     _cache: dict = dfield(default_factory=dict, repr=False)
 
     def __post_init__(self):
@@ -41,7 +40,7 @@ class Field:
         v.flags.writeable = False
 
     @classmethod
-    def from_function(cls, grid: PolarGrid, fn, name: str = "", vertex_limits=None):
+    def from_function(cls, grid: PolarGrid, fn, name: str = ""):
         """Build a field from fn(r, theta, half), called once per sheet on
         broadcastable (nr, 1) radii and (1, nt) angles; each sheet's result
         is broadcast into its slot of one (halves, nr, nt) array."""
@@ -49,13 +48,11 @@ class Field:
         vals = np.empty(grid.shape)
         for i, h in enumerate(grid.halves):
             vals[i] = fn(r, t, h)
-        return cls(grid, vals, name=name, vertex_limits=vertex_limits)
+        return cls(grid, vals, name=name)
 
-    def with_values(self, values: np.ndarray, name: str | None = None,
-                    vertex_limits="keep") -> "Field":
-        vl = self.vertex_limits if vertex_limits == "keep" else vertex_limits
+    def with_values(self, values: np.ndarray, name: str | None = None) -> "Field":
         return Field(self.grid, np.array(values, dtype=float),
-                     name=self.name if name is None else name, vertex_limits=vl)
+                     name=self.name if name is None else name)
 
     def sheet(self, half: str) -> np.ndarray:
         return self.values[self.grid.half_index(half)]
@@ -68,13 +65,13 @@ class Field:
         return self._cache[key]
 
     def __add__(self, other):
-        return self.with_values(self.values + other.values, name="", vertex_limits=None)
+        return self.with_values(self.values + other.values, name="")
 
     def __sub__(self, other):
-        return self.with_values(self.values - other.values, name="", vertex_limits=None)
+        return self.with_values(self.values - other.values, name="")
 
     def __mul__(self, c: float):
-        return self.with_values(self.values * c, name="", vertex_limits=None)
+        return self.with_values(self.values * c, name="")
 
     __rmul__ = __mul__
 

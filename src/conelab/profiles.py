@@ -20,9 +20,12 @@ def plateau(s, flat_end, support_end):
     """Profile equal to 1 on [0, flat_end], 0 on [support_end, inf), smooth between.
 
     Used for the radial vertex cutoff, the angular cutoff of the extension
-    operator and the Whitney partition bump.
+    operator and the Whitney partition bump.  Clamped at 0: the smoothstep
+    rounds above 1 just below its end, where 1 - smoothstep would go negative.
     """
     if not support_end > flat_end:
         raise ValueError("support_end must exceed flat_end")
     s = np.asarray(s, dtype=float)
-    return 1.0 - smoothstep((s - flat_end) / (support_end - flat_end))
+    v = 1.0 - smoothstep((s - flat_end) / (support_end - flat_end))
+    # in place: the clamp adds no array to the partition bump's peak
+    return np.maximum(v, 0.0, out=v if v.ndim else None)

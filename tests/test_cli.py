@@ -2,6 +2,7 @@ import csv
 import json
 import math
 import os
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -72,7 +73,8 @@ class TestConfig:
                                       {"alpha_decades": -1},
                                       {"alpha_decades": 2.5},
                                       {"alpha_decades": True}, {"n": 0},
-                                      {"k_list": [math.inf]}, {"k_list": [1e17]}])
+                                      {"k_list": [math.inf]}, {"k_list": [1e17]},
+                                      {"p_list": [1, 3, 1.0]}])
     def test_out_of_range_exits_2(self, tmp_path, capsys, data):
         p = tmp_path / "c.json"
         p.write_text(json.dumps(data))
@@ -156,14 +158,35 @@ class TestCommands:
                                          ["density", "--mode", "corrected"],
                                          ["extend"]])
     def test_shallow_grid_exits_2(self, tmp_path, capsys, command):
-        cfgp = tmp_path / "c.json"
-        cfgp.write_text(json.dumps({"nr": 20, "nt": 8, "r_min": 0.1}))
-        out = tmp_path / "o"
-        assert main(["--config", str(cfgp), "--out", str(out)] + command) == 2
-        err = capsys.readouterr().err.strip().splitlines()
-        assert len(err) == 1 and "r_min" in err[0]
-        assert command[0] == "extend" or "eps_list" in err[0]
-        assert not out.exists()
+        # the refusal names the key that sets the inner radius
+        for key, value in (("r_min", 0.1), ("q", 0.7)):
+            cfgp = tmp_path / f"{key}.json"
+            cfgp.write_text(json.dumps({"nr": 20, "nt": 8, key: value}))
+            out = tmp_path / f"o_{key}"
+            assert main(["--config", str(cfgp), "--out", str(out)] + command) == 2
+            err = capsys.readouterr().err.strip().splitlines()
+            assert len(err) == 1 and err[0].endswith(f"lower {key}")
+            assert command[0] == "extend" or "eps_list" in err[0]
+            assert not out.exists()
+
+    # traced peak of a command at SMALL, in fields of its 220 x 48 grid: the
+    # extension suites and the radial suite hold one member at a time
+    PEAK_FIELDS = {"extend": 50, "pierre": 30, "hardy --suite radial": 10}
+
+    @pytest.mark.parametrize("command", list(PEAK_FIELDS))
+    def test_streamed_commands_hold_one_member_at_a_time(self, tmp_path, small_config,
+                                                         command):
+        field_bytes = 8 * 2 * SMALL["nr"] * SMALL["nt"]
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            assert main(["--config", small_config, "--out", str(tmp_path / "o")]
+                        + command.split()) == 0
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        limit = self.PEAK_FIELDS[command]
+        assert peak <= limit * field_bytes, f"{peak / field_bytes:.1f} fields"
 
     def test_determinism(self, tmp_path, small_config):
         commands = (["hardy", "--p", "1", "--suite", "radial"],
@@ -444,14 +467,16 @@ class TestCommands:
 
     @pytest.mark.parametrize("command", ["kfunc", "cz"])
     def test_vanishing_field_exits_2(self, tmp_path, capsys, command):
-        # logcounter lives in r < 1/2: on [0.5, 40] it is the zero field
-        cfgp = tmp_path / "c.json"
-        cfgp.write_text(json.dumps({"nr": 20, "nt": 8, "r_min": 0.5}))
-        out = tmp_path / "o"
-        assert main(["--config", str(cfgp), "--out", str(out), command]) == 2
-        err = capsys.readouterr().err.strip().splitlines()
-        assert len(err) == 1 and "r_min" in err[0]
-        assert not out.exists()
+        # logcounter lives in r < 1/2: on [0.5, 40] (r_min) and on [33, 40]
+        # (q) it is the zero field
+        for key, value in (("r_min", 0.5), ("q", 0.99)):
+            cfgp = tmp_path / f"{key}.json"
+            cfgp.write_text(json.dumps({"nr": 20, "nt": 8, key: value}))
+            out = tmp_path / f"o_{key}"
+            assert main(["--config", str(cfgp), "--out", str(out), command]) == 2
+            err = capsys.readouterr().err.strip().splitlines()
+            assert len(err) == 1 and err[0].endswith(f"lower {key}")
+            assert not out.exists()
 
 
 class TestReport:

@@ -6,11 +6,11 @@ import pytest
 from conelab.extension import (ExtensionGateError, admissibility_gate,
                                antiradial_extension_only, cone_map_for,
                                enlarged_support_mask, extend, extend_pierre_2d,
-                               extension_rows, quadrant_pairs, restrict,
+                               extension_rows, restrict,
                                restriction_antiradial_ratio, roundtrip_error,
                                source_norm, wp_norm)
-from conelab.fieldlib import (make_test_field, suite_extension_members,
-                               suite_fullplane)
+from conelab.fieldlib import (QUADRANT_MEMBERS, make_test_field,
+                              suite_extension_members, suite_fullplane)
 from conelab.fields import Field, lp_norm, radial_split
 from conelab.geometry import ConeDomain
 from conelab.grids import PolarGrid
@@ -228,13 +228,12 @@ class TestPierre:
             extend_pierre_2d(f, quad_full)
 
     def test_pairs_above_two_need_equal_vertex_limits(self, quad_grid):
-        fields = [make_test_field(name, quad_grid) for name in
-                  ("radial_exp", "angular_bump", "lipschitz_compact", "jump")]
-        pairs = [(f.name, p) for f, p in quadrant_pairs(fields, (1.0, 3.0))]
-        assert pairs == [("radial_exp", 1.0), ("radial_exp", 3.0),
-                         ("angular_bump", 1.0), ("angular_bump", 3.0),
-                         ("lipschitz_compact", 1.0), ("lipschitz_compact", 3.0),
-                         ("jump", 1.0)]
+        # jump's vertex limits are +1 and -1: held at p <= n = 2 only
+        pairs = [(f.name, p) for f, p in suite_extension_members(
+            quad_grid, (1.0, 2.0, 3.0, INF), QUADRANT_MEMBERS)]
+        assert pairs == [(name, p) for name in
+                         ("radial_exp", "angular_bump", "lipschitz_compact")
+                         for p in (1.0, 2.0, 3.0, INF)] + [("jump", 1.0), ("jump", 2.0)]
 
     def test_ratio_finite(self, quad_grid, quad_full):
         f = make_test_field("jump", quad_grid)

@@ -10,7 +10,8 @@ from scipy.integrate import quad
 from conelab.czd import hardy_sobolev_norm, maximal_function, maximal_table
 from conelab.extension import (extend, extend_pierre_2d, restrict,
                                roundtrip_error, source_norm, wp_norm)
-from conelab.fieldlib import make_test_field, suite_fullplane, suite_hardy
+from conelab.fieldlib import (QUADRANT_MEMBERS, make_test_field, suite_fullplane,
+                              suite_hardy)
 from conelab.fields import (WEIGHTS, Field, cap_mean, gradient, hardy_quotient,
                             integrability_gate, lp_norm,
                             partial_norm_power_table, poincare_ball_ratio,
@@ -197,9 +198,8 @@ class TestHardyQuotient:
         vals = []
         for rmin in (1e-4, 1e-8):
             grid = PolarGrid.cone(dom2, nr=300, nt=32, r_max=40.0, r_min=rmin)
-            f = make_test_field("lipschitz_compact", grid)
-            c = f.vertex_limits[0]
-            f = f.with_values(f.values - c * plateau(grid.r, 0.5, 1.0)[None, :, None])
+            f = make_test_field("lipschitz_compact", grid)    # vertex limit 1
+            f = f.with_values(f.values - plateau(grid.r, 0.5, 1.0)[None, :, None])
             vals.append(hardy_quotient(f, 4.0))
         assert vals[1] == pytest.approx(vals[0], rel=0.05)
 
@@ -410,20 +410,33 @@ class TestFieldPlumbing:
         assert np.all(f.values[:, -1, :] == 0.0)
 
     def test_vertex_limits_declared(self, grid_small):
+        # jump is +1 and -1 at the vertex, lipschitz_compact 1 on both cones
         j = make_test_field("jump", grid_small)
-        assert j.vertex_limits == (1.0, -1.0)
+        assert tuple(j.values[:, 0, :].mean(axis=1)) == (1.0, -1.0)
         c = make_test_field("lipschitz_compact", grid_small)
-        assert c.vertex_limits == (1.0, 1.0)
+        assert np.all(c.values[:, 0, :] == 1.0 - grid_small.r_min)
+        # so the quadrant table serves jump up to the dimension only
+        ranges = {name: r for name, _, r in QUADRANT_MEMBERS}
+        assert ranges["jump"] == ("below", "at")
+        assert "above" in ranges["lipschitz_compact"]
+
+    def test_plateau_stays_in_the_unit_interval(self):
+        # 1 - smoothstep(t) rounds below 0 for t just under 1
+        vals = plateau(np.linspace(0.99, 1.0, 200_001), 0.0, 1.0)
+        assert vals.min() == 0.0 and vals.max() <= 1.0
+        assert plateau(0.4999999, 0.25, 0.5) == 0.0
 
     def test_innermost_samples_approach_declared_limits(self, dom2):
+        # the vertex limits on the plus and minus cones
+        limits = {"jump": (1.0, -1.0), "lipschitz_compact": (1.0, 1.0),
+                  "logcounter": (0.0, 0.0)}
         gaps = {}
         for rmin in (1e-4, 1e-8):
             grid = PolarGrid.cone(dom2, nr=200, nt=24, r_max=40.0, r_min=rmin)
-            for name in ("jump", "lipschitz_compact", "logcounter"):
+            for name, limit in limits.items():
                 f = make_test_field(name, grid)
                 inner = f.values[:, 0, :].mean(axis=1)
-                gaps.setdefault(name, []).append(
-                    np.abs(inner - np.asarray(f.vertex_limits)).max())
+                gaps.setdefault(name, []).append(np.abs(inner - limit).max())
         for name, (coarse, deep) in gaps.items():
             assert deep <= coarse, name          # refinement never regresses
         assert gaps["logcounter"][1] < 0.6 * gaps["logcounter"][0]
@@ -511,14 +524,14 @@ class TestFieldCache:
             assert np.array_equal(getattr(got, name), getattr(want, name)), name
 
 
-def _meshgrid_from_function(cls, grid, fn, name="", vertex_limits=None):
+def _meshgrid_from_function(cls, grid, fn, name=""):
     """The per-half meshgrid evaluation that Field.from_function's broadcast
     axes replace, kept as their oracle."""
     sheets = []
     for h in grid.halves:
         rr, tt = np.meshgrid(grid.r, grid.theta, indexing="ij")
         sheets.append(np.asarray(fn(rr, tt, h), dtype=float))
-    return cls(grid, np.stack(sheets), name=name, vertex_limits=vertex_limits)
+    return cls(grid, np.stack(sheets), name=name)
 
 
 @pytest.fixture(scope="module")
@@ -545,7 +558,7 @@ class TestFromFunction:
             old = build()
         assert len(new) == len(old)
         for a, b in zip(new, old):
-            assert (a.name, a.vertex_limits) == (b.name, b.vertex_limits)
+            assert a.name == b.name
             assert a.values.shape == b.values.shape
             assert a.values.tobytes() == b.values.tobytes(), a.name
 

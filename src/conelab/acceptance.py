@@ -3,9 +3,9 @@ inequalities or convergence laws at pinned tolerances and returning a
 CheckResult.  Each check writes every limit once, as a `report.Limit` record
 next to the measured value it holds: `put(key, value, (sense, limit))`.  The
 result's pass flag, its bound text in `verify_all.*` and the closest call
-that `verify-all` prints all follow from these records.  `run_all` executes
-every check (optionally a subset), times it, and is what the command-line
-`verify-all` and the acceptance tests call.
+that `verify-all` prints all follow from these records.  `run_all` streams
+every check (optionally a subset) on one context, timed; the command-line
+`verify-all` and the acceptance tests consume it.
 
 Grids are built lazily and shared across checks; maximal functions and
 rearrangement tables are cached on the fields, which each check builds for
@@ -29,7 +29,7 @@ from .fields import (HARDY_SLACK, Field, critical_sweep, decade_growth,
                      poincare_rows, samples)
 from .geometry import ConeDomain, doubling_ratio
 from .grids import PolarGrid
-from .report import CheckResult, VerificationReport
+from .report import CheckResult
 
 INF = float("inf")
 
@@ -545,17 +545,13 @@ CHECKS = {
 }
 
 
-def run_all(cfg: RunConfig | None = None, only=None,
-            progress=None) -> VerificationReport:
-    ctx = AcceptanceContext(cfg)
-    report = VerificationReport()
+def run_all(ctx: AcceptanceContext, only=None):
+    """Run every check on ctx's grids (or those named in `only`), yielding
+    each result timed."""
     for check_id, fn in CHECKS.items():
         if only and check_id not in only:
             continue
         t0 = time.time()
         result = fn(ctx)
         result.runtime = time.time() - t0
-        report.add(result)
-        if progress:
-            progress(result)
-    return report
+        yield result

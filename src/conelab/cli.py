@@ -17,7 +17,7 @@ import sys
 import numpy as np
 
 from . import acceptance, czd, density, extension
-from .config import ConfigError, RunConfig, load_config
+from .config import BOUNDS, ConfigError, RunConfig, load_config, require
 from .fieldlib import (QUADRANT_MEMBERS, hardy_suite_resolves, make_test_field,
                        suite_cz, suite_extension_members, suite_fullplane,
                        suite_hardy)
@@ -26,7 +26,7 @@ from .fields import (GATE_DECADES, WEIGHTS, cap_mean, critical_sweep,
                      save_field)
 from .geometry import ConeDomain
 from .grids import PolarGrid
-from .report import write_csv, write_json
+from .report import summary, write_csv, write_json
 
 EXTENSION_COLUMNS = ("field", "p", "source_norm", "target_norm", "ratio",
                      "roundtrip_err", "gate")
@@ -58,15 +58,15 @@ def cmd_norm(cfg: RunConfig, args) -> int:
 
 
 def cmd_hardy(cfg: RunConfig, args) -> int:
-    p = _exponent(args)
+    p = args.p
+    require("--p", p, 1.0, cfg.n, "[)", "where the weighted bound holds")
     grid = cfg.grid()
-    if p >= grid.n:
-        raise ConfigError(f"the weighted bound needs p < n (got p={p}, n={grid.n})")
-    fields = _suite(args.suite, grid)
+    if args.suite == "hardy":
+        _require_reach(grid, "hardy", cfg.inner_key)
     try:
-        rows = list(hardy_rows(fields, p))
+        rows = list(hardy_rows(_suite(args.suite, grid), p))
     except ValueError as e:
-        _require_reach(grid, "hardy", _inner_key(cfg))
+        _require_reach(grid, "hardy", cfg.inner_key)
         raise ConfigError(f"{e}; refine the grid (nr, r_min)") from e
     write_csv(os.path.join(cfg.out_dir, f"hardy_n{grid.n}_p{p:g}.csv"), rows,
               ["field", "p", "quotient", "bound", "ok"])
@@ -92,37 +92,12 @@ def cmd_split(cfg: RunConfig, args) -> int:
     return 0
 
 
-def _exponent(args) -> float:
-    """The --p exponent of the norms, refused below 1."""
-    if not args.p >= 1:
-        raise ConfigError(f"--p must be >= 1, got {args.p:g}")
-    return args.p
-
-
-def _require_finite(args, *flags) -> None:
-    """Refuse a non-finite numeric flag (an unset one passes) before any work."""
-    for flag in flags:
-        if not math.isfinite(v := getattr(args, flag) or 0.0):
-            raise ConfigError(f"--{flag} must be finite, got {v}")
-
-
 def _test_field(args, grid, **params):
     """The --field test field, refused if make_test_field does not know it."""
     try:
         return make_test_field(args.field, grid, **params)
     except ValueError as e:
         raise ConfigError(f"--field: {e}") from e
-
-
-def _require_planar(cfg: RunConfig, command: str) -> None:
-    """`command` works on planar (n = 2) grids only."""
-    if cfg.n != 2:
-        raise ConfigError(f"{command} needs a planar grid (n = 2), got n = {cfg.n}")
-
-
-def _inner_key(cfg: RunConfig) -> str:
-    """The config key that sets the configured grid's inner radius."""
-    return "q" if cfg.q is not None else "r_min"
 
 
 def _require_depth(cfg: RunConfig, grid, use: str, gate: bool, eps=None) -> None:
@@ -136,7 +111,7 @@ def _require_depth(cfg: RunConfig, grid, use: str, gate: bool, eps=None) -> None
     else:
         return
     raise ConfigError(f"the innermost radius {grid.r_min:.3g} {shortfall} for {use}; "
-                      f"lower {_inner_key(cfg)}")
+                      f"lower {cfg.inner_key}")
 
 
 def _require_reach(grid, use: str, inner_key: str) -> None:
@@ -162,7 +137,7 @@ def _require_nonzero(cfg: RunConfig, f) -> None:
     if not f.values.any():
         raise ConfigError(f"{f.name} vanishes on the grid's radii "
                           f"[{f.grid.r_min:.3g}, {f.grid.r_max:.3g}]; "
-                          f"lower {_inner_key(cfg)}")
+                          f"lower {cfg.inner_key}")
 
 
 def _require_bounded(f, flag: str) -> None:
@@ -178,16 +153,17 @@ def _require_bounded(f, flag: str) -> None:
 
 # cz's field parameters: flag -> the one field that reads it
 _CZ_PARAMS = {"beta": "logcounter", "a": "radial_power"}
+# the interval of a flag that only needs to be finite
+_FINITE = (-math.inf, math.inf, "()")
 
 
 def cmd_cz(cfg: RunConfig, args) -> int:
-    _require_finite(args, *_CZ_PARAMS)
     kw = {k: getattr(args, k) for k in _CZ_PARAMS if getattr(args, k) is not None}
-    for k in kw:
+    for k, v in kw.items():
+        require(f"--{k}", v, *_FINITE)
         if args.field != _CZ_PARAMS[k]:
             raise ConfigError(f"--{k} applies to --field {_CZ_PARAMS[k]} only, "
                               f"not {args.field}")
-    _require_planar(cfg, "cz")
     grid = cfg.grid()
     f = _test_field(args, grid, **kw)
     _require_nonzero(cfg, f)
@@ -215,7 +191,6 @@ def cmd_cz(cfg: RunConfig, args) -> int:
 
 
 def cmd_kfunc(cfg: RunConfig, args) -> int:
-    _require_planar(cfg, "kfunc")
     grid = cfg.grid()
     for f in suite_cz(grid):    # refuse before any file is written
         _require_nonzero(cfg, f)
@@ -227,7 +202,6 @@ def cmd_kfunc(cfg: RunConfig, args) -> int:
 
 
 def cmd_extend(cfg: RunConfig, args) -> int:
-    _require_planar(cfg, "extend")
     grid = cfg.grid()
     _require_depth(cfg, grid, f"p >= {grid.n}", gate=max(cfg.p_list) >= grid.n)
     full = PolarGrid.fullplane_matching(grid)
@@ -249,7 +223,6 @@ def cmd_extend(cfg: RunConfig, args) -> int:
 
 
 def cmd_restrict(cfg: RunConfig, args) -> int:
-    _require_planar(cfg, "restrict")
     grid = cfg.grid()
     full = PolarGrid.fullplane_matching(grid)
     rows = [extension.restriction_antiradial_ratio(F, grid)
@@ -260,7 +233,6 @@ def cmd_restrict(cfg: RunConfig, args) -> int:
 
 
 def cmd_pierre(cfg: RunConfig, args) -> int:
-    _require_planar(cfg, "pierre")
     dom = ConeDomain(2, math.pi / 4, "quadrant")
     grid = PolarGrid.cone(dom, nr=cfg.nr, nt=cfg.nt, r_max=min(cfg.r_max, 4.0),
                           r_min=1e-7 * min(cfg.r_max, 4.0))
@@ -276,7 +248,8 @@ def cmd_pierre(cfg: RunConfig, args) -> int:
 
 
 def cmd_density(cfg: RunConfig, args) -> int:
-    p = _exponent(args)
+    p = args.p
+    require("--p", p, *BOUNDS["p_list"])
     grid = cfg.grid()
     _require_depth(cfg, grid, "density's eps_list", gate=False,
                    eps=min(cfg.eps_list))
@@ -292,8 +265,7 @@ def cmd_density(cfg: RunConfig, args) -> int:
 
 
 def cmd_counterexample(cfg: RunConfig, args) -> int:
-    _require_finite(args, "beta")
-    _require_planar(cfg, "counterexample")
+    require("--beta", args.beta, *_FINITE)
     shallow = (f"r_max = {cfg.r_max:g} leaves too few decades above r_min = 1e-12 "
                f"to fit the vertex tail; raise r_max")
     if not cfg.r_max > 1e-12:
@@ -320,29 +292,26 @@ def cmd_verify_all(cfg: RunConfig, args) -> int:
     if unknown := set(only or ()) - set(acceptance.CHECKS):
         raise ConfigError(f"unknown checks: {sorted(unknown)}")
     # refuse a grid shallower or shorter than the checks read before any of
-    # them runs; cfg.grid() shares its radii with the checks' planar grid
-    grid = cfg.grid()
+    # them runs, on the grids they will read
+    ctx = acceptance.AcceptanceContext(cfg)
     for c in only or acceptance.CHECKS:
-        _require_depth(cfg, grid, c, gate=c in acceptance.GATE_CHECKS,
+        _require_depth(cfg, ctx.grid2, c, gate=c in acceptance.GATE_CHECKS,
                        eps=acceptance.CUTOFF_EPS.get(c))
         if c in acceptance.QUOTIENT_CHECKS:
             # the n = 3 grid starts at 1e-12 r_max, whatever r_min and q say
-            _require_reach(acceptance.AcceptanceContext(cfg).grid3, c, "r_max")
-            _require_reach(grid, c, _inner_key(cfg))
-
-    def progress(res):
-        status = "PASS" if res.passed else "FAIL"
+            _require_reach(ctx.grid3, c, "r_max")
+            _require_reach(ctx.grid2, c, cfg.inner_key)
+    results = []
+    for res in acceptance.run_all(ctx, only):
         share, lim = res.closest()
-        print(f"[{status}] {res.check_id} ({res.runtime:.1f}s) closest: "
-              f"{lim.text()} at {share:.4g}", flush=True)
-
-    report = acceptance.run_all(cfg, only=only, progress=progress)
-    write_json(os.path.join(cfg.out_dir, "verify_all.json"), report.summary())
-    write_csv(os.path.join(cfg.out_dir, "verify_all.csv"),
-              [r.row() for r in report.results])
-    print(f"{len(report.results)} checks, "
-          f"{sum(not r.passed for r in report.results)} failed")
-    return 0 if report.all_passed else 1
+        print(f"[{'PASS' if res.passed else 'FAIL'}] {res.check_id} ({res.runtime:.1f}s) "
+              f"closest: {lim.text()} at {share:.4g}", flush=True)
+        results.append(res)
+    out = summary(results)
+    write_json(os.path.join(cfg.out_dir, "verify_all.json"), out)
+    write_csv(os.path.join(cfg.out_dir, "verify_all.csv"), out["checks"])
+    print(f"{out['n_checks']} checks, {out['n_failed']} failed")
+    return 0 if out["passed"] else 1
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -353,9 +322,9 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--out", help="output directory override")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def add(name, fn, **kw):
+    def add(name, fn, planar=False, **kw):
         p = sub.add_parser(name, **kw)
-        p.set_defaults(fn=fn)
+        p.set_defaults(fn=fn, planar=planar)
         return p
 
     p = add("norm", cmd_norm, help="norm tables over a suite")
@@ -365,21 +334,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--suite", default="hardy")
     p = add("split", cmd_split, help="radial/anti-radial split diagnostics")
     p.add_argument("--suite", default="hardy")
-    p = add("cz", cmd_cz, help="Calderon-Zygmund decomposition sweep")
+    p = add("cz", cmd_cz, planar=True, help="Calderon-Zygmund decomposition sweep")
     p.add_argument("--field", default="logcounter")
     p.add_argument("--beta", type=float, default=None)
     p.add_argument("--a", type=float, default=None)
     p.add_argument("--dump-cover", action="store_true")
-    add("kfunc", cmd_kfunc, help="K-functional tables")
-    p = add("extend", cmd_extend, help="extension operator report")
+    add("kfunc", cmd_kfunc, planar=True, help="K-functional tables")
+    p = add("extend", cmd_extend, planar=True, help="extension operator report")
     p.add_argument("--dump-fields", action="store_true")
-    add("restrict", cmd_restrict, help="restriction chain report")
-    add("pierre", cmd_pierre, help="explicit quadrant-cone extension report")
+    add("restrict", cmd_restrict, planar=True, help="restriction chain report")
+    add("pierre", cmd_pierre, planar=True, help="explicit quadrant-cone extension report")
     p = add("density", cmd_density, help="approximation convergence tables")
     p.add_argument("--field", default="lipschitz_compact")
     p.add_argument("--p", type=float, default=1.0)
     p.add_argument("--mode", choices=("plain", "corrected"), default="plain")
-    p = add("counterexample", cmd_counterexample,
+    p = add("counterexample", cmd_counterexample, planar=True,
             help="critical-exponent divergence table")
     p.add_argument("--beta", type=float, default=0.25)
     p = add("verify-all", cmd_verify_all, help="run the acceptance suite")
@@ -394,6 +363,9 @@ def main(argv=None) -> int:
         cfg = load_config(args.config)
         if args.out:
             cfg.out_dir = args.out
+        if args.planar and cfg.n != 2:
+            raise ConfigError(f"{args.command} needs a planar grid (n = 2), "
+                              f"got n = {cfg.n}")
         return args.fn(cfg, args)
     except ConfigError as e:
         print(f"configuration error: {e}", file=sys.stderr)

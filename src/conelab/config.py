@@ -36,6 +36,36 @@ MAX_R = 1e100
 # times its highest, and normal doubles reach down to 2.2e-308.
 MAX_DECADES = 308
 
+# Each numeric key's interval, (lo, hi, ends[, why]) as `require` reads it;
+# a list's interval holds for each entry.  RunConfig states the rules that
+# tie keys together.
+BOUNDS = {
+    "omega": (0.0, math.pi / 2, "()"),
+    "nr": (3, math.inf, "[)"),
+    "nt": (3, math.inf, "[)"),
+    "r_max": (0.0, MAX_R, "(]", "where cell measures (r^n, n <= 3) stay finite"),
+    "q": (0.0, 1.0, "()"),
+    "eps_list": (0.0, 1.0, "()"),
+    "k_list": (1.0, math.inf, "[]"),
+    "p_list": (1.0, math.inf, "[]"),
+    "alpha_decades": (0, MAX_DECADES, "[]", "the decades a double spans below 1"),
+    "alpha_points": (2, math.inf, "[)"),
+    "t_points": (2, math.inf, "[)"),
+    "t_lo": (0.0, math.inf, "()"),
+    "t_hi": (0.0, math.inf, "()"),
+}
+
+
+def require(key: str, v, lo, hi, ends: str, why: str = "") -> None:
+    """Refuse v outside the interval from lo to hi, each end closed ("[", "]")
+    or open ("(", ")") as `ends` says, in one line naming `key`."""
+    if ((lo <= v if ends[0] == "[" else lo < v)
+            and (v <= hi if ends[1] == "]" else v < hi)):
+        return
+    lo, hi = ("pi/2" if x == math.pi / 2 else f"{x:g}" for x in (lo, hi))
+    raise ConfigError(f"{key} must lie in {ends[0]}{lo}, {hi}{ends[1]}"
+                      + (f", {why}" if why else "") + f", got {v}")
+
 
 @dataclass
 class RunConfig:
@@ -69,53 +99,36 @@ class RunConfig:
                 raise ConfigError(f"{name} must be a nonempty list of numbers")
         if self.n not in (2, 3):
             raise ConfigError("n must be 2 or 3")
-        if not 0.0 < self.omega < math.pi / 2:
-            raise ConfigError("omega must lie in (0, pi/2)")
         if self.variant not in ("double", "quadrant"):
             raise ConfigError(f"unknown variant {self.variant!r}")
         if self.variant == "quadrant" and self.n != 2:
             raise ConfigError("the quadrant variant is two-dimensional: set n = 2")
-        if self.nr < 3 or self.nt < 3:
-            raise ConfigError("grid must have at least 3 nodes per direction")
+        for key, bound in BOUNDS.items():
+            v = getattr(self, key)
+            if v is not None:       # q unset
+                for x in (v if isinstance(v, list) else [v]):
+                    require(key, x, *bound)
         if self.nr * self.nt > MAX_CELLS:
             raise ConfigError(f"grid nr = {self.nr}, nt = {self.nt} has {self.nr * self.nt} "
                               f"cells, above the cap of {MAX_CELLS} (verify-all holds "
                               "about 1.1 KiB per cell)")
-        if not 0 < self.r_max <= MAX_R:
-            raise ConfigError(f"r_max must lie in (0, {MAX_R:g}], where cell measures "
-                              "(r^n, n <= 3) stay finite")
         if self.r_min is not None and not 0 < self.r_min < self.r_max:
             raise ConfigError("r_min must lie in (0, r_max)")
-        if self.q is not None and not 0 < self.q < 1:
-            raise ConfigError("q must lie in (0, 1)")
         if self.q is not None and self.r_min is not None:
             raise ConfigError("set r_min or q, not both: q fixes the innermost "
                               "radius r_max q^(nr-1)")
         if not self.r_inner >= 1e-100 * self.r_max:
             raise ConfigError("the innermost radius (r_min, or r_max q^(nr-1)) must be "
                               "at least 1e-100 r_max, where cell measures stay positive")
-        if not all(0 < eps < 1 for eps in self.eps_list):
-            raise ConfigError("every eps in eps_list must lie in (0, 1)")
-        if not all(k >= 1 for k in self.k_list):
-            raise ConfigError("every k in k_list must be >= 1")
         if not all(eps ** (1.0 / k) < 1 for eps in self.eps_list for k in self.k_list):
             raise ConfigError("every k in k_list must keep the corrector radius "
                               "eps^(1/k) below 1 for each eps in eps_list")
-        if not all(p >= 1 for p in self.p_list):
-            raise ConfigError("every p in p_list must be >= 1")
         self.p_list = [float(p) for p in self.p_list]
         if len(set(self.p_list)) < len(self.p_list):
             raise ConfigError(f"p_list repeats an exponent: {self.p_list}")
-        if not 0 <= self.alpha_decades <= MAX_DECADES:
-            raise ConfigError(f"alpha_decades must lie in [0, {MAX_DECADES}], the "
-                              "decades a double spans below 1")
-        if self.alpha_points < 2:
-            raise ConfigError("alpha_points must be at least 2")
-        if not 0 < self.t_lo < self.t_hi < math.inf:
-            raise ConfigError(f"t_lo and t_hi must satisfy 0 < t_lo < t_hi < inf, got "
+        if not self.t_lo < self.t_hi:
+            raise ConfigError(f"t_lo and t_hi must satisfy t_lo < t_hi, got "
                               f"t_lo = {self.t_lo}, t_hi = {self.t_hi}")
-        if self.t_points < 2:
-            raise ConfigError("t_points must be at least 2")
 
     @property
     def r_inner(self) -> float:
@@ -123,6 +136,11 @@ class RunConfig:
         or by default 1e-12 r_max."""
         return (self.r_max * self.q ** (self.nr - 1) if self.q is not None
                 else self.r_min or 1e-12 * self.r_max)
+
+    @property
+    def inner_key(self) -> str:
+        """The config key that sets the innermost radius."""
+        return "q" if self.q is not None else "r_min"
 
     def domain(self) -> ConeDomain:
         return ConeDomain(self.n, self.omega, self.variant)

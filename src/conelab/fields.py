@@ -377,21 +377,24 @@ def log_log_increment_slope(r_mins: np.ndarray, P: np.ndarray) -> float:
 
 def save_field(f: Field, path: str) -> None:
     """Text dump: header lines then one `r theta value` line per sample,
-    radially outside-in, sheets ordered by global angle."""
+    radially outside-in, sheets ordered by global angle; written one ring at
+    a time."""
     g = f.grid
     order = sorted(range(g.nhalves), key=lambda i: g.global_theta(g.halves[i])[0])
-    lines = [f"n={g.n}",
-             f"omega={g.domain.omega!r}",
-             f"variant={'fullspace' if g.kind == 'fullplane' else g.domain.variant}",
-             f"K={g.nr}",
-             f"J={g.nt * g.nhalves}",
-             f"q={g.q!r}",
-             f"rmax={g.r_max!r}"]
-    for k in range(g.nr - 1, -1, -1):
-        r = float(g.r[k])
-        for i in order:
-            th = g.global_theta(g.halves[i])
-            for j in range(g.nt):
-                lines.append(f"{r!r} {float(th[j])!r} {float(f.values[i, k, j])!r}")
-    _atomic_write(path, "\n".join(lines) + "\n")
+    thetas = [g.global_theta(g.halves[i]).tolist() for i in order]
+    header = [f"n={g.n}",
+              f"omega={g.domain.omega!r}",
+              f"variant={'fullspace' if g.kind == 'fullplane' else g.domain.variant}",
+              f"K={g.nr}",
+              f"J={g.nt * g.nhalves}",
+              f"q={g.q!r}",
+              f"rmax={g.r_max!r}"]
 
+    def rings():
+        yield "".join(line + "\n" for line in header)
+        for k in range(g.nr - 1, -1, -1):
+            r = float(g.r[k])
+            yield "".join(f"{r!r} {t!r} {v!r}\n" for i, th in zip(order, thetas)
+                          for t, v in zip(th, f.values[i, k].tolist()))
+
+    _atomic_write(path, rings())

@@ -109,24 +109,14 @@ class CheckResult:
         return out
 
 
-@dataclass
-class VerificationReport:
-    results: list = dfield(default_factory=list)
-
-    def add(self, result: CheckResult):
-        self.results.append(result)
-
-    @property
-    def all_passed(self) -> bool:
-        return all(r.passed for r in self.results)
-
-    def summary(self) -> dict:
-        return {
-            "passed": self.all_passed,
-            "n_checks": len(self.results),
-            "n_failed": sum(not r.passed for r in self.results),
-            "checks": [r.row() for r in self.results],
-        }
+def summary(results: list) -> dict:
+    """The verify_all.json object of a run's check results."""
+    return {
+        "passed": all(r.passed for r in results),
+        "n_checks": len(results),
+        "n_failed": sum(not r.passed for r in results),
+        "checks": [r.row() for r in results],
+    }
 
 
 def _fmt(v) -> str:
@@ -147,13 +137,15 @@ def _csv_cell(text: str) -> str:
     return text
 
 
-def _atomic_write(path: str, text: str) -> None:
+def _atomic_write(path: str, pieces) -> None:
+    """Write the text pieces in order to a temp file, then rename it to path;
+    if a piece raises, nothing is written."""
     d = os.path.dirname(os.path.abspath(path)) or "."
     os.makedirs(d, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-", text=True)
     try:
         with os.fdopen(fd, "w") as fh:
-            fh.write(text)
+            fh.writelines(pieces)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -184,12 +176,12 @@ def write_csv(path: str, rows: list[dict], columns: list[str] | None = None) -> 
         if _has_nan(cells):
             raise ValueError(f"NaN in a row for {path}: {r}")
         lines.append(",".join(_csv_cell(_fmt(v)) for v in cells))
-    _atomic_write(path, "\n".join(lines) + "\n")
+    _atomic_write(path, ["\n".join(lines) + "\n"])
 
 
 def write_json(path: str, obj) -> None:
     """Sorted, indented JSON; a NaN anywhere raises ValueError, as in write_csv."""
     if _has_nan(obj):
         raise ValueError(f"NaN in the object for {path}")
-    _atomic_write(path, json.dumps(obj, indent=2, sort_keys=True,
-                                   default=_fmt) + "\n")
+    _atomic_write(path, [json.dumps(obj, indent=2, sort_keys=True, default=_fmt)
+                         + "\n"])

@@ -5,6 +5,7 @@ criterion.
 Run with `pytest tests/test_acceptance.py -v -s` (or `conelab verify-all`).
 """
 
+import functools
 import importlib.util
 import json
 import pathlib
@@ -18,58 +19,56 @@ from conelab import acceptance
 from conelab.config import RunConfig
 from conelab.geometry import ConeDomain
 from conelab.grids import PolarGrid
-from conelab.report import CheckResult, Limit, write_json
+from conelab.report import CheckResult, Limit, summary, write_json
 
 
 @pytest.fixture(scope="module")
-def report():
-    lines = []
-
-    def progress(res):
+def results():
+    lines, results = [], []
+    for res in acceptance.run_all(acceptance.AcceptanceContext()):
         status = "PASS" if res.passed else "FAIL"
         line = f"[{status}] {res.check_id} ({res.runtime:.1f}s): {res.bound}"
         lines.append(line)
         print(line, flush=True)
-
-    rep = acceptance.run_all(progress=progress)
+        results.append(res)
     print("\n".join(lines))
-    return rep
+    return results
 
 
 @pytest.mark.parametrize("check_id", list(acceptance.CHECKS))
-def test_acceptance_criterion(report, check_id):
-    res = next(r for r in report.results if r.check_id == check_id)
+def test_acceptance_criterion(results, check_id):
+    res = next(r for r in results if r.check_id == check_id)
     detail = ", ".join(f"{k}={v}" for k, v in res.measured.items())
     print(f"{'PASS' if res.passed else 'FAIL'} {check_id}: {detail}")
     assert res.passed, f"{check_id} failed: {detail}"
 
 
-def test_every_criterion_ran(report):
-    assert {r.check_id for r in report.results} == set(acceptance.CHECKS)
+def test_every_criterion_ran(results):
+    assert {r.check_id for r in results} == set(acceptance.CHECKS)
 
 
-def test_benchmark_limits_match_the_records(report):
+def test_benchmark_limits_match_the_records(results):
     # conebench restates the one-sided upper limits of its tables checks as
     # measured/limit functions; a change to either copy shows here
     path = pathlib.Path(__file__).resolve().parents[1] / "conebench" / "workloads.py"
     spec = importlib.util.spec_from_file_location("_conebench_workloads", path)
     workloads = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(workloads)
-    results = {r.check_id: r for r in report.results}
+    by_id = {r.check_id: r for r in results}
     for check_id, ratios in workloads.TABLE_UPPER_BOUNDS.items():
-        res = results[check_id]
+        res = by_id[check_id]
         records = [res.measured[lim.key] / lim.value for lim in res.limits
                    if lim.sense in ("<=", "<")]
         assert sorted(ratios(res.measured)) == sorted(records), check_id
 
 
-def test_flag_records_are_json_booleans(report, tmp_path):
+def test_flag_records_are_json_booleans(results, tmp_path):
     # a numpy flag would reach verify_all.json through the default hook
     # as the string "True"
-    write_json(str(tmp_path / "verify_all.json"), report.summary())
+    write_json(str(tmp_path / "verify_all.json"), summary(results))
     rows = {row["check"]: row for row in
             json.loads((tmp_path / "verify_all.json").read_text())["checks"]}
-    flags = [(r.check_id, lim.key) for r in report.results for lim in r.limits
+    flags = [(r.check_id, lim.key) for r in results for lim in r.limits
              if lim.sense == "==" and isinstance(lim.value, bool)]
     assert ("rearrangement-laws", "distribution_bound_ok") in flags
     for check_id, key in flags:
@@ -123,41 +122,59 @@ class TestLimit:
 # with its caches at a time, plus one step's working arrays; for
 # rearrangement-laws these are f**'s node arrays, 8 samples per sample;
 # for kfunc-equiv the K band's maximal functions and tables on one field.
-# A check that holds its whole suite reads 34, 87, 18 and 120.
+# A check that holds its whole suite reads 34, 87, 18 and 120.  The suites
+# are built per call, so no field or cache outlives its check: after it
+# returns, each holds at most one field.
 PEAK_FIELDS = {"hardy-bound": ("grid2", 10), "rearrangement-laws": ("grid2", 56),
                "restriction-hhat": ("full2_fine", 10), "kfunc-equiv": ("grid2", 60)}
+SMALL = RunConfig(nr=220, nt=48, r_min=4e-8)
+
+
+def traced(check_id, ctx):
+    """Run one check under tracemalloc: its result, and the bytes it still
+    holds after returning and at its peak."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        res = acceptance.CHECKS[check_id](ctx)
+        held, peak = (m - base for m in tracemalloc.get_traced_memory())
+    finally:
+        tracemalloc.stop()
+    return res, held, peak
+
+
+@functools.cache
+def streamed_run(check_id):
+    """One traced run of a streamed check on warm grids, with the bytes of
+    one field of its grid; both tracing tests read it, so each streamed
+    check is traced once."""
+    ctx = acceptance.AcceptanceContext(SMALL)
+    for grid in (ctx.grid2, ctx.grid3, ctx.full2, ctx.grid2_fine, ctx.full2_fine):
+        grid.cell_measure
+    np.polynomial    # numpy imports it on first use, which is no field
+    field_bytes = 8 * np.prod(getattr(ctx, PEAK_FIELDS[check_id][0]).shape)
+    return (*traced(check_id, ctx), field_bytes)
 
 
 @pytest.mark.parametrize("check_id", list(PEAK_FIELDS))
 def test_streamed_checks_hold_one_field_at_a_time(check_id):
-    ctx = acceptance.AcceptanceContext(RunConfig(nr=220, nt=48, r_min=4e-8))
-    for grid in (ctx.grid2, ctx.grid3, ctx.full2, ctx.grid2_fine, ctx.full2_fine):
-        grid.cell_measure
-    grid_name, limit = PEAK_FIELDS[check_id]
-    field_bytes = 8 * np.prod(getattr(ctx, grid_name).shape)
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        assert acceptance.CHECKS[check_id](ctx).passed
-        peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
+    res, held, peak, field_bytes = streamed_run(check_id)
+    assert res.passed
+    limit = PEAK_FIELDS[check_id][1]
     assert peak <= limit * field_bytes, f"{peak / field_bytes:.1f} fields"
+    assert held <= field_bytes, f"{held / field_bytes:.1f} fields held"
 
 
 @pytest.mark.parametrize("check_id", ["cz-prop41", "kfunc-equiv"])
 def test_checks_drop_their_fields_on_return(check_id):
     # the suites are built per call, so no field or cache outlives its check
-    ctx = acceptance.AcceptanceContext(RunConfig(nr=220, nt=48, r_min=4e-8))
-    ctx.grid2.cell_measure
-    field_bytes = 8 * np.prod(ctx.grid2.shape)
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        acceptance.CHECKS[check_id](ctx)    # cz-prop41 fails on this grid
-        held = tracemalloc.get_traced_memory()[0] - base
-    finally:
-        tracemalloc.stop()
+    if check_id in PEAK_FIELDS:
+        _, held, _, field_bytes = streamed_run(check_id)
+    else:
+        ctx = acceptance.AcceptanceContext(SMALL)
+        ctx.grid2.cell_measure
+        field_bytes = 8 * np.prod(ctx.grid2.shape)
+        held = traced(check_id, ctx)[1]    # cz-prop41 fails on this grid
     assert held <= field_bytes, f"{held / field_bytes:.1f} fields"
 
 

@@ -9,8 +9,9 @@ from hypothesis import given, settings, strategies as st
 
 from conelab import extension
 from conelab.cli import main
-from conelab.config import (MAX_CELLS, MAX_DECADES, MAX_R, ConfigError, RunConfig,
-                            load_config)
+from conelab.config import (BOUNDS, MAX_CELLS, MAX_DECADES, MAX_R, ConfigError,
+                            RunConfig, load_config)
+from conelab.grids import PolarGrid
 from conelab.report import write_csv, write_json
 
 SMALL = {"nr": 220, "nt": 48, "r_min": 4e-8, "alpha_decades": 2,
@@ -23,6 +24,17 @@ def small_config(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(SMALL))
     return str(path)
+
+
+def _past_ends(lo, hi, ends, integer):
+    """A value just past each finite end of an interval, and NaN."""
+    for end, closed, step in ((lo, ends[0] == "[", -1), (hi, ends[1] == "]", 1)):
+        if math.isfinite(end):
+            if not closed:
+                yield end
+            else:
+                yield end + step if integer else math.nextafter(end, step * math.inf)
+    yield math.nan
 
 
 class TestConfig:
@@ -112,6 +124,20 @@ class TestConfig:
         assert len(err) == 1 and next(iter(data)) in err[0]
         assert not out.exists()
 
+    @pytest.mark.parametrize("key,value", [
+        (key, value) for key, (lo, hi, ends, *_) in BOUNDS.items()
+        for value in _past_ends(lo, hi, ends, isinstance(lo, int))],
+        ids=lambda v: str(v))
+    def test_just_past_each_bound_exits_2(self, tmp_path, capsys, key, value):
+        p = tmp_path / "c.json"
+        entry = [value] if key.endswith("_list") else value
+        p.write_text(json.dumps({"nr": 20, "nt": 8, key: entry}))
+        out = tmp_path / "o"
+        assert main(["--config", str(p), "--out", str(out), "norm"]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and key in err[0]
+        assert not out.exists()
+
     def test_ceilings_are_admitted(self):
         cfg = RunConfig(r_max=MAX_R, alpha_decades=MAX_DECADES)
         assert cfg.grid().radial_weight[-1] < math.inf
@@ -171,7 +197,8 @@ class TestCommands:
 
     # traced peak of a command at SMALL, in fields of its 220 x 48 grid: the
     # extension suites and the radial suite hold one member at a time
-    PEAK_FIELDS = {"extend": 50, "pierre": 30, "hardy --suite radial": 10}
+    PEAK_FIELDS = {"extend": 50, "extend --dump-fields": 45, "pierre": 30,
+                   "hardy --suite radial": 10}
 
     @pytest.mark.parametrize("command", list(PEAK_FIELDS))
     def test_streamed_commands_hold_one_member_at_a_time(self, tmp_path, small_config,
@@ -293,6 +320,29 @@ class TestCommands:
         assert main(["--config", small_config, "--out", str(out)] + command) == 2
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and name in err[0]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command,flag", [
+        (["hardy", "--p", repr(math.nextafter(1.0, 0.0))], "--p"),
+        (["hardy", "--p", "2"], "--p"),
+        (["hardy", "--p", "nan"], "--p"),
+        (["density", "--p", repr(math.nextafter(1.0, 0.0))], "--p"),
+        (["density", "--p", "nan"], "--p"),
+        (["cz", "--beta=nan"], "--beta"),
+        (["cz", "--beta=inf"], "--beta"),
+        (["cz", "--field", "radial_power", "--a=nan"], "--a"),
+        (["cz", "--field", "radial_power", "--a=-inf"], "--a"),
+        (["counterexample", "--beta=nan"], "--beta"),
+        (["counterexample", "--beta=-inf"], "--beta")],
+        ids=lambda v: " ".join(v) if isinstance(v, list) else v)
+    def test_just_past_each_flag_bound_exits_2(self, tmp_path, capsys, small_config,
+                                               command, flag):
+        # hardy's --p lies in [1, n), density's in p_list's [1, inf], and
+        # cz's and counterexample's parameters are finite
+        out = tmp_path / "o"
+        assert main(["--config", small_config, "--out", str(out)] + command) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and flag in err[0]
         assert not out.exists()
 
     @pytest.mark.parametrize("command,flag", [
@@ -421,7 +471,10 @@ class TestCommands:
     @pytest.mark.parametrize("config,key", [
         ({"r_min": 0.6}, "r_min"),
         # the n = 3 grid of hardy-bound starts at 1e-12 r_max = 1
-        ({"nr": 40, "nt": 8, "r_max": 1e12}, "r_max")])
+        ({"nr": 40, "nt": 8, "r_max": 1e12}, "r_max"),
+        # the cutoff underflows to 0 just below r = 1/2: quotients of rounding
+        # noise, were the grid admitted
+        ({"r_min": 0.4999999, "r_max": 0.5, "nr": 3, "nt": 8}, "r_min")])
     def test_inner_radius_past_the_hardy_support_exits_2(self, tmp_path, capsys,
                                                          config, key):
         # logcounter and jump vanish for r >= 1/2, so on a grid starting
@@ -437,6 +490,18 @@ class TestCommands:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].endswith("lower r_min")
         assert not out.exists()
+
+    def test_verify_all_builds_each_grid_once(self, tmp_path, small_config,
+                                              monkeypatch):
+        # the up-front refusals read the grids the checks read: hardy-bound's
+        # planar and n = 3 grids, each built once
+        built = []
+        real = PolarGrid.cone
+        monkeypatch.setattr(PolarGrid, "cone", staticmethod(
+            lambda *a, **kw: built.append(a) or real(*a, **kw)))
+        assert main(["--config", small_config, "--out", str(tmp_path / "o"),
+                     "verify-all", "--checks", "hardy-bound"]) == 0
+        assert len(built) == 2
 
     def test_verify_all_unknown_check(self, tmp_path):
         rc = main(["--out", str(tmp_path), "verify-all", "--checks", "nope"])

@@ -57,7 +57,7 @@ class AcceptanceContext:
     def grid2(self) -> PolarGrid:
         c = self.cfg
         return PolarGrid.cone(ConeDomain(2, c.omega), nr=c.nr, nt=c.nt,
-                              r_max=c.r_max, r_min=c.r_min, q=c.q)
+                              r_max=c.r_max, r_min=c.r_min)
 
     @cached_property
     def grid3(self) -> PolarGrid:
@@ -80,7 +80,7 @@ class AcceptanceContext:
         """grid2 refined 1.5x in each direction, over the same radii."""
         c = self.cfg
         return PolarGrid.cone(ConeDomain(2, c.omega), nr=int(c.nr * 1.5),
-                              nt=int(c.nt * 1.5), r_max=c.r_max, r_min=c.r_inner)
+                              nt=int(c.nt * 1.5), r_max=c.r_max, r_min=c.r_min)
 
     @cached_property
     def full2_fine(self) -> PolarGrid:
@@ -187,8 +187,7 @@ def check_cz_decomposition(ctx: AcceptanceContext) -> CheckResult:
     c = ctx.cfg
     worst = {"rec_err": 0.0, "overlap_N": 0, "eB_ratio": 0.0,
              "neighbor_radius_ratio": 0.0, "partition_err": 0.0}
-    sets = dict.fromkeys(("underline_disjoint", "plain_cover_exact",
-                          "overline_meets_complement", "type2_geometry_ok"), True)
+    sets = dict.fromkeys(czd.SET_PROPERTIES, True)
     eg_var_max, eb_var_max = 0.0, 0.0
     for f in ctx.alpha_suite():
         egs, ebs = [], []

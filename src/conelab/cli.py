@@ -62,11 +62,11 @@ def cmd_hardy(cfg: RunConfig, args) -> int:
     require("--p", p, 1.0, cfg.n, "[)", "where the weighted bound holds")
     grid = cfg.grid()
     if args.suite == "hardy":
-        _require_reach(grid, "hardy", cfg.inner_key)
+        _require_reach(grid, "hardy")
     try:
         rows = list(hardy_rows(_suite(args.suite, grid), p))
     except ValueError as e:
-        _require_reach(grid, "hardy", cfg.inner_key)
+        _require_reach(grid, "hardy")
         raise ConfigError(f"{e}; refine the grid (nr, r_min)") from e
     write_csv(os.path.join(cfg.out_dir, f"hardy_n{grid.n}_p{p:g}.csv"), rows,
               ["field", "p", "quotient", "bound", "ok"])
@@ -100,9 +100,9 @@ def _test_field(args, grid, **params):
         raise ConfigError(f"--field: {e}") from e
 
 
-def _require_depth(cfg: RunConfig, grid, use: str, gate: bool, eps=None) -> None:
+def _require_depth(grid, use: str, gate: bool, eps=None) -> None:
     """Refuse a grid too shallow for the membership gate (if `gate`) or the
-    vertex cutoff at eps, naming the config key that sets its inner radius."""
+    vertex cutoff at eps, naming r_min, the key that sets its inner radius."""
     if gate and len(decade_radii(grid)) <= GATE_DECADES:
         shortfall = (f"leaves the membership gate fewer than {GATE_DECADES + 1} "
                      "decades below r_max")
@@ -111,15 +111,15 @@ def _require_depth(cfg: RunConfig, grid, use: str, gate: bool, eps=None) -> None
     else:
         return
     raise ConfigError(f"the innermost radius {grid.r_min:.3g} {shortfall} for {use}; "
-                      f"lower {cfg.inner_key}")
+                      "lower r_min")
 
 
-def _require_reach(grid, use: str, inner_key: str) -> None:
+def _require_reach(grid, use: str, key: str = "r_min") -> None:
     """Refuse a grid on which a suite_hardy field has no radial derivative,
     so that its Hardy quotient has no denominator: one that ends where the
     jump field is still constant, naming r_max, or one that starts where the
-    logcounter and jump fields vanish, naming inner_key, the config key that
-    sets the grid's inner radius."""
+    logcounter and jump fields vanish, naming `key`, the config key that
+    sets the grid's inner radius (r_max for a grid pinned at 1e-12 r_max)."""
     inner, outer = hardy_suite_resolves(grid)
     if not outer:
         raise ConfigError(f"r_max = {grid.r_max:.10g} ends inside the jump field's "
@@ -129,15 +129,14 @@ def _require_reach(grid, use: str, inner_key: str) -> None:
         raise ConfigError(f"the innermost radius {grid.r_min:.3g} of the n = {grid.n} "
                           f"grid is not below r = 1/2, where the logcounter and jump "
                           f"fields vanish, which then have no radial derivative for "
-                          f"{use}; lower {inner_key}")
+                          f"{use}; lower {key}")
 
 
-def _require_nonzero(cfg: RunConfig, f) -> None:
+def _require_nonzero(f) -> None:
     """The level sweep and the K ratio are undefined on the zero field."""
     if not f.values.any():
         raise ConfigError(f"{f.name} vanishes on the grid's radii "
-                          f"[{f.grid.r_min:.3g}, {f.grid.r_max:.3g}]; "
-                          f"lower {cfg.inner_key}")
+                          f"[{f.grid.r_min:.3g}, {f.grid.r_max:.3g}]; lower r_min")
 
 
 def _require_bounded(f, flag: str) -> None:
@@ -166,15 +165,14 @@ def cmd_cz(cfg: RunConfig, args) -> int:
                               f"not {args.field}")
     grid = cfg.grid()
     f = _test_field(args, grid, **kw)
-    _require_nonzero(cfg, f)
+    _require_nonzero(f)
     _require_bounded(f, " ".join(f"--{k} = {v:g}" for k, v in kw.items()) or "--field")
     rows, ok = [], True
     try:
         for rep in czd.level_sweep(f, cfg.alpha_decades, cfg.alpha_points):
             res = rep.pop("decomposition")
             rows.append(rep)
-            ok &= (rep["underline_disjoint"] and rep["plain_cover_exact"]
-                   and rep["overline_meets_complement"])
+            ok &= all(rep[k] for k in czd.SET_PROPERTIES)
             if args.dump_cover:
                 cover = [{"x_r": r, "x_theta": t, "r_i": ri, "type": ty}
                          for r, t, ri, ty in res.cover_rows()]
@@ -193,7 +191,7 @@ def cmd_cz(cfg: RunConfig, args) -> int:
 def cmd_kfunc(cfg: RunConfig, args) -> int:
     grid = cfg.grid()
     for f in suite_cz(grid):    # refuse before any file is written
-        _require_nonzero(cfg, f)
+        _require_nonzero(f)
     for f in suite_cz(grid):
         rows = list(czd.k_band(f, cfg.t_lo, cfg.t_hi, cfg.t_points))
         write_csv(os.path.join(cfg.out_dir, f"kfunc_{f.name}.csv"), rows,
@@ -203,7 +201,7 @@ def cmd_kfunc(cfg: RunConfig, args) -> int:
 
 def cmd_extend(cfg: RunConfig, args) -> int:
     grid = cfg.grid()
-    _require_depth(cfg, grid, f"p >= {grid.n}", gate=max(cfg.p_list) >= grid.n)
+    _require_depth(grid, f"p >= {grid.n}", gate=max(cfg.p_list) >= grid.n)
     full = PolarGrid.fullplane_matching(grid)
     rows = []
     for row in extension.extension_rows(
@@ -251,8 +249,7 @@ def cmd_density(cfg: RunConfig, args) -> int:
     p = args.p
     require("--p", p, *BOUNDS["p_list"])
     grid = cfg.grid()
-    _require_depth(cfg, grid, "density's eps_list", gate=False,
-                   eps=min(cfg.eps_list))
+    _require_depth(grid, "density's eps_list", gate=False, eps=min(cfg.eps_list))
     f = _test_field(args, grid)
     mode = args.mode
     rows = density.convergence_table(
@@ -295,12 +292,12 @@ def cmd_verify_all(cfg: RunConfig, args) -> int:
     # them runs, on the grids they will read
     ctx = acceptance.AcceptanceContext(cfg)
     for c in only or acceptance.CHECKS:
-        _require_depth(cfg, ctx.grid2, c, gate=c in acceptance.GATE_CHECKS,
+        _require_depth(ctx.grid2, c, gate=c in acceptance.GATE_CHECKS,
                        eps=acceptance.CUTOFF_EPS.get(c))
         if c in acceptance.QUOTIENT_CHECKS:
-            # the n = 3 grid starts at 1e-12 r_max, whatever r_min and q say
+            # the n = 3 grid starts at 1e-12 r_max, whatever r_min says
             _require_reach(ctx.grid3, c, "r_max")
-            _require_reach(ctx.grid2, c, cfg.inner_key)
+            _require_reach(ctx.grid2, c)
     results = []
     for res in acceptance.run_all(ctx, only):
         share, lim = res.closest()

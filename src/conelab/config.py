@@ -44,7 +44,6 @@ BOUNDS = {
     "nr": (3, math.inf, "[)"),
     "nt": (3, math.inf, "[)"),
     "r_max": (0.0, MAX_R, "(]", "where cell measures (r^n, n <= 3) stay finite"),
-    "q": (0.0, 1.0, "()"),
     "eps_list": (0.0, 1.0, "()"),
     "k_list": (1.0, math.inf, "[]"),
     "p_list": (1.0, math.inf, "[]"),
@@ -76,7 +75,6 @@ class RunConfig:
     nt: int = 96
     r_max: float = 40.0
     r_min: float | None = None
-    q: float | None = None
     eps_list: list = dfield(default_factory=lambda: [1e-2, 1e-3, 1e-4, 1e-5, 1e-6])
     k_list: list = dfield(default_factory=lambda: [2.0, 4.0, 8.0, 16.0])
     alpha_decades: int = 4
@@ -105,21 +103,16 @@ class RunConfig:
             raise ConfigError("the quadrant variant is two-dimensional: set n = 2")
         for key, bound in BOUNDS.items():
             v = getattr(self, key)
-            if v is not None:       # q unset
-                for x in (v if isinstance(v, list) else [v]):
-                    require(key, x, *bound)
+            for x in (v if isinstance(v, list) else [v]):
+                require(key, x, *bound)
         if self.nr * self.nt > MAX_CELLS:
             raise ConfigError(f"grid nr = {self.nr}, nt = {self.nt} has {self.nr * self.nt} "
                               f"cells, above the cap of {MAX_CELLS} (verify-all holds "
                               "about 1.1 KiB per cell)")
-        if self.r_min is not None and not 0 < self.r_min < self.r_max:
-            raise ConfigError("r_min must lie in (0, r_max)")
-        if self.q is not None and self.r_min is not None:
-            raise ConfigError("set r_min or q, not both: q fixes the innermost "
-                              "radius r_max q^(nr-1)")
-        if not self.r_inner >= 1e-100 * self.r_max:
-            raise ConfigError("the innermost radius (r_min, or r_max q^(nr-1)) must be "
-                              "at least 1e-100 r_max, where cell measures stay positive")
+        if self.r_min is not None:     # 1e-100 r_max underflows below r_max = 2.5e-224
+            require("r_min", self.r_min, 1e-100 * self.r_max or math.ulp(0.0),
+                    self.r_max, "[)", "from 1e-100 r_max, where cell measures stay "
+                    "positive, to r_max")
         if not all(eps ** (1.0 / k) < 1 for eps in self.eps_list for k in self.k_list):
             raise ConfigError("every k in k_list must keep the corrector radius "
                               "eps^(1/k) below 1 for each eps in eps_list")
@@ -130,24 +123,12 @@ class RunConfig:
             raise ConfigError(f"t_lo and t_hi must satisfy t_lo < t_hi, got "
                               f"t_lo = {self.t_lo}, t_hi = {self.t_hi}")
 
-    @property
-    def r_inner(self) -> float:
-        """The innermost radius of the configured grid: r_min, r_max q^(nr-1),
-        or by default 1e-12 r_max."""
-        return (self.r_max * self.q ** (self.nr - 1) if self.q is not None
-                else self.r_min or 1e-12 * self.r_max)
-
-    @property
-    def inner_key(self) -> str:
-        """The config key that sets the innermost radius."""
-        return "q" if self.q is not None else "r_min"
-
     def domain(self) -> ConeDomain:
         return ConeDomain(self.n, self.omega, self.variant)
 
     def grid(self) -> PolarGrid:
         return PolarGrid.cone(self.domain(), nr=self.nr, nt=self.nt,
-                              r_max=self.r_max, r_min=self.r_min, q=self.q)
+                              r_max=self.r_max, r_min=self.r_min)
 
 
 def load_config(path: str | None) -> RunConfig:

@@ -42,6 +42,11 @@ _LOOKAHEAD = 4096
 # samples keeps that sum below DBL_MAX = 1.8e308 (sqrt(1.8e308 / 9e6) = 4.5e150).
 MAX_SAMPLE = 1e150
 
+# The exact set properties of a decomposition, as flags of the `verify` report:
+# `cz` exits 1 and cz-prop41 fails unless each holds at every level.
+SET_PROPERTIES = ("underline_disjoint", "plain_cover_exact",
+                  "overline_meets_complement", "type2_geometry_ok")
+
 
 class DegenerateLevelError(ValueError):
     """The level is too small for the truncated grid: U is the whole sheet."""
@@ -100,7 +105,6 @@ class CZResult:
     field: Field
     half: str
     params: CZParams
-    maximal: np.ndarray
     level_set: np.ndarray
     dist: np.ndarray
     balls: WhitneyCover
@@ -280,7 +284,7 @@ def decompose(f: Field, params: CZParams, half: str = "plus") -> CZResult:
     bad = np.bincount(cell, b, U.size).reshape(U.shape)
     chi_sum = np.bincount(cell, chi, U.size).reshape(U.shape)
     cover = WhitneyCover(bk, bj, radius, type1, mean, ball, ring, col, chi, b)
-    return CZResult(f, half, params, M, U, d, cover, vals - bad, bad, chi_sum)
+    return CZResult(f, half, params, U, d, cover, vals - bad, bad, chi_sum)
 
 
 # -- verification ---------------------------------------------------------------

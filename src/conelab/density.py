@@ -96,10 +96,6 @@ def corrector_times_cutoff_norm(f: Field, eps: float, k: float, p: float) -> flo
     return power_sum_root(mag, w, p)
 
 
-def approximant(f: Field, eps: float, k: float | None = None) -> Field:
-    return vertex_cutoff(f, eps) if k is None else log_corrector(f, eps, k)
-
-
 def approximation_errors(f: Field, approx: Field, p: float) -> tuple[float, float]:
     diff = f - approx
     return lp_norm(diff, p), lp_norm(diff, p, "gradient")
@@ -118,7 +114,8 @@ def convergence_table(f: Field, p: float, mode: str, eps_list,
     for k in ks:
         prev = None
         for eps in eps_list:
-            a = approximant(f, eps, k if mode == "corrected" else None)
+            a = (log_corrector(f, eps, k) if mode == "corrected"
+                 else vertex_cutoff(f, eps))
             lp_err, grad_err = approximation_errors(f, a, p)
             trend = "start" if prev is None else (
                 "decreasing" if grad_err < prev * (1.0 - 1e-9) else "plateau")

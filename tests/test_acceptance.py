@@ -178,7 +178,8 @@ def test_checks_drop_their_fields_on_return(check_id):
     assert held <= field_bytes, f"{held / field_bytes:.1f} fields"
 
 
-@pytest.mark.parametrize("config", [{"r_min": 1e-3}, {"nr": 100, "q": 0.9},
+@pytest.mark.parametrize("config", [{"r_min": 1e-3},
+                                    {"nr": 100, "r_min": 40 * 0.9**99},
                                     {"nr": 220, "nt": 48, "r_min": 4e-8}])
 def test_fine_grid_refines_grid2(config):
     ctx = acceptance.AcceptanceContext(RunConfig(**config))

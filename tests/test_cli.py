@@ -2,21 +2,28 @@ import csv
 import json
 import math
 import os
+import re
 import tracemalloc
+from dataclasses import fields
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conelab import extension
+from conelab import czd, extension
 from conelab.cli import main
 from conelab.config import (BOUNDS, MAX_CELLS, MAX_DECADES, MAX_R, ConfigError,
                             RunConfig, load_config)
+from conelab.geometry import ConeDomain
 from conelab.grids import PolarGrid
 from conelab.report import write_csv, write_json
 
 SMALL = {"nr": 220, "nt": 48, "r_min": 4e-8, "alpha_decades": 2,
          "alpha_points": 3, "t_points": 3, "eps_list": [1e-2, 1e-3],
          "k_list": [2, 4], "p_list": [1.0, 1.5]}
+README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+# r_min's interval at the default r_max, as RunConfig writes it out
+R_MIN_BOUND = (1e-100 * RunConfig.r_max, RunConfig.r_max, "[)")
 
 
 @pytest.fixture()
@@ -51,9 +58,25 @@ class TestConfig:
 
     def test_override(self, tmp_path):
         p = tmp_path / "c.json"
-        p.write_text(json.dumps({"q": 0.95, "nr": 100}))
-        cfg = load_config(str(p))
-        assert cfg.grid().q == pytest.approx(0.95)
+        p.write_text(json.dumps({"r_min": 1e-3, "nr": 100}))
+        grid = load_config(str(p)).grid()
+        assert grid.nr == 100 and grid.r_min == pytest.approx(1e-3)
+
+    def test_readme_names_every_key(self):
+        # the sentence "Keys mirror `conelab.config.RunConfig`: ..." lists
+        # each field once, and nothing else
+        with open(README) as fh:
+            sentence = re.search(r"Keys mirror `conelab\.config\.RunConfig`:(.*?)\.",
+                                 fh.read(), re.S).group(1)
+        names = re.findall(r"`(\w+)`", sentence)
+        assert sorted(names) == sorted(f.name for f in fields(RunConfig))
+
+    def test_q_migration_keeps_the_radii(self):
+        # README: a {"q": q} config becomes {"r_min": r_max * q**(nr - 1)}
+        old = PolarGrid.cone(ConeDomain(2), nr=100, r_max=40.0, q=0.9)
+        new = RunConfig(nr=100, r_min=40.0 * 0.9 ** (100 - 1)).grid()
+        assert np.array_equal(new.r, old.r)
+        assert np.array_equal(new.r_edges, old.r_edges)
 
     def test_invalid_omega_rejected(self, tmp_path):
         p = tmp_path / "c.json"
@@ -72,13 +95,13 @@ class TestConfig:
 
     @pytest.mark.parametrize("data", [{"r_max": -1}, {"r_min": 100},
                                       {"p_list": [0.5]}, {"alpha_points": 1},
-                                      {"q": 1.5}, {"q": -0.5}, {"q": 1.0},
+                                      {"r_min": 40.0}, {"r_min": -0.5}, {"r_min": 0},
                                       {"eps_list": [2.0]}, {"eps_list": [-0.1]},
                                       {"k_list": [0]}, {"k_list": [2, 0.5]},
                                       {"p_list": ["abc"]}, {"p_list": 5},
                                       {"p_list": [None]}, {"nt": 12.5},
                                       {"alpha_points": 2.5}, {"t_points": 7.0},
-                                      {"q": 1e-200}, {"r_min": 1e-120},
+                                      {"r_min": 1e-200}, {"r_min": 1e-120},
                                       {"n": 3, "variant": "quadrant",
                                        "nr": 20, "nt": 8},
                                       {"alpha_decades": "x"},
@@ -86,7 +109,9 @@ class TestConfig:
                                       {"alpha_decades": 2.5},
                                       {"alpha_decades": True}, {"n": 0},
                                       {"k_list": [math.inf]}, {"k_list": [1e17]},
-                                      {"p_list": [1, 3, 1.0]}])
+                                      {"p_list": [1, 3, 1.0]},
+                                      # where 1e-100 r_max underflows to 0
+                                      {"r_min": 0, "r_max": 1e-300}])
     def test_out_of_range_exits_2(self, tmp_path, capsys, data):
         p = tmp_path / "c.json"
         p.write_text(json.dumps(data))
@@ -125,7 +150,8 @@ class TestConfig:
         assert not out.exists()
 
     @pytest.mark.parametrize("key,value", [
-        (key, value) for key, (lo, hi, ends, *_) in BOUNDS.items()
+        (key, value) for key, (lo, hi, ends, *_) in [*BOUNDS.items(),
+                                                     ("r_min", R_MIN_BOUND)]
         for value in _past_ends(lo, hi, ends, isinstance(lo, int))],
         ids=lambda v: str(v))
     def test_just_past_each_bound_exits_2(self, tmp_path, capsys, key, value):
@@ -145,13 +171,14 @@ class TestConfig:
     def test_grid_at_the_cap_is_admitted(self):
         assert RunConfig(nr=MAX_CELLS // 1000, nt=1000).nr * 1000 == MAX_CELLS
 
-    def test_q_with_r_min_exits_2(self, tmp_path, capsys):
+    def test_q_is_an_unknown_key_exits_2(self, tmp_path, capsys):
+        # r_min is the one key for the innermost radius
         p = tmp_path / "c.json"
-        p.write_text(json.dumps({"nr": 20, "nt": 8, "q": 0.5, "r_min": 1e-3}))
+        p.write_text(json.dumps({"nr": 100, "q": 0.9}))
         out = tmp_path / "o"
         assert main(["--config", str(p), "--out", str(out), "norm"]) == 2
         err = capsys.readouterr().err.strip().splitlines()
-        assert len(err) == 1 and "r_min" in err[0] and "q" in err[0]
+        assert err == ["configuration error: unknown config keys: ['q']"]
         assert not out.exists()
 
     def test_missing_file(self):
@@ -185,15 +212,14 @@ class TestCommands:
                                          ["extend"]])
     def test_shallow_grid_exits_2(self, tmp_path, capsys, command):
         # the refusal names the key that sets the inner radius
-        for key, value in (("r_min", 0.1), ("q", 0.7)):
-            cfgp = tmp_path / f"{key}.json"
-            cfgp.write_text(json.dumps({"nr": 20, "nt": 8, key: value}))
-            out = tmp_path / f"o_{key}"
-            assert main(["--config", str(cfgp), "--out", str(out)] + command) == 2
-            err = capsys.readouterr().err.strip().splitlines()
-            assert len(err) == 1 and err[0].endswith(f"lower {key}")
-            assert command[0] == "extend" or "eps_list" in err[0]
-            assert not out.exists()
+        cfgp = tmp_path / "c.json"
+        cfgp.write_text(json.dumps({"nr": 20, "nt": 8, "r_min": 0.1}))
+        out = tmp_path / "o"
+        assert main(["--config", str(cfgp), "--out", str(out)] + command) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].endswith("lower r_min")
+        assert command[0] == "extend" or "eps_list" in err[0]
+        assert not out.exists()
 
     # traced peak of a command at SMALL, in fields of its 220 x 48 grid: the
     # extension suites and the radial suite hold one member at a time
@@ -261,6 +287,14 @@ class TestCommands:
         assert covers
         head = (out / covers[0]).read_text().splitlines()[0]
         assert head == "x_r,x_theta,r_i,type"
+
+    @pytest.mark.parametrize("prop", czd.SET_PROPERTIES)
+    def test_cz_exits_1_when_a_set_property_fails(self, tmp_path, small_config,
+                                                 monkeypatch, prop):
+        real = czd.verify
+        monkeypatch.setattr(czd, "verify", lambda res: {**real(res), prop: False})
+        assert main(["--config", small_config, "--out", str(tmp_path / "o"),
+                     "cz"]) == 1
 
     @pytest.mark.parametrize("field", ["angular_bump", "radial_power", "radial_exp"])
     def test_cz_sweep_below_maximal_minimum_exits_2(self, tmp_path, capsys, field):
@@ -441,7 +475,7 @@ class TestCommands:
     @pytest.mark.parametrize("data,key,rule", [
         ({"r_min": 1e-3}, "r_min", "membership gate"),
         ({"r_min": 1e-5}, "r_min", "density-approx"),
-        ({"q": 0.9, "nr": 100}, "q", "membership gate")])
+        ({"r_min": 40 * 0.9**99, "nr": 100}, "r_min", "membership gate")])
     def test_verify_all_refuses_shallow_grid(self, tmp_path, capsys, data, key,
                                              rule):
         # refused before any check runs, naming the key that sets the
@@ -532,16 +566,14 @@ class TestCommands:
 
     @pytest.mark.parametrize("command", ["kfunc", "cz"])
     def test_vanishing_field_exits_2(self, tmp_path, capsys, command):
-        # logcounter lives in r < 1/2: on [0.5, 40] (r_min) and on [33, 40]
-        # (q) it is the zero field
-        for key, value in (("r_min", 0.5), ("q", 0.99)):
-            cfgp = tmp_path / f"{key}.json"
-            cfgp.write_text(json.dumps({"nr": 20, "nt": 8, key: value}))
-            out = tmp_path / f"o_{key}"
-            assert main(["--config", str(cfgp), "--out", str(out), command]) == 2
-            err = capsys.readouterr().err.strip().splitlines()
-            assert len(err) == 1 and err[0].endswith(f"lower {key}")
-            assert not out.exists()
+        # logcounter lives in r < 1/2: on [0.5, 40] it is the zero field
+        cfgp = tmp_path / "c.json"
+        cfgp.write_text(json.dumps({"nr": 20, "nt": 8, "r_min": 0.5}))
+        out = tmp_path / "o"
+        assert main(["--config", str(cfgp), "--out", str(out), command]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].endswith("lower r_min")
+        assert not out.exists()
 
 
 class TestReport:
@@ -574,8 +606,10 @@ SMALL_CONFIGS = st.fixed_dictionaries(
               "alpha_decades": st.integers(0, 8) | st.just(400),
               "t_lo": st.sampled_from([1e-6, 1e-3, 1.0]),
               "t_hi": st.sampled_from([1e-2, 1.0, 1e3, math.inf]),
-              "r_min": st.sampled_from([1e-12, 1e-6, 1e-3, 0.5, 40.0, -1.0]),
-              "q": _ranged,
+              # r_min's interval ends at the default r_max, and NaN
+              "r_min": st.sampled_from([1e-12, 1e-6, 1e-3, 0.5, 40.0, -1.0,
+                                        R_MIN_BOUND[0], math.nan,
+                                        math.nextafter(R_MIN_BOUND[0], 0.0)]),
               "p_list": st.lists(st.floats(0.5, 6.0) | st.just("inf"),
                                  max_size=3),
               "eps_list": st.lists(_ranged, max_size=3)})

@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
 
-from conelab.density import (ApproxParams, approximation_errors, approximant,
-                             chi_profile, convergence_table,
-                             corrector_times_cutoff_norm, eta_gradient_norm,
+from conelab.density import (ApproxParams, approximation_errors, chi_profile,
+                             convergence_table, corrector_times_cutoff_norm, eta_gradient_norm,
                              eta_profile, fit_decay_slope, log_corrector,
                              vertex_cutoff)
 from conelab.fieldlib import make_test_field
@@ -116,10 +115,14 @@ class TestTables:
         assert all("k" in r for r in rows)
 
     def test_approximant_dispatch(self, grid_small):
+        # plain rows read the vertex cutoff, corrected rows the log corrector
         f = make_test_field("lipschitz_compact", grid_small)
-        a = approximant(f, 0.01)
-        b = approximant(f, 0.01, 4.0)
-        assert not np.array_equal(a.values, b.values)
+        (plain,) = convergence_table(f, 2.0, "plain", [0.01])
+        (corrected,) = convergence_table(f, 2.0, "corrected", [0.01], [4.0])
+        for row, a in ((plain, vertex_cutoff(f, 0.01)),
+                       (corrected, log_corrector(f, 0.01, 4.0))):
+            assert (row["l_p_err"], row["grad_err"]) == approximation_errors(f, a, 2.0)
+        assert plain["grad_err"] != corrected["grad_err"]
 
 
 class TestObstruction:

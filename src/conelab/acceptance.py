@@ -40,10 +40,12 @@ JUMP_OBSTRUCTION_RATIO = 0.776
 # The vertex depth the checks read, refused up front by verify-all: the
 # membership gate's decades, and the smallest eps whose cutoff needs rings.
 # The reach too, at both ends of grid2 and grid3: the checks that divide by
-# the radial derivative of every suite_hardy field.
+# the radial derivative of every suite_hardy field.  And grid_deep's vertex
+# tail: the checks that fit a growth slope there.
 GATE_CHECKS = ("hhat-gate", "extension-roundtrip")
 CUTOFF_EPS = {"density-approx": 1e-6, "codim-obstruction": 1e-4}
 QUOTIENT_CHECKS = ("hardy-bound",)
+SLOPE_CHECKS = ("hardy-critical",)
 
 
 class AcceptanceContext:

@@ -18,12 +18,11 @@ import numpy as np
 
 from . import acceptance, czd, density, extension
 from .config import BOUNDS, ConfigError, RunConfig, load_config, require
-from .fieldlib import (QUADRANT_MEMBERS, hardy_suite_resolves, make_test_field,
-                       suite_cz, suite_extension_members, suite_fullplane,
-                       suite_hardy)
-from .fields import (GATE_DECADES, WEIGHTS, cap_mean, critical_sweep,
-                     decade_radii, hardy_rows, lp_norm, radial_split, samples,
-                     save_field)
+from .fieldlib import (QUADRANT_MEMBERS, make_test_field, suite_cz,
+                       suite_extension_members, suite_fullplane, suite_hardy)
+from .fields import (GATE_DECADES, SLOPE_INCREMENTS, WEIGHTS, cap_mean,
+                     critical_sweep, decade_radii, hardy_rows, lp_norm,
+                     radial_split, ringed_tail_decades, samples, save_field)
 from .geometry import ConeDomain
 from .grids import PolarGrid
 from .report import summary, write_csv, write_json
@@ -59,15 +58,10 @@ def cmd_norm(cfg: RunConfig, args) -> int:
 
 def cmd_hardy(cfg: RunConfig, args) -> int:
     p = args.p
-    require("--p", p, 1.0, cfg.n, "[)", "where the weighted bound holds")
+    require("--p", p, float, 1.0, cfg.n, "[)", "where the weighted bound holds")
     grid = cfg.grid()
-    if args.suite == "hardy":
-        _require_reach(grid, "hardy")
-    try:
-        rows = list(hardy_rows(_suite(args.suite, grid), p))
-    except ValueError as e:
-        _require_reach(grid, "hardy")
-        raise ConfigError(f"{e}; refine the grid (nr, r_min)") from e
+    _require_resolved(_suite(args.suite, grid), "hardy")
+    rows = list(hardy_rows(_suite(args.suite, grid), p))
     write_csv(os.path.join(cfg.out_dir, f"hardy_n{grid.n}_p{p:g}.csv"), rows,
               ["field", "p", "quotient", "bound", "ok"])
     return 0 if all(r["ok"] for r in rows) else 1
@@ -114,22 +108,28 @@ def _require_depth(grid, use: str, gate: bool, eps=None) -> None:
                       "lower r_min")
 
 
-def _require_reach(grid, use: str, key: str = "r_min") -> None:
-    """Refuse a grid on which a suite_hardy field has no radial derivative,
-    so that its Hardy quotient has no denominator: one that ends where the
-    jump field is still constant, naming r_max, or one that starts where the
-    logcounter and jump fields vanish, naming `key`, the config key that
-    sets the grid's inner radius (r_max for a grid pinned at 1e-12 r_max)."""
-    inner, outer = hardy_suite_resolves(grid)
-    if not outer:
-        raise ConfigError(f"r_max = {grid.r_max:.10g} ends inside the jump field's "
-                          f"plateau (constant out to r = 1/4), which then has no "
-                          f"radial derivative for {use}; raise r_max")
-    if not inner:
-        raise ConfigError(f"the innermost radius {grid.r_min:.3g} of the n = {grid.n} "
-                          f"grid is not below r = 1/2, where the logcounter and jump "
-                          f"fields vanish, which then have no radial derivative for "
-                          f"{use}; lower {key}")
+def _require_resolved(suite, use: str, key: str = "r_min") -> None:
+    """Refuse a grid on which a member of `suite` has no radial derivative
+    (no Hardy quotient): one it vanishes on from the innermost ring, naming
+    `key`, which sets that ring (r_max for a grid pinned at 1e-12 r_max), or
+    one over which it is constant, naming r_max."""
+    for f in suite:
+        if not f.values[:, 0].any():
+            raise ConfigError(f"{f.name} vanishes on the innermost radius "
+                              f"{f.grid.r_min:.10g} of the n = {f.grid.n} grid, so it "
+                              f"has no radial derivative for {use}; lower {key}")
+        if (f.values == f.values[:, :1]).all():
+            raise ConfigError(f"{f.name} is constant out to r_max = {f.grid.r_max:.10g}, "
+                              f"so it has no radial derivative for {use}; raise r_max")
+
+
+def _require_slope_fit(grid, use: str) -> None:
+    """Refuse a deep grid too coarse or too short for the growth-slope fit."""
+    if (k := ringed_tail_decades(grid)) < SLOPE_INCREMENTS:
+        raise ConfigError(f"nr = {grid.nr} rings from r = 1e-12 to r_max = {grid.r_max:g} "
+                          f"fall in {k} of the decades at or below 1e-4, fewer than the "
+                          f"{SLOPE_INCREMENTS} {use}'s growth-slope fit needs; raise nr, "
+                          f"or r_max if below 1e-7")
 
 
 def _require_nonzero(f) -> None:
@@ -153,7 +153,7 @@ def _require_bounded(f, flag: str) -> None:
 # cz's field parameters: flag -> the one field that reads it
 _CZ_PARAMS = {"beta": "logcounter", "a": "radial_power"}
 # the interval of a flag that only needs to be finite
-_FINITE = (-math.inf, math.inf, "()")
+_FINITE = (float, -math.inf, math.inf, "()")
 
 
 def cmd_cz(cfg: RunConfig, args) -> int:
@@ -247,7 +247,7 @@ def cmd_pierre(cfg: RunConfig, args) -> int:
 
 def cmd_density(cfg: RunConfig, args) -> int:
     p = args.p
-    require("--p", p, *BOUNDS["p_list"])
+    require("--p", p, float, *BOUNDS["p_list"][1:])
     grid = cfg.grid()
     _require_depth(grid, "density's eps_list", gate=False, eps=min(cfg.eps_list))
     f = _test_field(args, grid)
@@ -263,23 +263,17 @@ def cmd_density(cfg: RunConfig, args) -> int:
 
 def cmd_counterexample(cfg: RunConfig, args) -> int:
     require("--beta", args.beta, *_FINITE)
-    shallow = (f"r_max = {cfg.r_max:g} leaves too few decades above r_min = 1e-12 "
-               f"to fit the vertex tail; raise r_max")
-    if not cfg.r_max > 1e-12:
-        raise ConfigError(shallow)
     grid = acceptance.AcceptanceContext(cfg).grid_deep
-    beta = float(args.beta)
+    _require_slope_fit(grid, "counterexample")
     try:
-        _, (r_mins, P), out = next(critical_sweep(grid, (beta,)))
+        _, (r_mins, P), out = next(critical_sweep(grid, (args.beta,)))
     except OverflowError as e:
-        raise ConfigError(f"--beta = {beta:g}: {e}") from e
-    except ValueError as e:
-        raise ConfigError(f"{shallow} ({e})") from e
+        raise ConfigError(f"--beta = {args.beta:g}: {e}") from e
     rows = [{"r_min": float(r), "partial_weighted_sq": float(v)}
             for r, v in zip(r_mins, P)]
-    write_csv(os.path.join(cfg.out_dir, f"counterexample_b{beta:g}.csv"),
+    write_csv(os.path.join(cfg.out_dir, f"counterexample_b{args.beta:g}.csv"),
               rows, ["r_min", "partial_weighted_sq"])
-    write_json(os.path.join(cfg.out_dir, f"counterexample_b{beta:g}.json"), out)
+    write_json(os.path.join(cfg.out_dir, f"counterexample_b{args.beta:g}.json"), out)
     print(" ".join(f"{k}={v}" for k, v in out.items()))
     return 0
 
@@ -288,16 +282,17 @@ def cmd_verify_all(cfg: RunConfig, args) -> int:
     only = args.checks.split(",") if args.checks else None
     if unknown := set(only or ()) - set(acceptance.CHECKS):
         raise ConfigError(f"unknown checks: {sorted(unknown)}")
-    # refuse a grid shallower or shorter than the checks read before any of
-    # them runs, on the grids they will read
+    # refuse, before any check runs, a grid that a check cannot read
     ctx = acceptance.AcceptanceContext(cfg)
     for c in only or acceptance.CHECKS:
         _require_depth(ctx.grid2, c, gate=c in acceptance.GATE_CHECKS,
                        eps=acceptance.CUTOFF_EPS.get(c))
         if c in acceptance.QUOTIENT_CHECKS:
             # the n = 3 grid starts at 1e-12 r_max, whatever r_min says
-            _require_reach(ctx.grid3, c, "r_max")
-            _require_reach(ctx.grid2, c)
+            _require_resolved(suite_hardy(ctx.grid3), c, "r_max")
+            _require_resolved(suite_hardy(ctx.grid2), c)
+        if c in acceptance.SLOPE_CHECKS:
+            _require_slope_fit(ctx.grid_deep, c)
     results = []
     for res in acceptance.run_all(ctx, only):
         share, lim = res.closest()

@@ -10,7 +10,7 @@ import json
 import math
 import numbers
 import os
-from dataclasses import dataclass, field as dfield, fields
+from dataclasses import dataclass, field as dfield
 
 from .geometry import ConeDomain
 from .grids import PolarGrid
@@ -21,43 +21,69 @@ class ConfigError(ValueError):
 
 
 # Largest grid, nr * nt cells.  verify-all, the command that holds the most
-# per cell, peaked at 106.4-107.3 MiB resident at 600x96 (57,600 cells) and
-# at 292.7-300.4 MiB at 1200x192 (230,400 cells): about 1.1 KiB per cell
-# over a 44 MiB base, so a grid at the cap needs about 1.1 GiB.  Its
-# tracemalloc peaks, 50.0 and 191.6 MiB, do not move with allocator layout
-# as its resident peak does.  Next come kfunc (0.75-0.77 KiB per cell) and
-# extend (0.43).
+# per cell, needs about 1.1 KiB per cell over a 44 MiB base, so about 1.1 GiB
+# at the cap (README gives the peaks measured at 600x96 and 1200x192).
 MAX_CELLS = 1_000_000
 
 # Largest r_max: cell measures integrate r^(n-1) dr as differences of r^n,
 # which overflow a double (1.8e308) past r = 5.6e102 at n = 3.
 MAX_R = 1e100
+# Smallest r_min: r^n (n <= 3) stays a positive normal double, so no cell
+# measure vanishes.  Smallest r_max: its default r_min, 1e-12 r_max, meets it.
+MIN_R = 1e-100
+MIN_R_MAX = 1e-88
 # Largest alpha_decades: the cz sweep's lowest level is 10^-alpha_decades
 # times its highest, and normal doubles reach down to 2.2e-308.
 MAX_DECADES = 308
 
-# Each numeric key's interval, (lo, hi, ends[, why]) as `require` reads it;
-# a list's interval holds for each entry.  RunConfig states the rules that
-# tie keys together.
+# Each key's row: its type, then its interval (lo, hi, ends[, why]), its
+# choices, or nothing, as `require` reads them; for a list type, [float],
+# each entry's.  RunConfig states the rules that tie keys together.
 BOUNDS = {
-    "omega": (0.0, math.pi / 2, "()"),
-    "nr": (3, math.inf, "[)"),
-    "nt": (3, math.inf, "[)"),
-    "r_max": (0.0, MAX_R, "(]", "where cell measures (r^n, n <= 3) stay finite"),
-    "eps_list": (0.0, 1.0, "()"),
-    "k_list": (1.0, math.inf, "[]"),
-    "p_list": (1.0, math.inf, "[]"),
-    "alpha_decades": (0, MAX_DECADES, "[]", "the decades a double spans below 1"),
-    "alpha_points": (2, math.inf, "[)"),
-    "t_points": (2, math.inf, "[)"),
-    "t_lo": (0.0, math.inf, "()"),
-    "t_hi": (0.0, math.inf, "()"),
+    "n": (int, 2, 3, "[]"),
+    "omega": (float, 0.0, math.pi / 2, "()"),
+    "variant": (str, ("double", "quadrant")),
+    "nr": (int, 3, math.inf, "[)"),
+    "nt": (int, 3, math.inf, "[)"),
+    "r_max": (float, MIN_R_MAX, MAX_R, "[]", "where cell measures stay finite, "
+              "and positive at the default r_min, 1e-12 r_max"),
+    "r_min": (float, MIN_R, MAX_R, "[)", "where cell measures stay positive"),
+    "eps_list": ([float], 0.0, 1.0, "()"),
+    "k_list": ([float], 1.0, math.inf, "[]"),
+    "alpha_decades": (int, 0, MAX_DECADES, "[]", "the decades a double spans below 1"),
+    "alpha_points": (int, 2, math.inf, "[)"),
+    "t_lo": (float, 0.0, math.inf, "()"),
+    "t_hi": (float, 0.0, math.inf, "()"),
+    "t_points": (int, 2, math.inf, "[)"),
+    "p_list": ([float], 1.0, math.inf, "[]"),
+    "out_dir": (str,),
 }
 
+# what each row type admits (a bool is never a number), and its name
+_KINDS = {int: (numbers.Integral, "an integer"), float: (numbers.Real, "a number"),
+          str: (str, "a string")}
 
-def require(key: str, v, lo, hi, ends: str, why: str = "") -> None:
-    """Refuse v outside the interval from lo to hi, each end closed ("[", "]")
-    or open ("(", ")") as `ends` says, in one line naming `key`."""
+
+def require(key: str, v, kind, *rule) -> None:
+    """Refuse v, in one line naming `key`, unless it is of type `kind` and
+    the rule admits it: an interval (lo, hi, ends[, why]), each end closed
+    ("[", "]") or open ("(", ")") as `ends` says, or a tuple of choices.
+    A list type, [float], asks for a nonempty list of such entries."""
+    if isinstance(kind, list):
+        if not (isinstance(v, list) and v):
+            raise ConfigError(f"{key} must be a nonempty list, got {v!r}")
+        for x in v:
+            require(key, x, kind[0], *rule)
+        return
+    abc, name = _KINDS[kind]
+    if not isinstance(v, abc) or isinstance(v, bool):
+        raise ConfigError(f"{key} must be {name}, got {v!r}")
+    if len(rule) == 1 and v not in rule[0]:
+        raise ConfigError(f"{key} must be one of {', '.join(map(repr, rule[0]))}, "
+                          f"got {v!r}")
+    if len(rule) < 3:
+        return
+    lo, hi, ends, why = (*rule, "")[:4]
     if ((lo <= v if ends[0] == "[" else lo < v)
             and (v <= hi if ends[1] == "]" else v < hi)):
         return
@@ -74,7 +100,7 @@ class RunConfig:
     nr: int = 600
     nt: int = 96
     r_max: float = 40.0
-    r_min: float | None = None
+    r_min: float | None = None      # None: 1e-12 r_max
     eps_list: list = dfield(default_factory=lambda: [1e-2, 1e-3, 1e-4, 1e-5, 1e-6])
     k_list: list = dfield(default_factory=lambda: [2.0, 4.0, 8.0, 16.0])
     alpha_decades: int = 4
@@ -86,33 +112,18 @@ class RunConfig:
     out_dir: str = "out"
 
     def __post_init__(self):
-        for name in ("nr", "nt", "alpha_decades", "alpha_points", "t_points"):
-            v = getattr(self, name)
-            if not isinstance(v, numbers.Integral) or isinstance(v, bool):
-                raise ConfigError(f"{name} must be an integer")
-        for name in ("eps_list", "k_list", "p_list"):
-            v = getattr(self, name)
-            if not isinstance(v, list) or not v or not all(
-                    isinstance(x, numbers.Real) and not isinstance(x, bool) for x in v):
-                raise ConfigError(f"{name} must be a nonempty list of numbers")
-        if self.n not in (2, 3):
-            raise ConfigError("n must be 2 or 3")
-        if self.variant not in ("double", "quadrant"):
-            raise ConfigError(f"unknown variant {self.variant!r}")
+        for key, row in BOUNDS.items():
+            if not (key == "r_min" and self.r_min is None):
+                require(key, getattr(self, key), *row)
         if self.variant == "quadrant" and self.n != 2:
             raise ConfigError("the quadrant variant is two-dimensional: set n = 2")
-        for key, bound in BOUNDS.items():
-            v = getattr(self, key)
-            for x in (v if isinstance(v, list) else [v]):
-                require(key, x, *bound)
         if self.nr * self.nt > MAX_CELLS:
             raise ConfigError(f"grid nr = {self.nr}, nt = {self.nt} has {self.nr * self.nt} "
                               f"cells, above the cap of {MAX_CELLS} (verify-all holds "
                               "about 1.1 KiB per cell)")
-        if self.r_min is not None:     # 1e-100 r_max underflows below r_max = 2.5e-224
-            require("r_min", self.r_min, 1e-100 * self.r_max or math.ulp(0.0),
-                    self.r_max, "[)", "from 1e-100 r_max, where cell measures stay "
-                    "positive, to r_max")
+        if self.r_min is not None and not self.r_min < self.r_max:
+            raise ConfigError(f"r_min must lie below r_max = {self.r_max:g}, "
+                              f"got {self.r_min}")
         if not all(eps ** (1.0 / k) < 1 for eps in self.eps_list for k in self.k_list):
             raise ConfigError("every k in k_list must keep the corrector radius "
                               "eps^(1/k) below 1 for each eps in eps_list")
@@ -123,12 +134,9 @@ class RunConfig:
             raise ConfigError(f"t_lo and t_hi must satisfy t_lo < t_hi, got "
                               f"t_lo = {self.t_lo}, t_hi = {self.t_hi}")
 
-    def domain(self) -> ConeDomain:
-        return ConeDomain(self.n, self.omega, self.variant)
-
     def grid(self) -> PolarGrid:
-        return PolarGrid.cone(self.domain(), nr=self.nr, nt=self.nt,
-                              r_max=self.r_max, r_min=self.r_min)
+        return PolarGrid.cone(ConeDomain(self.n, self.omega, self.variant), nr=self.nr,
+                              nt=self.nt, r_max=self.r_max, r_min=self.r_min)
 
 
 def load_config(path: str | None) -> RunConfig:
@@ -147,13 +155,9 @@ def load_config(path: str | None) -> RunConfig:
         raise ConfigError(f"config is not valid JSON: {e}") from e
     if not isinstance(data, dict):
         raise ConfigError("config must be a JSON object")
-    unknown = set(data) - {f.name for f in fields(RunConfig)}
-    if unknown:
+    if unknown := set(data) - set(BOUNDS):
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
     if isinstance(data.get("p_list"), list):
         data["p_list"] = [float("inf") if p in ("inf", "Infinity") else p
                           for p in data["p_list"]]
-    try:
-        return RunConfig(**data)
-    except TypeError as e:
-        raise ConfigError(str(e)) from e
+    return RunConfig(**data)

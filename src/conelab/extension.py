@@ -176,20 +176,6 @@ def _pierre(f: Field, full_grid: PolarGrid) -> Field:
     ax_m = grid.domain.axis_angle("minus")    # -3*pi/4
     sp, sm = f.sheet("plus"), f.sheet("minus")
 
-    t_p = _wrap_angle(phi - ax_p)
-    in_p = np.abs(t_p) < grid.domain.omega
-    vals[:, in_p] = _interp_clamped(grid.theta, sp, t_p[in_p])
-    t_m = _wrap_angle(phi - ax_m)
-    in_m = np.abs(t_m) < grid.domain.omega
-    vals[:, in_m] = _interp_clamped(grid.theta, sm, t_m[in_m])
-
-    off = ~(in_p | in_m)
-    po = phi[off]
-    w_x = np.cos(po) ** 2
-    w_y = np.sin(po) ** 2
-    refl_y = _wrap_angle(-po)            # (x, -y)
-    refl_x = _wrap_angle(math.pi - po)   # (-x, y)
-
     def sample(angles):
         out = np.zeros((grid.nr, len(angles)))
         tp = _wrap_angle(angles - ax_p)
@@ -200,6 +186,14 @@ def _pierre(f: Field, full_grid: PolarGrid) -> Field:
         out[:, mm] = _interp_clamped(grid.theta, sm, tm[mm])
         return out
 
+    off = ~((np.abs(_wrap_angle(phi - ax_p)) < grid.domain.omega)
+            | (np.abs(_wrap_angle(phi - ax_m)) < grid.domain.omega))
+    vals[:, ~off] = sample(phi[~off])
+    po = phi[off]
+    w_x = np.cos(po) ** 2
+    w_y = np.sin(po) ** 2
+    refl_y = _wrap_angle(-po)            # (x, -y)
+    refl_x = _wrap_angle(math.pi - po)   # (-x, y)
     vals[:, off] = w_x[None, :] * sample(refl_y) + w_y[None, :] * sample(refl_x)
     return Field(full_grid, vals[None], name=f"pierre({f.name})")
 

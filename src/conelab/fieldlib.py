@@ -31,15 +31,6 @@ def _radial_cut(r):
     return plateau(r, *_LOG_PLATEAU)
 
 
-def hardy_suite_resolves(grid: PolarGrid) -> tuple[bool, bool]:
-    """Whether every suite_hardy field has a radial derivative on the grid,
-    at its inner and at its outer end: logcounter and jump vanish from
-    r = 1/2 on, so r_min must lie below 1/2, and jump is constant while its
-    cutoff is 1, out to r = 1/4, so r_max must reach past the point where
-    the cutoff falls below 1."""
-    return bool(_radial_cut(grid.r_min) > 0.0), bool(_radial_cut(grid.r_max) < 1.0)
-
-
 def make_test_field(name: str, grid: PolarGrid, **params) -> Field:
     """Construct a named test field on the given grid."""
     if name == "logcounter":

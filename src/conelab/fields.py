@@ -351,6 +351,19 @@ def critical_sweep(grid: PolarGrid, betas):
         yield f, (r_mins, P), out
 
 
+# the growth-slope fit: the vertex tail of a decade table that it reads, and
+# the growing increments that it needs there
+SLOPE_TAIL, SLOPE_INCREMENTS = 1e-4 * (1 + 1e-9), 3
+
+
+def ringed_tail_decades(grid: PolarGrid) -> int:
+    """The decades of grid's vertex tail that hold a ring: where the decade
+    table of a field positive there grows, so the increments the fit sees."""
+    r_mins = decade_radii(grid)
+    tail = r_mins[r_mins <= SLOPE_TAIL]
+    return int(np.count_nonzero(np.diff(np.searchsorted(grid.r, tail))))
+
+
 def log_log_increment_slope(r_mins: np.ndarray, P: np.ndarray) -> float:
     """Growth exponent s of P(r_min) ~ A + B|ln r_min|^s via increments,
     fitted over the vertex tail r_min <= 1e-4 of the table.
@@ -358,13 +371,13 @@ def log_log_increment_slope(r_mins: np.ndarray, P: np.ndarray) -> float:
     Regressing ln(P(u_{k+1}) - P(u_k)) on ln u removes the additive constant A
     that biases a direct log-log fit; the slope is s - 1.
     """
-    tail = r_mins <= 1e-4 * (1 + 1e-9)
+    tail = r_mins <= SLOPE_TAIL
     u = np.abs(np.log(r_mins[tail]))
     dP = np.diff(P[tail])
     du = np.diff(u)
     um = 0.5 * (u[1:] + u[:-1])
     good = dP > 0
-    if good.sum() < 3:
+    if good.sum() < SLOPE_INCREMENTS:
         raise ValueError("not enough growing increments to fit")
     x = np.log(um[good])
     y = np.log(dP[good] / du[good])

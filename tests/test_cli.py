@@ -4,6 +4,7 @@ import math
 import os
 import re
 import tracemalloc
+import warnings
 from dataclasses import fields
 
 import numpy as np
@@ -22,8 +23,6 @@ SMALL = {"nr": 220, "nt": 48, "r_min": 4e-8, "alpha_decades": 2,
          "alpha_points": 3, "t_points": 3, "eps_list": [1e-2, 1e-3],
          "k_list": [2, 4], "p_list": [1.0, 1.5]}
 README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
-# r_min's interval at the default r_max, as RunConfig writes it out
-R_MIN_BOUND = (1e-100 * RunConfig.r_max, RunConfig.r_max, "[)")
 
 
 @pytest.fixture()
@@ -61,6 +60,9 @@ class TestConfig:
         p.write_text(json.dumps({"r_min": 1e-3, "nr": 100}))
         grid = load_config(str(p)).grid()
         assert grid.nr == 100 and grid.r_min == pytest.approx(1e-3)
+
+    def test_bounds_hold_one_row_per_key(self):
+        assert list(BOUNDS) == [f.name for f in fields(RunConfig)]
 
     def test_readme_names_every_key(self):
         # the sentence "Keys mirror `conelab.config.RunConfig`: ..." lists
@@ -110,7 +112,8 @@ class TestConfig:
                                       {"alpha_decades": True}, {"n": 0},
                                       {"k_list": [math.inf]}, {"k_list": [1e17]},
                                       {"p_list": [1, 3, 1.0]},
-                                      # where 1e-100 r_max underflows to 0
+                                      # both below their floors: r_max's
+                                      # line, read first, names r_min too
                                       {"r_min": 0, "r_max": 1e-300}])
     def test_out_of_range_exits_2(self, tmp_path, capsys, data):
         p = tmp_path / "c.json"
@@ -150,13 +153,25 @@ class TestConfig:
         assert not out.exists()
 
     @pytest.mark.parametrize("key,value", [
-        (key, value) for key, (lo, hi, ends, *_) in [*BOUNDS.items(),
-                                                     ("r_min", R_MIN_BOUND)]
-        for value in _past_ends(lo, hi, ends, isinstance(lo, int))],
+        (key, value) for key, (kind, *rule) in BOUNDS.items() if len(rule) > 2
+        for value in _past_ends(*rule[:3], kind is int)]
+        + [("r_min", RunConfig.r_max)],     # r_min's end at r_max, a cross-key rule
         ids=lambda v: str(v))
     def test_just_past_each_bound_exits_2(self, tmp_path, capsys, key, value):
+        self._refused(tmp_path, capsys, key, value)
+
+    @pytest.mark.parametrize("key,value", [
+        (key, value) for key, (kind, *_) in BOUNDS.items()
+        for value in ((5,) if kind is str else ("1", True))],
+        ids=lambda v: str(v))
+    def test_wrong_type_exits_2(self, tmp_path, capsys, key, value):
+        # a bool is never a number, nor a number a string
+        self._refused(tmp_path, capsys, key, value)
+
+    @staticmethod
+    def _refused(tmp_path, capsys, key, value):
         p = tmp_path / "c.json"
-        entry = [value] if key.endswith("_list") else value
+        entry = [value] if isinstance(BOUNDS[key][0], list) else value
         p.write_text(json.dumps({"nr": 20, "nt": 8, key: entry}))
         out = tmp_path / "o"
         assert main(["--config", str(p), "--out", str(out), "norm"]) == 2
@@ -423,6 +438,21 @@ class TestCommands:
         assert len(err) == 1 and "r_max" in err[0]
         assert not out.exists()
 
+    @pytest.mark.parametrize("r_max", [1e-8, 1e100])
+    @pytest.mark.parametrize("command", [["verify-all", "--checks", "hardy-critical"],
+                                         ["counterexample"]], ids=lambda c: c[0])
+    def test_deep_grid_too_coarse_for_the_slope_fit_exits_2(self, tmp_path, capsys,
+                                                            r_max, command):
+        # 40 rings from 1e-12 leave fewer than 3 decades at or below 1e-4
+        # holding a ring: too few decades there (1e-8), or too few rings (1e100)
+        cfgp = tmp_path / "c.json"
+        cfgp.write_text(json.dumps({"r_max": r_max, "nr": 40, "nt": 8}))
+        out = tmp_path / "o"
+        assert main(["--config", str(cfgp), "--out", str(out)] + command) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and "r_max" in err[0] and "nr" in err[0]
+        assert not out.exists()
+
     def test_extend_and_restrict(self, tmp_path, small_config):
         out = tmp_path / "new" / "out"      # --dump-fields creates it
         assert main(["--config", small_config, "--out", str(out),
@@ -525,6 +555,47 @@ class TestCommands:
         assert len(err) == 1 and err[0].endswith("lower r_min")
         assert not out.exists()
 
+    @pytest.mark.parametrize("suite,config,ending", [
+        ("nope", {"nr": 20, "nt": 8}, "unknown suite 'nope'"),
+        # logcounter's cutoff rounds to 0 at the innermost ring: its
+        # quotient would be one of rounding noise
+        ("cz", {"r_min": 0.4999999, "r_max": 0.5, "nr": 3, "nt": 8}, "lower r_min"),
+        # e^-r underflows to 0 on every ring
+        ("radial", {"r_min": 1000, "r_max": 2000, "nr": 10, "nt": 8}, "lower r_min")])
+    def test_hardy_refuses_each_suite_up_front(self, tmp_path, capsys, suite, config,
+                                               ending):
+        cfgp = tmp_path / "c.json"
+        cfgp.write_text(json.dumps(config))
+        out = tmp_path / "o"
+        assert main(["--config", str(cfgp), "--out", str(out),
+                     "hardy", "--suite", suite]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].endswith(ending)
+        assert suite != "radial" or not re.search("logcounter|jump", err[0])
+        assert not out.exists()
+
+    def test_hardy_radial_suite_past_r_one_half(self, tmp_path):
+        # the radial suite holds no field that vanishes from r = 1/2 on
+        cfgp = tmp_path / "c.json"
+        cfgp.write_text(json.dumps({"r_min": 0.6, "nr": 10, "nt": 8}))
+        assert main(["--config", str(cfgp), "--out", str(tmp_path / "o"),
+                     "hardy", "--suite", "radial"]) == 0
+
+    @pytest.mark.parametrize("r_min", [1e-100, 1e-5])
+    def test_corners_of_the_inner_radius_floor_run_cleanly(self, tmp_path, r_min):
+        # r_min at its floor, and far below r_max at r_max's ceiling: every
+        # command ends in 0, 1 or 2, with no warning and no NaN in any file
+        config = {"r_max": MAX_R, "r_min": r_min, "nr": 40, "nt": 8}
+        RunConfig(**config)     # admitted
+        cfgp = tmp_path / "c.json"
+        cfgp.write_text(json.dumps(config))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _run_every_command(cfgp, tmp_path / "out", [
+                ["norm"], ["split"], ["hardy"], ["hardy", "--suite", "cz"], ["density"],
+                ["density", "--mode", "corrected"], ["counterexample"], ["pierre"],
+                ["restrict"], ["extend"], ["kfunc"], ["cz"], ["verify-all"]])
+
     def test_verify_all_builds_each_grid_once(self, tmp_path, small_config,
                                               monkeypatch):
         # the up-front refusals read the grids the checks read: hardy-bound's
@@ -597,19 +668,36 @@ class TestReport:
         assert path.read_text() == "a,b\ninf,refused\n"
 
 
+def _run_every_command(cfgp, out, commands):
+    """No traceback, an exit code of 0, 1 or 2, and no NaN in any CSV or JSON."""
+    for command in commands:
+        assert main(["--config", str(cfgp), "--out", str(out)] + command) in (0, 1, 2)
+    for csv in (out.glob("*.csv") if out.exists() else []):
+        cells = csv.read_text().replace("\n", ",").split(",")
+        assert "nan" not in cells, csv.name
+
+    for js in (out.glob("*.json") if out.exists() else []):
+        def no_nan(constant):
+            assert constant != "NaN", js.name
+            return float(constant)
+        json.loads(js.read_text(), parse_constant=no_nan)
+
+
 _ranged = st.floats(-0.5, 1.5)
 SMALL_CONFIGS = st.fixed_dictionaries(
     {"nr": st.integers(3, 40), "nt": st.integers(3, 16),
      "alpha_points": st.integers(2, 3), "t_points": st.integers(2, 3)},
     optional={"r_max": st.sampled_from([40.0, 1.0, 1e-4, 1e-10, 2e-12, 1e-12,
-                                        math.inf]),
+                                        MAX_R, math.inf, "40"]),
               "alpha_decades": st.integers(0, 8) | st.just(400),
-              "t_lo": st.sampled_from([1e-6, 1e-3, 1.0]),
+              "t_lo": st.sampled_from([1e-6, 1e-3, 1.0, "1"]),
               "t_hi": st.sampled_from([1e-2, 1.0, 1e3, math.inf]),
-              # r_min's interval ends at the default r_max, and NaN
+              # r_min's floor, just past it, and NaN
               "r_min": st.sampled_from([1e-12, 1e-6, 1e-3, 0.5, 40.0, -1.0,
-                                        R_MIN_BOUND[0], math.nan,
-                                        math.nextafter(R_MIN_BOUND[0], 0.0)]),
+                                        BOUNDS["r_min"][1], math.nan,
+                                        math.nextafter(BOUNDS["r_min"][1], 0.0)]),
+              "omega": st.sampled_from([0.3, True]),
+              "out_dir": st.sampled_from(["out", 5]),
               "p_list": st.lists(st.floats(0.5, 6.0) | st.just("inf"),
                                  max_size=3),
               "eps_list": st.lists(_ranged, max_size=3)})
@@ -623,24 +711,13 @@ SMALL_CONFIGS = st.fixed_dictionaries(
                               "bogus"]))
 def test_random_small_configs_exit_cleanly(tmp_path_factory, data, p, mode, beta,
                                            field):
-    """No traceback, an exit code of 0, 1 or 2, and no NaN in any CSV or JSON."""
     tmp = tmp_path_factory.mktemp("cfg")
     cfgp = tmp / "c.json"
     cfgp.write_text(json.dumps(data))
-    out = tmp / "out"
-    for command in (["norm"], ["split"], ["hardy", "--p", p],
-                    ["density", "--p", p, "--mode", mode],
-                    ["counterexample", "--beta=" + beta], ["pierre"], ["restrict"],
-                    ["extend"], ["kfunc"],
-                    ["cz", "--field", field] + (["--beta=" + beta]
-                                                if field == "logcounter" else [])):
-        assert main(["--config", str(cfgp), "--out", str(out)] + command) in (0, 1, 2)
-    for csv in (out.glob("*.csv") if out.exists() else []):
-        cells = csv.read_text().replace("\n", ",").split(",")
-        assert "nan" not in cells, csv.name
-
-    for js in (out.glob("*.json") if out.exists() else []):
-        def no_nan(constant):
-            assert constant != "NaN", js.name
-            return float(constant)
-        json.loads(js.read_text(), parse_constant=no_nan)
+    _run_every_command(cfgp, tmp / "out", [
+        ["norm"], ["split"], ["hardy", "--p", p],
+        ["density", "--p", p, "--mode", mode],
+        ["counterexample", "--beta=" + beta], ["pierre"], ["restrict"],
+        ["extend"], ["kfunc"],
+        ["cz", "--field", field] + (["--beta=" + beta] if field == "logcounter" else []),
+        ["verify-all", "--checks", "hardy-critical"]])

@@ -3,16 +3,18 @@
 On a geometric-radial/uniform-angular sheet, the cells inside a Euclidean ball
 form, in every radial ring, a contiguous angular index window whose half-width
 follows from the law of cosines; `ball_windows` lists these rows for a whole
-set of balls at once.  For one radius, the balls around all center rings split
-into full rings (a range per center, served by row totals) and partial rings,
-listed as flat (center ring, ring, half-width) pairs.  Ball averages gather
-window sums of every pair from per-ring prefix sums in one pass, and ball
-dilations take every pair's row of power-of-two sliding maxima built by
-doubling; both accumulate per center with unbuffered ufunc.at in pair order,
-so the sums are added in the same order as a loop over rings would add them.
-`distance_to_cells` is the exact distance transform.  Every operation takes
-one (nr, nt) half-cone sheet of a planar (n=2) grid, where the decomposition
-machinery runs.
+set of balls at once.  For one radius, cut once, the balls around all center
+rings split into full rings (a range per center, served by row totals) and
+partial rings, listed as flat (center ring, ring, half-width) pairs.  Ball
+averages read every pair's window sums from one complex prefix table per ring
+(intensity x measure in the real part, measure in the imaginary part, each
+added exactly as alone) through a strided window view, and ball dilations take
+every pair's row of power-of-two sliding maxima, built by doubling from
+shifted slices; both accumulate per center with unbuffered ufunc.at in pair
+order, so the sums are added in the same order as a loop over rings would add
+them.  `distance_to_cells` is the exact distance transform.  Every operation
+takes one (nr, nt) half-cone sheet of a planar (n=2) grid, where the
+decomposition machinery runs.
 """
 
 from __future__ import annotations
@@ -138,36 +140,18 @@ class SheetBalls:
         """Flat indices of the (center, j) nodes of each pair, one row per pair."""
         return centers[:, None] * self.nt + np.arange(self.nt)
 
-    def _window_sums(self, cums, centers: np.ndarray, rings: np.ndarray,
-                     ws: np.ndarray) -> list:
-        """Per (nr, nt+1) prefix-sum array in `cums` (leading zero column),
-        an (nr, nt) array: at each node (k, j), the sum over center k's pairs
-        of the pair ring's window [j - w, j + w], added in pair order.  The
-        gather indices are built once for all of `cums`."""
-        nt = self.nt
-        j = np.arange(nt)
-        outs = [np.zeros(self.nr * nt) for _ in cums]
-        for i0 in range(0, len(rings), _PAIR_BLOCK):
-            blk = slice(i0, i0 + _PAIR_BLOCK)
-            w = ws[blk, None]
-            row = rings[blk, None] * (nt + 1)
-            lo = row + np.maximum(j - w, 0)
-            hi = row + np.minimum(j + w + 1, nt)
-            cells = self._pair_cells(centers[blk]).ravel()
-            for cum, out in zip(cums, outs):
-                np.add.at(out, cells, (cum.take(hi) - cum.take(lo)).ravel())
-        return [out.reshape(self.nr, nt) for out in outs]
-
-    def ball_dilate(self, values: np.ndarray, rho: float) -> np.ndarray:
+    def ball_dilate(self, values: np.ndarray, cut) -> np.ndarray:
         """(nr, nt) array: max of the sheet `values` over the centers within
-        rho of each node, with partial angular windows rounded down to powers
-        of two (a minorant of the exact ball dilation)."""
+        rho of each node, for the `cut_rings(rho)` cut, with partial angular
+        windows rounded down to powers of two (a minorant of the exact ball
+        dilation)."""
         nr, nt = self.nr, self.nt
-        flo, fhi, parts = self.cut_rings(rho)
+        flo, fhi, parts = cut
         # a pair of half-width w reads level q = floor(log2 w) + 1 (0 at w = 0),
         # the max over j - 2^(q-1)..j + 2^(q-1) clamped at the row ends: level
         # q - 1 at j - h, j, j + h (h = 2^(q-2), 1 for q = 1), built by doubling
-        # on the rings that some pair reads at level q or above
+        # on the rings that some pair reads at level q or above; where j - h or
+        # j + h leaves the row, level q - 1 at j already reaches that row end
         centers, rings, ws = (np.concatenate(a) for a in zip(*parts))
         qidx = np.frexp(ws)[1]   # the bit length of w
         top = np.zeros(nr, dtype=np.int64)   # highest level read per ring
@@ -177,14 +161,15 @@ class SheetBalls:
         base = np.maximum.reduceat(np.append(values.max(axis=1), -np.inf),
                                    np.stack([flo, fhi + 1], axis=1).ravel())
         out = np.repeat(np.where(fhi >= flo, base[::2], -np.inf), nt)
-        j = np.arange(nt)
         filt = np.empty((int(top.max()) + 1, nr, nt))
         filt[0] = values
         for q in range(1, len(filt)):
             need = np.flatnonzero(top >= q)
             prev, h = filt[q - 1, need], 1 << max(q - 2, 0)
-            filt[q, need] = np.maximum(np.maximum(prev[:, np.maximum(j - h, 0)], prev),
-                                       prev[:, np.minimum(j + h, nt - 1)])
+            cur = prev.copy()
+            np.maximum(cur[:, h:], prev[:, :-h], out=cur[:, h:])
+            np.maximum(cur[:, :-h], prev[:, h:], out=cur[:, :-h])
+            filt[q, need] = cur
         rows = filt.reshape(-1, nt)
         for i0 in range(0, len(rings), _PAIR_BLOCK):
             blk = slice(i0, i0 + _PAIR_BLOCK)
@@ -204,7 +189,8 @@ class SheetBalls:
         out = np.array(intensity, dtype=float)
         av = BallAverager(self, intensity)
         for rho in self.dyadic_radii():
-            np.maximum(out, self.ball_dilate(av.averages(rho), rho), out=out)
+            cut = self.cut_rings(rho)
+            np.maximum(out, self.ball_dilate(av.averages(cut), cut), out=out)
         return out
 
 
@@ -213,26 +199,37 @@ class BallAverager:
 
     def __init__(self, sheet: SheetBalls, intensity: np.ndarray):
         self.sheet = sheet
+        nr, nt = sheet.nr, sheet.nt
         meas = sheet.grid.cell_measure
         weighted = intensity * meas
-        # per-row prefix sums with a leading zero column, and row-total ones
-        self.num_c, self.den_c = (np.pad(np.cumsum(a, axis=1), ((0, 0), (1, 0)))
-                                  for a in (weighted, meas))
-        self.row_num, self.row_den = (np.r_[0.0, np.cumsum(a.sum(axis=1))]
-                                      for a in (weighted, meas))
+        # per-row prefix sums behind nt + 1 zero columns and before nt copies
+        # of the row total: with start = ring (3 nt + 1) + nt, column j of
+        # window start + c sums the ring's first clip(j + c, 0, nt) cells
+        table = np.zeros((nr, 3 * nt + 1), dtype=complex)
+        np.cumsum(weighted + 1j * meas, axis=1, out=table[:, nt + 1:2 * nt + 1])
+        table[:, 2 * nt + 1:] = table[:, 2 * nt, None]
+        self.windows = np.lib.stride_tricks.sliding_window_view(table.ravel(), nt)
+        # row totals from each part's own row sum: a complex sum pairs its
+        # terms in another order
+        self.rows = np.r_[0.0, np.cumsum(weighted.sum(axis=1) + 1j * meas.sum(axis=1))]
 
-    def averages(self, rho: float) -> np.ndarray:
+    def averages(self, cut) -> np.ndarray:
         """(nr, nt) array: measure-weighted mean of the intensity over the
-        cells of B(node, rho), for every node; -inf where the ball holds no
-        cell."""
-        sh = self.sheet
-        flo, fhi, parts = sh.cut_rings(rho)
-        full = fhi >= flo
-        num, den = (np.where(full, row[fhi + 1] - row[flo], 0.0)[:, None]
-                    for row in (self.row_num, self.row_den))
-        for part in parts:
-            pnum, pden = sh._window_sums((self.num_c, self.den_c), *part)
-            num, den = num + pnum, den + pden
+        cells of B(node, rho), for every node, for the `cut_rings(rho)` cut;
+        -inf where the ball holds no cell."""
+        sh, nt = self.sheet, self.sheet.nt
+        flo, fhi, parts = cut
+        tot = np.where(fhi >= flo, self.rows[fhi + 1] - self.rows[flo], 0.0)[:, None]
+        for centers, rings, ws in parts:
+            # each pair's window [j - w, j + w], added per center in pair order
+            part = np.zeros(sh.nr * nt, dtype=complex)
+            for i0 in range(0, len(rings), _PAIR_BLOCK):
+                blk = slice(i0, i0 + _PAIR_BLOCK)
+                start, w = rings[blk] * (3 * nt + 1) + nt, ws[blk]
+                np.add.at(part, sh._pair_cells(centers[blk]).ravel(),
+                          (self.windows[start + w + 1] - self.windows[start - w]).ravel())
+            tot = tot + part.reshape(sh.nr, nt)
+        num, den = tot.real, tot.imag
         # a ball below the grid's resolution can hold no node: -inf there,
         # the identity of the max that ball_dilate takes
         return np.divide(num, den, out=np.full(num.shape, -np.inf), where=den > 0)

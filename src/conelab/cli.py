@@ -60,8 +60,9 @@ def cmd_hardy(cfg: RunConfig, args) -> int:
     p = args.p
     require("--p", p, float, 1.0, cfg.n, "[)", "where the weighted bound holds")
     grid = cfg.grid()
-    _require_resolved(_suite(args.suite, grid), "hardy")
-    rows = list(hardy_rows(_suite(args.suite, grid), p))
+    # each member is refused on its way to its quotient; nothing is written
+    # before the last one
+    rows = list(hardy_rows((_resolved(f, "hardy") for f in _suite(args.suite, grid)), p))
     write_csv(os.path.join(cfg.out_dir, f"hardy_n{grid.n}_p{p:g}.csv"), rows,
               ["field", "p", "quotient", "bound", "ok"])
     return 0 if all(r["ok"] for r in rows) else 1
@@ -108,19 +109,19 @@ def _require_depth(grid, use: str, gate: bool, eps=None) -> None:
                       "lower r_min")
 
 
-def _require_resolved(suite, use: str, key: str = "r_min") -> None:
-    """Refuse a grid on which a member of `suite` has no radial derivative
-    (no Hardy quotient): one it vanishes on from the innermost ring, naming
-    `key`, which sets that ring (r_max for a grid pinned at 1e-12 r_max), or
-    one over which it is constant, naming r_max."""
-    for f in suite:
-        if not f.values[:, 0].any():
-            raise ConfigError(f"{f.name} vanishes on the innermost radius "
-                              f"{f.grid.r_min:.10g} of the n = {f.grid.n} grid, so it "
-                              f"has no radial derivative for {use}; lower {key}")
-        if (f.values == f.values[:, :1]).all():
-            raise ConfigError(f"{f.name} is constant out to r_max = {f.grid.r_max:.10g}, "
-                              f"so it has no radial derivative for {use}; raise r_max")
+def _resolved(f, use: str, key: str = "r_min"):
+    """f, refused if it has no radial derivative (no Hardy quotient) on its
+    grid: if it vanishes on the innermost ring, naming `key`, which sets that
+    ring (r_max for a grid pinned at 1e-12 r_max), or if it is constant over
+    the grid, naming r_max."""
+    if not f.values[:, 0].any():
+        raise ConfigError(f"{f.name} vanishes on the innermost radius "
+                          f"{f.grid.r_min:.10g} of the n = {f.grid.n} grid, so it "
+                          f"has no radial derivative for {use}; lower {key}")
+    if (f.values == f.values[:, :1]).all():
+        raise ConfigError(f"{f.name} is constant out to r_max = {f.grid.r_max:.10g}, "
+                          f"so it has no radial derivative for {use}; raise r_max")
+    return f
 
 
 def _require_slope_fit(grid, use: str) -> None:
@@ -289,8 +290,9 @@ def cmd_verify_all(cfg: RunConfig, args) -> int:
                        eps=acceptance.CUTOFF_EPS.get(c))
         if c in acceptance.QUOTIENT_CHECKS:
             # the n = 3 grid starts at 1e-12 r_max, whatever r_min says
-            _require_resolved(suite_hardy(ctx.grid3), c, "r_max")
-            _require_resolved(suite_hardy(ctx.grid2), c)
+            for grid, key in ((ctx.grid3, "r_max"), (ctx.grid2, "r_min")):
+                for f in suite_hardy(grid):
+                    _resolved(f, c, key)
         if c in acceptance.SLOPE_CHECKS:
             _require_slope_fit(ctx.grid_deep, c)
     results = []

@@ -10,6 +10,7 @@ import json
 import math
 import numbers
 import os
+import sys
 from dataclasses import dataclass, field as dfield
 
 from .geometry import ConeDomain
@@ -78,6 +79,11 @@ def require(key: str, v, kind, *rule) -> None:
     abc, name = _KINDS[kind]
     if not isinstance(v, abc) or isinstance(v, bool):
         raise ConfigError(f"{key} must be {name}, got {v!r}")
+    # Python compares big integers exactly, so one past a double's range
+    # would pass an interval and overflow where the code reads it as a float
+    if isinstance(v, int) and abs(v) > sys.float_info.max:
+        raise ConfigError(f"{key} must fit a double, at most {sys.float_info.max:.4g} "
+                          f"in size, got an integer past it")
     if len(rule) == 1 and v not in rule[0]:
         raise ConfigError(f"{key} must be one of {', '.join(map(repr, rule[0]))}, "
                           f"got {v!r}")
@@ -151,7 +157,7 @@ def load_config(path: str | None) -> RunConfig:
         return RunConfig()
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as e:
+    except ValueError as e:     # also an integer past Python's digit limit
         raise ConfigError(f"config is not valid JSON: {e}") from e
     if not isinstance(data, dict):
         raise ConfigError("config must be a JSON object")

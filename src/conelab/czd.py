@@ -396,8 +396,10 @@ def verify(result: CZResult) -> dict:
     eg = np.abs(result.good) * (1.0 + (1.0 / grid.r)[:, None]) + gmag
     eg_ratio = float(eg.max()) / alpha
 
-    intensity = combined_intensity(result.field, result.half)
-    denom = float(np.sum(intensity**params.p * meas))
+    # int (combined intensity)^p, the same at every level
+    f, half = result.field, result.half
+    denom = f.cached(("intensity_power", half, params.p), lambda: float(
+        np.sum(combined_intensity(f, half)**params.p * meas)))
 
     # set properties: one pass over the window rows of each radius kind
     s = cover.radius / params.c1

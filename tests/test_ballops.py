@@ -53,19 +53,24 @@ def loop_window_sums(sheet, cum, rings, ws):
 
 
 def loop_averages(sheet, intensity, rho):
-    av = BallAverager(sheet, intensity)
+    meas = sheet.grid.cell_measure
+    weighted = intensity * meas
+    # per-row prefix sums with a leading zero column, and row-total ones
+    num_c, den_c = (np.pad(np.cumsum(a, axis=1), ((0, 0), (1, 0)))
+                    for a in (weighted, meas))
+    row_num, row_den = (np.r_[0.0, np.cumsum(a.sum(axis=1))] for a in (weighted, meas))
     out = np.empty((sheet.nr, sheet.nt))
     for k in range(sheet.nr):
         flo, fhi, parts = loop_partial_parts(sheet, k, rho)
         if fhi >= flo:
-            num = np.full(sheet.nt, av.row_num[fhi + 1] - av.row_num[flo])
-            den = np.full(sheet.nt, av.row_den[fhi + 1] - av.row_den[flo])
+            num = np.full(sheet.nt, row_num[fhi + 1] - row_num[flo])
+            den = np.full(sheet.nt, row_den[fhi + 1] - row_den[flo])
         else:
             num = np.zeros(sheet.nt)
             den = np.zeros(sheet.nt)
         for rings, ws in parts:
-            num += loop_window_sums(sheet, av.num_c, rings, ws)
-            den += loop_window_sums(sheet, av.den_c, rings, ws)
+            num += loop_window_sums(sheet, num_c, rings, ws)
+            den += loop_window_sums(sheet, den_c, rings, ws)
         out[k] = num / den
     return out
 
@@ -162,7 +167,7 @@ class TestAverages:
         av = BallAverager(sheet, x)
         ties = 0
         for rho in radii:
-            got = av.averages(rho).ravel()
+            got = av.averages(sheet.cut_rings(rho)).ravel()
             ok = []
             # a node on the sphere to rounding may fall on either side
             for inside in (dist < rho * (1 - 1e-12), dist < rho * (1 + 1e-12)):
@@ -177,7 +182,8 @@ class TestAverages:
         x = np.random.default_rng(3).uniform(0.1, 5.0, (grid.nr, grid.nt))
         av = BallAverager(sheet, x)
         for rho in radii:
-            assert np.array_equal(av.averages(rho), loop_averages(sheet, x, rho))
+            assert np.array_equal(av.averages(sheet.cut_rings(rho)),
+                                  loop_averages(sheet, x, rho))
 
 
 class TestDilate:
@@ -193,7 +199,7 @@ class TestDilate:
         ties[::7] = -np.inf
         for v in (rng.random((grid.nr, grid.nt)), ties):
             for rho in sheet.dyadic_radii():
-                assert np.array_equal(sheet.ball_dilate(v, rho),
+                assert np.array_equal(sheet.ball_dilate(v, sheet.cut_rings(rho)),
                                       loop_dilate(sheet, v, rho))
 
     def test_minorant_of_exact_dilation(self, tiny, radii):
@@ -201,7 +207,7 @@ class TestDilate:
         v = np.random.default_rng(5).random((grid.nr, grid.nt))
         for rho in radii:
             exact = np.where(dist < rho, v.ravel()[None, :], -np.inf).max(axis=1)
-            dil = sheet.ball_dilate(v, rho).ravel()
+            dil = sheet.ball_dilate(v, sheet.cut_rings(rho)).ravel()
             assert np.all(dil <= exact)
             assert np.all(dil >= v.ravel())
 
@@ -270,12 +276,38 @@ class TestMaximal:
             with warnings.catch_warnings():
                 warnings.simplefilter("error", RuntimeWarning)
                 got = sheet.maximal(x)
-                avgs = [av.averages(rho) for rho in sheet.dyadic_radii()]
+                avgs = [av.averages(sheet.cut_rings(rho)) for rho in sheet.dyadic_radii()]
             assert not any(np.isnan(a).any() for a in avgs)
             assert sum(np.isneginf(a).sum() for a in avgs) > 0
             assert not np.isnan(got).any()
             with np.errstate(invalid="ignore"):   # the ring loop divides 0/0
                 assert np.array_equal(got, loop_maximal(sheet, x))
+
+
+class TestNarrowSheets:
+    """nt in {3, 4, 5}: partial pairs reach half-width nt - 2 (the rings at
+    nt - 1 are whole, served by row totals), so the average windows run past
+    both row ends into the clamped prefix columns, and the dilation levels
+    shift rows only 3 to 5 columns wide."""
+
+    @pytest.mark.parametrize("nt", [3, 4, 5])
+    def test_equals_ring_loops(self, dom2, nt):
+        grid = PolarGrid.cone(dom2, nr=40, nt=nt, r_max=4.0, r_min=4e-3)
+        sheet = SheetBalls(grid)
+        rng = np.random.default_rng(10 + nt)
+        x = rng.uniform(0.1, 5.0, (grid.nr, nt))
+        av = BallAverager(sheet, x)
+        radii = np.concatenate([sheet.dyadic_radii(), rng.uniform(5e-3, 6.0, 8)])
+        widest = 0
+        for rho in radii:
+            cut = sheet.cut_rings(rho)
+            widest = max(widest, *(ws.max(initial=0) for *_, ws in cut[2]))
+            avg = av.averages(cut)
+            assert np.array_equal(avg, loop_averages(sheet, x, rho))
+            assert np.array_equal(sheet.ball_dilate(avg, cut), loop_dilate(sheet, avg, rho))
+        assert widest == nt - 2
+        assert sheet.half_widths(grid.r, radii.max(), np.arange(grid.nr)).max() == nt - 1
+        assert np.array_equal(sheet.maximal(x), loop_maximal(sheet, x))
 
 
 def level_masks(grid, seed):

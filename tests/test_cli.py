@@ -152,6 +152,22 @@ class TestConfig:
         assert len(err) == 1 and next(iter(data)) in err[0]
         assert not out.exists()
 
+    @pytest.mark.parametrize("command,entry,line", [
+        # 10^400 lies in [1, inf] and (0, inf), as Python compares exactly
+        ("norm", '"p_list": [1' + "0" * 400 + "]", "p_list must fit a double"),
+        ("kfunc", '"t_hi": 1' + "0" * 400, "t_hi must fit a double"),
+        # json.loads converts no integer of more than 4300 digits
+        ("kfunc", '"t_hi": 1' + "0" * 5000, "config is not valid JSON")],
+        ids=["p_list-1e400", "t_hi-1e400", "t_hi-1e5000"])
+    def test_integer_past_a_double_exits_2(self, tmp_path, capsys, command, entry, line):
+        p = tmp_path / "c.json"
+        p.write_text('{"nr": 20, "nt": 8, ' + entry + "}")
+        out = tmp_path / "o"
+        assert main(["--config", str(p), "--out", str(out), command]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and line in err[0]
+        assert not out.exists()
+
     @pytest.mark.parametrize("key,value", [
         (key, value) for key, (kind, *rule) in BOUNDS.items() if len(rule) > 2
         for value in _past_ends(*rule[:3], kind is int)]

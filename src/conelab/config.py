@@ -36,6 +36,11 @@ MIN_R_MAX = 1e-88
 # Largest alpha_decades: the cz sweep's lowest level is 10^-alpha_decades
 # times its highest, and normal doubles reach down to 2.2e-308.
 MAX_DECADES = 308
+# Largest alpha_points and t_points: each point decomposes every field of its
+# sweep (cz one field's plus sheet, kfunc five fields), about 3 ms (cz) and
+# 14 ms (kfunc) per point at 20x8 and 20 ms and 0.3 s at the default 600x96,
+# so 10^4 points take from half a minute to about an hour.
+MAX_POINTS = 10_000
 
 # Each key's row: its type, then its interval (lo, hi, ends[, why]), its
 # choices, or nothing, as `require` reads them; for a list type, [float],
@@ -52,10 +57,10 @@ BOUNDS = {
     "eps_list": ([float], 0.0, 1.0, "()"),
     "k_list": ([float], 1.0, math.inf, "[]"),
     "alpha_decades": (int, 0, MAX_DECADES, "[]", "the decades a double spans below 1"),
-    "alpha_points": (int, 2, math.inf, "[)"),
+    "alpha_points": (int, 2, MAX_POINTS, "[]", "the points a sweep can decompose"),
     "t_lo": (float, 0.0, math.inf, "()"),
     "t_hi": (float, 0.0, math.inf, "()"),
-    "t_points": (int, 2, math.inf, "[)"),
+    "t_points": (int, 2, MAX_POINTS, "[]", "the points a sweep can decompose"),
     "p_list": ([float], 1.0, math.inf, "[]"),
     "out_dir": (str,),
 }

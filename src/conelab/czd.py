@@ -14,11 +14,17 @@ one, and every skipped cell lies within 2 underline radii of its blocker,
 which is exactly where the partition bump is still positive.  For c1 < 3 the
 bump support (1+c1)/2 is smaller than the blocking reach 2 and a partition
 of unity of this form cannot be guaranteed.
+
+Half-cone sheets that are equal share their work, decided by content: a
+half whose combined intensity equals an earlier half's (np.array_equal)
+takes that half's maximal function and table, and `k_upper_via_cz` takes
+the plus half's decomposition for the minus half when the two also share
+their values.  A field whose halves differ pays one intensity comparison.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -143,14 +149,28 @@ def combined_intensity(f: Field, half: str) -> np.ndarray:
 
 def maximal_function(f: Field, half: str = "plus") -> np.ndarray:
     """Discrete uncentered maximal function of the combined intensity on one
-    sheet, cached per half (dyadic radii, grid-node centers, single-cell floor)."""
-    return f.cached(("maximal", half), lambda: SheetBalls(f.grid).maximal(
-        combined_intensity(f, half)))
+    sheet, cached per half (dyadic radii, grid-node centers, single-cell floor).
+    A half whose intensity equals an earlier half's (in `grid.halves` order)
+    returns that half's array, the same object, without building a sheet."""
+    def build():
+        intensity = combined_intensity(f, half)
+        for earlier in f.grid.halves[:f.grid.half_index(half)]:
+            if np.array_equal(intensity, combined_intensity(f, earlier)):
+                return maximal_function(f, earlier)
+        return SheetBalls(f.grid).maximal(intensity)
+    return f.cached(("maximal", half), build)
 
 
 def maximal_table(f: Field, half: str):
-    return f.cached(("maximal_table", half), lambda: rearrange_samples(
-        maximal_function(f, half), f.grid.cell_measure))
+    """Rearrangement table of one half's maximal function; halves that share
+    the maximal array share the table."""
+    def build():
+        M = maximal_function(f, half)
+        for earlier in f.grid.halves[:f.grid.half_index(half)]:
+            if maximal_function(f, earlier) is M:
+                return maximal_table(f, earlier)
+        return rearrange_samples(M, f.grid.cell_measure)
+    return f.cached(("maximal_table", half), build)
 
 
 def _marks(sheet: SheetBalls, k, j, s, s_cells, owner, ring, col, w):
@@ -501,7 +521,10 @@ def hardy_sobolev_norm(f: Field, p: float) -> float:
 def k_upper_via_cz(f: Field, t: float) -> dict:
     """Constructive upper bound for the interpolation K-functional at t:
     run the decomposition at alpha(t) = max over sheets of the rearranged
-    maximal function at t, and price the split ||b||_1-side + t ||g||_inf-side."""
+    maximal function at t, and price the split ||b||_1-side + t ||g||_inf-side.
+    The minus half reuses the plus half's decomposition, relabelled, when the
+    halves share one maximal array and equal values, since a decomposition
+    reads nothing else of its sheet; `n_balls` counts both halves."""
     grid = f.grid
     maxM = max(float(maximal_function(f, h).max()) for h in grid.halves)
     alpha = float(max(maximal_table(f, h).f_star(t) for h in grid.halves))
@@ -512,7 +535,11 @@ def k_upper_via_cz(f: Field, t: float) -> dict:
                 "b_norm": 0.0, "g_norm": g_norm, "n_balls": 0}
     params = CZParams(alpha=alpha)
     res_p = decompose(f, params, "plus")
-    res_m = decompose(f, params, "minus")
+    if (maximal_function(f, "minus") is maximal_function(f, "plus")
+            and np.array_equal(f.sheet("minus"), f.sheet("plus"))):
+        res_m = replace(res_p, half="minus")
+    else:
+        res_m = decompose(f, params, "minus")
     g = glue_good_parts(res_p, res_m)
     b = f - g
     b_norm = hardy_sobolev_norm(b, 1.0)

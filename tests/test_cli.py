@@ -13,8 +13,8 @@ from hypothesis import given, settings, strategies as st
 
 from conelab import czd, extension
 from conelab.cli import main
-from conelab.config import (BOUNDS, MAX_CELLS, MAX_DECADES, MAX_R, ConfigError,
-                            RunConfig, load_config)
+from conelab.config import (BOUNDS, MAX_CELLS, MAX_DECADES, MAX_POINTS, MAX_R,
+                            ConfigError, RunConfig, load_config)
 from conelab.geometry import ConeDomain
 from conelab.grids import PolarGrid
 from conelab.report import write_csv, write_json
@@ -103,6 +103,8 @@ class TestConfig:
                                       {"p_list": ["abc"]}, {"p_list": 5},
                                       {"p_list": [None]}, {"nt": 12.5},
                                       {"alpha_points": 2.5}, {"t_points": 7.0},
+                                      {"alpha_points": 10**15},
+                                      {"t_points": 10**15},
                                       {"r_min": 1e-200}, {"r_min": 1e-120},
                                       {"n": 3, "variant": "quadrant",
                                        "nr": 20, "nt": 8},
@@ -168,6 +170,21 @@ class TestConfig:
         assert len(err) == 1 and line in err[0]
         assert not out.exists()
 
+    @pytest.mark.parametrize("command,key", [("kfunc", "t_points"),
+                                             ("cz", "alpha_points")])
+    def test_point_count_past_its_ceiling_exits_2(self, tmp_path, capsys, command,
+                                                   key):
+        # 10^15 points would not even allocate their levels
+        p = tmp_path / "c.json"
+        p.write_text(json.dumps({"nr": 20, "nt": 8, key: 10**15}))
+        out = tmp_path / "o"
+        assert main(["--config", str(p), "--out", str(out), command]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].endswith(
+            f"{key} must lie in [2, {MAX_POINTS}], the points a sweep can "
+            f"decompose, got {10**15}")
+        assert not out.exists()
+
     @pytest.mark.parametrize("key,value", [
         (key, value) for key, (kind, *rule) in BOUNDS.items() if len(rule) > 2
         for value in _past_ends(*rule[:3], kind is int)]
@@ -196,7 +213,8 @@ class TestConfig:
         assert not out.exists()
 
     def test_ceilings_are_admitted(self):
-        cfg = RunConfig(r_max=MAX_R, alpha_decades=MAX_DECADES)
+        cfg = RunConfig(r_max=MAX_R, alpha_decades=MAX_DECADES,
+                        alpha_points=MAX_POINTS, t_points=MAX_POINTS)
         assert cfg.grid().radial_weight[-1] < math.inf
 
     def test_grid_at_the_cap_is_admitted(self):

@@ -8,13 +8,14 @@ from conelab import czd
 from conelab.acceptance import AcceptanceContext
 from conelab.ballops import SheetBalls, distance_to_cells
 from conelab.config import RunConfig
-from conelab.czd import (CZParams, DegenerateLevelError, _patch_grads,
-                         combined_intensity, decompose, glue_good_parts,
-                         k_upper_via_cz, maximal_function, verify)
+from conelab.czd import (CZParams, DegenerateLevelError, WhitneyCover,
+                         _patch_grads, combined_intensity, decompose,
+                         glue_good_parts, k_upper_via_cz, maximal_function,
+                         maximal_table, verify)
 from conelab.fieldlib import make_test_field
-from conelab.fields import lp_norm
+from conelab.fields import Field, lp_norm
 from conelab.grids import PolarGrid, radial_difference_weights
-from conelab.rearrangement import k_component_lower_bound
+from conelab.rearrangement import k_component_lower_bound, rearrange_samples
 
 INF = float("inf")
 
@@ -194,13 +195,82 @@ class TestKUpper:
 
     def test_level_set_measure_bounded_by_t(self, logfield, czgrid):
         # the chosen level alpha(t) keeps the level set measure below t
-        from conelab.czd import maximal_table
         for t in (0.05, 1.0):
             for h in ("plus", "minus"):
                 alpha = maximal_table(logfield, h).f_star(t)
                 M = maximal_function(logfield, h)
                 lam = float(czgrid.cell_measure[M > alpha].sum())
                 assert lam <= t * (1 + 1e-12)
+
+
+def _half_twin_field(name, grid):
+    if name != "minus_doubled":
+        return make_test_field(name, grid)     # logcounter at its beta = 1
+    bump = make_test_field("angular_bump", grid)
+    return Field.from_function(
+        grid, lambda r, t, h: (2.0 if h == "minus" else 1.0) * bump.sheet(h))
+
+
+class TestHalfTwins:
+    """A sheet whose intensity equals an earlier half's shares its maximal
+    function and table, and one whose values equal it too shares its
+    decomposition.  (`jump` is no asymmetric oracle: its intensities agree.)"""
+
+    @pytest.mark.parametrize("name,sheets,per_t", [
+        ("angular_bump", 1, 1),     # equal on both halves
+        ("logcounter", 1, 2),       # equal intensities, opposite values
+        ("minus_doubled", 2, 2)])   # the minus half twice the plus half
+    def test_work_and_results_match_per_half(self, grid_small, monkeypatch, name,
+                                             sheets, per_t):
+        f = _half_twin_field(name, grid_small)
+        calls = {"maximal": 0, "decompose": 0}
+        glued = []
+        maximal, glue = SheetBalls.maximal, czd.glue_good_parts
+
+        def counted_maximal(self, intensity):
+            calls["maximal"] += 1
+            return maximal(self, intensity)
+
+        def counted_decompose(*args):
+            calls["decompose"] += 1
+            return decompose(*args)
+
+        def recorded_glue(res_p, res_m):
+            glued.append((res_p, res_m))
+            return glue(res_p, res_m)
+
+        monkeypatch.setattr(SheetBalls, "maximal", counted_maximal)
+        monkeypatch.setattr(czd, "decompose", counted_decompose)
+        monkeypatch.setattr(czd, "glue_good_parts", recorded_glue)
+        ts = (1e-2, 1.0)
+        ups = [k_upper_via_cz(f, t) for t in ts]
+        assert calls == {"maximal": sheets, "decompose": per_t * len(ts)}
+        monkeypatch.undo()
+
+        shared = maximal_function(f, "minus") is maximal_function(f, "plus")
+        assert shared == (sheets == 1)
+        assert (maximal_table(f, "minus") is maximal_table(f, "plus")) == shared
+        for h in grid_small.halves:
+            M = SheetBalls(grid_small).maximal(combined_intensity(f, h))
+            assert np.array_equal(maximal_function(f, h), M)
+            want, got = rearrange_samples(M, grid_small.cell_measure), maximal_table(f, h)
+            for attr in ("values", "widths", "cum", "integral"):
+                assert np.array_equal(getattr(got, attr), getattr(want, attr))
+        assert len(glued) == len(ts)
+        for up, pair in zip(ups, glued):
+            assert up["n_balls"] == sum(len(res.balls) for res in pair) > 0
+            for res, h in zip(pair, grid_small.halves):
+                _assert_same_result(res, decompose(f, res.params, h))
+
+
+def _assert_same_result(res, want):
+    assert res.field is want.field and res.half == want.half
+    assert res.params == want.params
+    for name in ("level_set", "dist", "good", "bad", "chi_sum"):
+        assert np.array_equal(getattr(res, name), getattr(want, name)), name
+    for fld in dataclasses.fields(WhitneyCover):
+        assert np.array_equal(getattr(res.balls, fld.name),
+                              getattr(want.balls, fld.name)), fld.name
 
 
 # -- reference: the per-ball cover that WhitneyCover replaced -----------------

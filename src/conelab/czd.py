@@ -88,13 +88,15 @@ class CZParams:
 @dataclass(eq=False)
 class WhitneyCover:
     """Whitney balls in selection order (center node k, j; plain radius d(x_i, F)/2;
-    type-1 flag; mean of f over the plain ball), then the partition-support cells
-    grouped by ball, ring and column (owning ball, node ring/col, chi and b)."""
+    type-1 flag; measure of and mean of f over the plain ball), then the
+    partition-support cells grouped by ball, ring and column (owning ball,
+    node ring/col, chi and b)."""
 
     k: np.ndarray
     j: np.ndarray
     radius: np.ndarray
     type1: np.ndarray
+    measure: np.ndarray
     mean: np.ndarray
     ball: np.ndarray
     ring: np.ndarray
@@ -298,12 +300,12 @@ def decompose(f: Field, params: CZParams, half: str = "plus") -> CZResult:
 
     type1 = 4.0 * radius <= np.maximum(grid.r[bk] - radius, 0.0)
     plain = sheet.ball_windows(bk, bj, radius)
-    mean = (_ball_sums(vals * grid.cell_measure, *plain, len(bk))
-            / _ball_sums(grid.cell_measure, *plain, len(bk)))
+    measure = _ball_sums(grid.cell_measure, *plain, len(bk))
+    mean = _ball_sums(vals * grid.cell_measure, *plain, len(bk)) / measure
     b = (vals[ring, col] - np.where(type1, mean, 0.0)[ball]) * chi
     bad = np.bincount(cell, b, U.size).reshape(U.shape)
     chi_sum = np.bincount(cell, chi, U.size).reshape(U.shape)
-    cover = WhitneyCover(bk, bj, radius, type1, mean, ball, ring, col, chi, b)
+    cover = WhitneyCover(bk, bj, radius, type1, measure, mean, ball, ring, col, chi, b)
     return CZResult(f, half, params, U, d, cover, vals - bad, bad, chi_sum)
 
 
@@ -424,7 +426,6 @@ def verify(result: CZResult) -> dict:
     # set properties: one pass over the window rows of each radius kind
     s = cover.radius / params.c1
     pball, pring, plo, phi = sheet.ball_windows(cover.k, cover.j, cover.radius)
-    ball_measure = _ball_sums(meas, pball, pring, plo, phi, n)
     overlap = _window_counts(grid, pring, plo, phi)
     type2_geometry_ok = not np.any(~cover.type1[pball] & (
         grid.r[pring] > 6.0 * cover.radius[pball] * (1 + 1e-12)))
@@ -448,9 +449,9 @@ def verify(result: CZResult) -> dict:
         x = (babs[at] * (1.0 + 1.0 / grid.r[ring]) + bmag[at]) * meas[ring, col]
         ends = np.searchsorted(owner, np.arange(n + 1)).tolist()
         num = np.array([x[i:z].sum() for i, z in zip(ends[:-1], ends[1:])])
-        eb_ratio = float((num / ball_measure / alpha).max())
+        eb_ratio = float((num / cover.measure / alpha).max())
 
-    eB_ratio = float(ball_measure.sum()) * alpha**params.p / denom if denom > 0 else 0.0
+    eB_ratio = float(cover.measure.sum()) * alpha**params.p / denom if denom > 0 else 0.0
     ratio_max, mean_const = _neighbor_constants(
         grid.r[cover.k], grid.theta[cover.j], cover.radius, cover.mean, alpha)
 

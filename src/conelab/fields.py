@@ -77,23 +77,6 @@ class Field:
 
 
 @dataclass(frozen=True, eq=False)
-class GradientField:
-    """Radial and tangential components of a discrete gradient."""
-
-    grid: PolarGrid
-    radial: np.ndarray
-    angular: np.ndarray   # (1/r) d/dtheta per sheet
-
-    def magnitude(self) -> np.ndarray:
-        """sqrt(radial^2 + angular^2), in one new array and one temporary;
-        inf where a square overflows a double."""
-        with np.errstate(over="ignore"):
-            out = self.radial**2
-            out += self.angular**2
-        return np.sqrt(out, out=out)
-
-
-@dataclass(frozen=True, eq=False)
 class RadialSplit:
     """f = radial + antiradial, the radial part being the per-ring cap mean.
     The radial part is built from the profile on each access, so a split
@@ -112,28 +95,35 @@ class RadialSplit:
                      name=self.radial_name)
 
 
-def gradient(f: Field) -> GradientField:
-    """Central finite differences in (r, theta); one-sided at edges.
-
-    Cached on the field; second order for smooth samples.
-    """
+def gradient(f: Field) -> np.ndarray:
+    """|grad f| from central finite differences in (r, theta), one-sided at
+    edges: second order for smooth samples, inf where a square overflows a
+    double.  Cached on the field as one read-only (halves, nr, nt) array."""
     g = f.grid
     if g.nr < 3 or g.nt < 3:
         raise ValueError("gradient needs at least 3 nodes per direction")
 
     def build():
-        angular = g.d_dtheta(f.values)
-        angular /= g.r[None, :, None]
-        return GradientField(g, g.d_dr(f.values), angular)
+        out = g.d_dr(f.values)
+        with np.errstate(over="ignore"):
+            out *= out
+            ang = g.d_dtheta(f.values)
+            ang /= g.r[None, :, None]
+            ang *= ang
+            out += ang
+        np.sqrt(out, out=out)
+        out.flags.writeable = False
+        return out
     return f.cached("gradient", build)
 
 
 def samples(f: Field, weight: str = "none") -> np.ndarray:
-    """A fresh array of |f| (weight "none"), |f|/r ("inv_r") or |grad f|
-    ("gradient"): the three sample families that every norm, table and
-    intensity reads."""
+    """|f| (weight "none"), |f|/r ("inv_r") or |grad f| ("gradient"): the
+    three sample families that every norm, table and intensity reads.  The
+    first two are fresh arrays; the gradient family is the field's cached
+    read-only array, the same object on every call."""
     if weight == "gradient":
-        return gradient(f).magnitude()
+        return gradient(f)
     if weight not in WEIGHTS:
         raise ValueError(f"unknown weight {weight!r}")
     vals = np.abs(f.values)
@@ -169,7 +159,7 @@ def power_sum_root(vals: np.ndarray, w: np.ndarray, p: float) -> float:
 
 def hardy_quotient(f: Field, p: float) -> float:
     """||f/r||_p divided by the L^p norm of the radial derivative, p finite."""
-    den = power_sum_root(np.abs(gradient(f).radial),
+    den = power_sum_root(np.abs(f.grid.d_dr(f.values)),
                          f.grid.cell_measure[None, :, :], p)
     if den == 0.0:
         raise ValueError(f"{f.name} has no radial derivative on this grid")

@@ -17,6 +17,8 @@ INF = float("inf")
 
 # Cells drawn per block of the random splitting search.
 _SEARCH_BLOCK = 1 << 16
+# Steps per block of f**'s Gauss panels.
+_NODE_BLOCK = 1 << 12
 
 
 @dataclass(frozen=True, eq=False)
@@ -82,7 +84,7 @@ class RearrangementTable:
 
     def double_star_nodes(self):
         """Per-step Gauss nodes t, weights and f**(t), one row of 8 per step
-        of positive width.
+        of positive width, yielded in blocks of at most _NODE_BLOCK steps.
 
         A node of step i lies in [cum[i-1], cum[i]), where f**(t) is
         (integral[i-1] + values[i] (t - cum[i-1])) / t: f_double_star's
@@ -90,36 +92,42 @@ class RearrangementTable:
         their step take the search."""
         xg, wg = np.polynomial.legendre.leggauss(8)
         los = np.concatenate([[0.0], self.cum[:-1]])
-        his = self.cum
         below = np.concatenate([[0.0], self.integral[:-1]])
-        mid, half = 0.5 * (los + his), 0.5 * (his - los)
-        keep = half > 0
-        lo, hi = los[keep, None], his[keep, None]
-        # each (steps, 8) array is built in place, in the order of
-        # clip(mid + half xg) and (below + values (t - lo)) / t
-        ts = half[keep, None] * xg
-        ts += mid[keep, None]
-        np.clip(ts, 1e-300, None, out=ts)
-        fss = ts - lo
-        fss *= self.values[keep, None]
-        fss += below[keep, None]
-        fss /= ts
-        stray = ts < lo
-        stray |= ts >= hi
-        fss[stray] = self.f_double_star(ts[stray])
-        return ts, half[keep, None] * wg, fss
+        steps = np.flatnonzero(0.5 * (self.cum - los) > 0)
+        for i0 in range(0, len(steps), _NODE_BLOCK):
+            s = steps[i0:i0 + _NODE_BLOCK]
+            lo, hi = los[s, None], self.cum[s, None]
+            half = 0.5 * (hi - lo)
+            # each block's (steps, 8) arrays are built in place, in the order
+            # of clip(mid + half xg) and (below + values (t - lo)) / t
+            ts = half * xg
+            ts += 0.5 * (lo + hi)
+            np.clip(ts, 1e-300, None, out=ts)
+            fss = ts - lo
+            fss *= self.values[s, None]
+            fss += below[s, None]
+            fss /= ts
+            stray = ts < lo
+            stray |= ts >= hi
+            fss[stray] = self.f_double_star(ts[stray])
+            yield ts, half * wg, fss
 
     def double_star_lp(self, p: float) -> float:
         """L^p norm of f** on (0, inf) by per-step Gauss panels plus the exact
-        power tail (f** = I_total/t beyond the support)."""
+        power tail (f** = I_total/t beyond the support).  The panels' terms
+        fill one (steps, 8) array a block at a time and are summed at once,
+        so the sum does not depend on the block size."""
         if p <= 1.0:
             raise ValueError("f** is never integrable at p = 1")
         if not len(self.values):
             return 0.0
-        _, ww, fss = self.double_star_nodes()
-        fss **= p
-        fss *= ww
-        acc = float(np.sum(fss))
+        terms = np.empty((len(self.values), 8))
+        n = 0
+        for _, ww, fss in self.double_star_nodes():
+            fss **= p
+            np.multiply(fss, ww, out=terms[n:n + len(fss)])
+            n += len(fss)
+        acc = float(np.sum(terms[:n]))
         acc += self.total_integral**p * self.total_measure ** (1.0 - p) / (p - 1.0)
         return acc ** (1.0 / p)
 

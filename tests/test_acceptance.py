@@ -120,12 +120,12 @@ class TestLimit:
 # The traced peak of each streamed check on the CLI tests' SMALL grid, in
 # bytes of the largest field it builds (on the named grid): one suite field
 # with its caches at a time, plus one step's working arrays; for
-# rearrangement-laws these are f**'s node arrays, 8 samples per sample;
-# for kfunc-equiv the K band's maximal functions and tables on one field.
-# A check that holds its whole suite reads 34, 87, 18 and 120.  The suites
-# are built per call, so no field or cache outlives its check: after it
-# returns, each holds at most one field.
-PEAK_FIELDS = {"hardy-bound": ("grid2", 10), "rearrangement-laws": ("grid2", 56),
+# rearrangement-laws these are its table and one (steps, 8) array of f**'s
+# panel terms, filled a block at a time (27 fields); for kfunc-equiv the K
+# band's maximal functions and tables on one field.  A check that holds its whole suite
+# reads 34, 87, 18 and 120.  The suites are built per call, so no field or
+# cache outlives its check: after it returns, each holds at most one field.
+PEAK_FIELDS = {"hardy-bound": ("grid2", 10), "rearrangement-laws": ("grid2", 29),
                "restriction-hhat": ("full2_fine", 10), "kfunc-equiv": ("grid2", 60)}
 SMALL = RunConfig(nr=220, nt=48, r_min=4e-8)
 
@@ -152,7 +152,8 @@ def streamed_run(check_id):
     for grid in (ctx.grid2, ctx.grid3, ctx.full2, ctx.grid2_fine, ctx.full2_fine):
         grid.cell_measure
     np.polynomial    # numpy imports it on first use, which is no field
-    field_bytes = 8 * np.prod(getattr(ctx, PEAK_FIELDS[check_id][0]).shape)
+    grid_name = PEAK_FIELDS.get(check_id, ("grid2",))[0]
+    field_bytes = 8 * np.prod(getattr(ctx, grid_name).shape)
     return (*traced(check_id, ctx), field_bytes)
 
 
@@ -162,6 +163,17 @@ def test_streamed_checks_hold_one_field_at_a_time(check_id):
     assert res.passed
     limit = PEAK_FIELDS[check_id][1]
     assert peak <= limit * field_bytes, f"{peak / field_bytes:.1f} fields"
+    assert held <= field_bytes, f"{held / field_bytes:.1f} fields held"
+
+
+def test_extension_roundtrip_peak():
+    # the tallest table-check peak, in grid2 fields: a member's coarse and
+    # fine fields and extensions, each caching one |grad f| array (34
+    # fields).  SMALL is too shallow for the membership gate, which refuses
+    # one exponent here.
+    res, held, peak, field_bytes = streamed_run("extension-roundtrip")
+    assert res.measured["refused_exponents"] == 1
+    assert peak <= 36 * field_bytes, f"{peak / field_bytes:.1f} fields"
     assert held <= field_bytes, f"{held / field_bytes:.1f} fields held"
 
 

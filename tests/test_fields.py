@@ -27,32 +27,32 @@ INF = float("inf")
 class TestGradient:
     def test_constant(self, grid_small):
         f = make_test_field("constant", grid_small, c=3.0)
-        g = gradient(f)
-        assert np.abs(g.radial).max() == 0.0
-        assert np.abs(g.angular).max() == 0.0
+        assert np.abs(grid_small.d_dr(f.values)).max() == 0.0
+        assert np.abs(grid_small.d_dtheta(f.values)).max() == 0.0
+        assert gradient(f).max() == 0.0
 
     def test_linear_radial(self, grid_small):
         f = Field.from_function(grid_small, lambda r, t, h: r)
-        g = gradient(f)
-        assert np.abs(g.radial - 1.0).max() <= 1e-9
-        assert np.abs(g.angular).max() <= 1e-9
+        assert np.abs(grid_small.d_dr(f.values) - 1.0).max() <= 1e-9
+        ang = grid_small.d_dtheta(f.values) / grid_small.r[None, :, None]
+        assert np.abs(ang).max() <= 1e-9
 
     def test_analytic_second_order(self, dom2):
         errs = []
         for nt in (24, 48, 96):
             grid = PolarGrid.cone(dom2, nr=200, nt=nt, r_max=2.0, r_min=1e-3)
             f = Field.from_function(grid, lambda r, t, h: r**2 * np.cos(t))
-            g = gradient(f)
+            ang = grid.d_dtheta(f.values)[0] / grid.r[:, None]
             rr, tt = np.meshgrid(grid.r, grid.theta, indexing="ij")
-            err = np.abs(g.angular[0] - (-rr * np.sin(tt))).max()
+            err = np.abs(ang - (-rr * np.sin(tt))).max()
             errs.append(err)
         order = math.log2(errs[0] / errs[1])
         assert order > 1.8
-        g = gradient(Field.from_function(
-            PolarGrid.cone(dom2, nr=200, nt=48, r_max=2.0, r_min=1e-3),
-            lambda r, t, h: r**2 * np.cos(t)))
-        assert np.abs(g.radial[0] / (2 * np.cos(g.grid.theta))[None, :]
-                      - g.grid.r[:, None]).max() <= 1e-6
+        grid = PolarGrid.cone(dom2, nr=200, nt=48, r_max=2.0, r_min=1e-3)
+        f = Field.from_function(grid, lambda r, t, h: r**2 * np.cos(t))
+        dr = grid.d_dr(f.values)
+        assert np.abs(dr[0] / (2 * np.cos(grid.theta))[None, :]
+                      - grid.r[:, None]).max() <= 1e-6
 
     def test_needs_three_nodes(self, dom2):
         grid = PolarGrid.cone(dom2, nr=3, nt=3, r_max=1.0, r_min=0.1)
@@ -73,7 +73,13 @@ class TestSamples:
         for w in WEIGHTS:
             got = samples(f, w)
             assert got.tobytes() == want[w].tobytes(), w
-            got[...] = -1.0     # a fresh array: the next call is unchanged
+            if w == "gradient":     # the field's cached read-only array
+                assert samples(f, w) is got
+                with pytest.raises(ValueError):
+                    got[...] = -1.0
+            else:                   # a fresh array per call
+                assert samples(f, w) is not got
+                got[...] = -1.0
             assert samples(f, w).tobytes() == want[w].tobytes(), w
 
     def test_unknown_weight(self, grid_small):
@@ -84,7 +90,7 @@ class TestSamples:
 
     def test_only_fields_computes_gradients(self):
         # every |grad f| sample comes from fields.samples: no other module
-        # imports gradient, calls it or calls .magnitude()
+        # imports gradient or calls it
         src = pathlib.Path(__file__).resolve().parents[1] / "src" / "conelab"
         users = set()
         for path in sorted(src.glob("*.py")):
@@ -97,7 +103,7 @@ class TestSamples:
                              getattr(fn, "attr", None)}
                 else:
                     continue
-                if names & {"gradient", "magnitude"}:
+                if "gradient" in names:
                     users.add(path.name)
         assert users == {"fields.py"}
 
@@ -516,7 +522,7 @@ class TestFieldCache:
 
     def test_gradient_table_is_the_magnitude_table(self, grid_small):
         f = make_test_field("jump", grid_small)
-        gm = gradient(f).magnitude()
+        gm = gradient(f)
         want = rearrange_samples(
             gm, np.broadcast_to(grid_small.cell_measure[None], gm.shape))
         got = rearrange(f, "gradient")

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conelab import rearrangement as rar
 from conelab.fieldlib import make_test_field, suite_hardy
 from conelab.fields import lp_norm
 from conelab.grids import PolarGrid
@@ -183,20 +184,30 @@ class TestFieldTables:
         for p in (2.0, 3.0):
             assert t.double_star_lp(p) <= (p / (p - 1)) * t.lp_norm(p) * 1.01
 
-    def test_double_star_equals_search(self, grid_small):
+    def test_double_star_equals_search(self, grid_small, monkeypatch):
         # tiny steps after a large measure: rounding puts Gauss nodes outside
-        # their own step, where only the search gives f_double_star's value
+        # their own step, where only the search gives f_double_star's value;
+        # every node of every block is compared, at the module's block size
+        # and at one that splits each table into many blocks
         rng = np.random.default_rng(3)
         tiny = rearrange_samples(np.linspace(2.0, 1.0, 400),
                                  np.concatenate([[1e6], rng.uniform(1e-11, 1e-9, 399)]))
-        for t in [rearrange(f) for f in suite_hardy(grid_small)] + [tiny]:
-            ts, _, fss = t.double_star_nodes()
-            assert np.array_equal(fss, t.f_double_star(ts))
-            for p in (1.5, 2.0, 7 / 3, 3.0):
-                assert t.double_star_lp(p) == searchsorted_double_star_lp(t, p)
+        tables = [rearrange(f) for f in suite_hardy(grid_small)] + [tiny]
+        for block in (rar._NODE_BLOCK, 7):
+            monkeypatch.setattr(rar, "_NODE_BLOCK", block)
+            for t in tables:
+                steps = np.count_nonzero(t.cum > np.r_[0.0, t.cum[:-1]])
+                blocks = list(t.double_star_nodes())
+                assert len(blocks) == -(-steps // block)
+                for ts, _, fss in blocks:
+                    assert len(ts) <= block
+                    assert np.array_equal(fss, t.f_double_star(ts))
+                assert sum(len(ts) for ts, _, _ in blocks) == steps
+                for p in (1.5, 2.0, 7 / 3, 3.0):
+                    assert t.double_star_lp(p) == searchsorted_double_star_lp(t, p)
         lo = np.concatenate([[0.0], tiny.cum[:-1]])
         keep = tiny.cum > lo
-        ts, _, _ = tiny.double_star_nodes()
+        ts = np.concatenate([b[0] for b in tiny.double_star_nodes()])
         assert np.sum((ts < lo[keep, None]) | (ts >= tiny.cum[keep, None])) > 100
 
     def test_double_star_rejects_p1(self, grid_small):

@@ -22,7 +22,7 @@ class ConfigError(ValueError):
 
 
 # Largest grid, nr * nt cells.  verify-all, the command that holds the most
-# per cell, needs about 1.05 KiB per cell over a 42 MiB base, so about 1.0 GiB
+# per cell, needs about 1.06 KiB per cell over a 44 MiB base, so about 1.1 GiB
 # at the cap (README gives the peaks measured at 600x96 and 1200x192).
 MAX_CELLS = 1_000_000
 

@@ -144,9 +144,13 @@ def _ball_sums(values: np.ndarray, ball, ring, lo, hi, n: int) -> np.ndarray:
 
 
 def combined_intensity(f: Field, half: str) -> np.ndarray:
-    """|f| + |f|/r + |grad f| on one sheet."""
+    """|f| + |f|/r + |grad f| on one sheet, added in `WEIGHTS` order, built
+    from that sheet's samples alone."""
     i = f.grid.half_index(half)
-    return sum(samples(f, w)[i] for w in WEIGHTS)
+    total = np.abs(f.values[i])
+    total += total / f.grid.r[:, None]
+    total += samples(f, "gradient")[i]
+    return total
 
 
 def maximal_function(f: Field, half: str = "plus") -> np.ndarray:

@@ -12,8 +12,8 @@ from conelab.czd import (CZParams, DegenerateLevelError, WhitneyCover,
                          _patch_grads, combined_intensity, decompose,
                          glue_good_parts, k_upper_via_cz, maximal_function,
                          maximal_table, verify)
-from conelab.fieldlib import make_test_field
-from conelab.fields import Field, lp_norm
+from conelab.fieldlib import make_test_field, suite_cz
+from conelab.fields import WEIGHTS, Field, lp_norm, samples
 from conelab.grids import PolarGrid, radial_difference_weights
 from conelab.rearrangement import k_component_lower_bound, rearrange_samples
 
@@ -55,6 +55,13 @@ class TestMaximal:
         C = max(float(meas[M > a].sum()) * a / l1
                 for a in np.geomspace(M.min() * 1.5, M.max() * 0.5, 25))
         assert C < 20.0
+
+    def test_intensity_is_the_sample_sum(self, czgrid):
+        # built on one sheet, bit for bit the sum of the sample families
+        for f in suite_cz(czgrid):
+            for i, h in enumerate(czgrid.halves):
+                expect = sum(samples(f, w)[i] for w in WEIGHTS)
+                assert combined_intensity(f, h).tobytes() == expect.tobytes()
 
     def test_one_half_per_call_cached(self, czgrid):
         f = make_test_field("angular_bump", czgrid)

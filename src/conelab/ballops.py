@@ -12,9 +12,10 @@ added exactly as alone) through a strided window view, and ball dilations take
 every pair's row of power-of-two sliding maxima, built by doubling from
 shifted slices; both accumulate per center with unbuffered ufunc.at in pair
 order, so the sums are added in the same order as a loop over rings would add
-them.  `distance_to_cells` is the exact distance transform.  Every operation
-takes one (nr, nt) half-cone sheet of a planar (n=2) grid, where the
-decomposition machinery runs.
+them.  `distance_to_cells` is the exact distance transform.  Every distance
+between nodes reads the one (nt, nt) table of angle cosines, `col_cosines`,
+through the law of cosines.  Every operation takes one (nr, nt) half-cone
+sheet of a planar (n=2) grid, where the decomposition machinery runs.
 """
 
 from __future__ import annotations
@@ -92,10 +93,11 @@ class SheetBalls:
                 np.minimum(js[ball] + w, self.nt - 1))
 
     def node_distances(self, k, j, ring, col) -> np.ndarray:
-        """Elementwise distance from node (k, j) to node (ring, col)."""
+        """Elementwise distance from node (k, j) to node (ring, col), the one
+        node-distance rule: the law of cosines on `col_cosines`."""
         R, rr = self.r[k], self.r[ring]
-        dth = np.abs(self.theta[col] - self.theta[j])
-        return np.sqrt(np.maximum(R * R + rr * rr - 2.0 * R * rr * np.cos(dth), 0.0))
+        c = self.col_cosines[col, j]
+        return np.sqrt(np.maximum(R * R + rr * rr - 2.0 * R * rr * c, 0.0))
 
     @cached_property
     def col_cosines(self) -> np.ndarray:

@@ -22,9 +22,15 @@ class ConfigError(ValueError):
 
 
 # Largest grid, nr * nt cells.  verify-all, the command that holds the most
-# per cell, needs about 1.06 KiB per cell over a 44 MiB base, so about 1.1 GiB
-# at the cap (README gives the peaks measured at 600x96 and 1200x192).
+# per cell, peaked at 1,021.8 MiB resident and took 135 s at 2400x416 (998,400
+# cells, 2-core host), about 1.05 KiB per cell; README gives its launcher and
+# the peaks at 600x96 and 1200x192.
 MAX_CELLS = 1_000_000
+
+# Largest nt: the ball and decomposition code holds one nt x nt table of
+# angle cosines per sheet (`SheetBalls.col_cosines`), 128 MiB at the ceiling,
+# plus a temporary of the same size while it is built.
+MAX_NT = 4096
 
 # Largest r_max: cell measures integrate r^(n-1) dr as differences of r^n,
 # which overflow a double (1.8e308) past r = 5.6e102 at n = 3.
@@ -50,7 +56,7 @@ BOUNDS = {
     "omega": (float, 0.0, math.pi / 2, "()"),
     "variant": (str, ("double", "quadrant")),
     "nr": (int, 3, math.inf, "[)"),
-    "nt": (int, 3, math.inf, "[)"),
+    "nt": (int, 3, MAX_NT, "[]", "the columns whose cosine table fits 128 MiB"),
     "r_max": (float, MIN_R_MAX, MAX_R, "[]", "where cell measures stay finite, "
               "and positive at the default r_min, 1e-12 r_max"),
     "r_min": (float, MIN_R, MAX_R, "[)", "where cell measures stay positive"),

@@ -131,16 +131,18 @@ class CZResult:
                         c.radius.tolist(), np.where(c.type1, 1, 2).tolist()))
 
 
-def _ball_sums(values: np.ndarray, ball, ring, lo, hi, n: int) -> np.ndarray:
-    """Per ball 0..n-1, the sum of values over its rows (ring, lo..hi): rows
-    are summed first, 256 at a time to bound the expanded cells, and the row
-    sums are then added per ball in row order."""
-    sums = np.empty(len(ring))
+def _ball_sums(values: tuple, ball, ring, lo, hi, n: int) -> list:
+    """Per ball 0..n-1, the sum of each values array over the ball's rows
+    (ring, lo..hi): rows are summed first, 256 at a time to bound the expanded
+    cells that all arrays share, then added per ball in row order."""
+    sums = np.empty((len(values), len(ring)))
     for i in range(0, len(ring), 256):
         blk = slice(i, i + 256)
         row, col = expand_ranges(lo[blk], hi[blk])
-        sums[blk] = np.bincount(row, values[ring[blk][row], col], len(sums[blk]))
-    return np.bincount(ball, sums, n)
+        cells = ring[blk][row], col
+        for out, v in zip(sums, values):
+            out[blk] = np.bincount(row, v[cells], len(out[blk]))
+    return [np.bincount(ball, s, n) for s in sums]
 
 
 def combined_intensity(f: Field, half: str) -> np.ndarray:
@@ -303,9 +305,9 @@ def decompose(f: Field, params: CZParams, half: str = "plus") -> CZResult:
     chi = psi / np.bincount(cell, psi, U.size)[cell]
 
     type1 = 4.0 * radius <= np.maximum(grid.r[bk] - radius, 0.0)
-    plain = sheet.ball_windows(bk, bj, radius)
-    measure = _ball_sums(grid.cell_measure, *plain, len(bk))
-    mean = _ball_sums(vals * grid.cell_measure, *plain, len(bk)) / measure
+    measure, mass = _ball_sums((grid.cell_measure, vals * grid.cell_measure),
+                               *sheet.ball_windows(bk, bj, radius), len(bk))
+    mean = mass / measure
     b = (vals[ring, col] - np.where(type1, mean, 0.0)[ball]) * chi
     bad = np.bincount(cell, b, U.size).reshape(U.shape)
     chi_sum = np.bincount(cell, chi, U.size).reshape(U.shape)
@@ -358,16 +360,17 @@ def _window_counts(grid, ring, lo, hi) -> np.ndarray:
     return np.cumsum(diff, axis=1)[:, :-1]
 
 
-def _neighbor_constants(rc, tc, rad, means, alpha, block=1 << 18):
+def _neighbor_constants(sheet, k, j, rad, means, alpha, block=1 << 18):
     """Max radius ratio and max |mean_i - mean_j| / (min(r_i, r_j) alpha) over
-    intersecting plain balls.  Two balls meet only if |rc_i - rc_j| <
-    rad_i + rad_j <= 2 max(rad_i, rad_j), so after a sort by rc each ball is
-    paired with the balls within twice its radius radially, which lists
-    every meeting pair at least once with the larger ball first, and about
-    `block` pairs are listed at a time.  A ball paired with itself gives
-    (1, 0), the values without any."""
-    order = np.argsort(rc, kind="stable")
-    rc, tc, rad, means = rc[order], tc[order], rad[order], means[order]
+    intersecting plain balls centered at sheet nodes (k, j).  Two balls meet
+    only if |r[k_i] - r[k_j]| < rad_i + rad_j <= 2 max(rad_i, rad_j), so after
+    a sort by k (by center radius, as r increases) each ball is paired with
+    the balls within twice its radius radially, which lists every meeting
+    pair at least once with the larger ball first, and about `block` pairs
+    are listed at a time.  A ball paired with itself gives (1, 0)."""
+    order = np.argsort(k, kind="stable")
+    k, j, rad, means = k[order], j[order], rad[order], means[order]
+    rc = sheet.r[k]
     reach = 2.0 * rad * (1.0 + 1e-9)
     lo = np.searchsorted(rc, rc - reach, side="left")
     hi = np.searchsorted(rc, rc + reach, side="right") - 1
@@ -382,8 +385,7 @@ def _neighbor_constants(rc, tc, rad, means, alpha, block=1 << 18):
         ii += start
         near = np.abs(rc[ii] - rc[jj]) <= (rad[ii] + rad[jj]) * (1.0 + 1e-9)
         ii, jj = ii[near], jj[near]
-        d2 = rc[ii]**2 + rc[jj]**2 - 2.0 * rc[ii] * rc[jj] * np.cos(tc[ii] - tc[jj])
-        meet = np.sqrt(np.maximum(d2, 0.0)) < rad[ii] + rad[jj]
+        meet = sheet.node_distances(k[ii], j[ii], k[jj], j[jj]) < rad[ii] + rad[jj]
         ii, jj = ii[meet], jj[meet]
         ratio_max = max(ratio_max, float(np.max(rad[ii] / rad[jj])))
         mean_const = max(mean_const, float(np.max(
@@ -415,11 +417,8 @@ def verify(result: CZResult) -> dict:
 
     rec_err = float(np.abs(vals - result.good - result.bad).max()) / scale
 
-    gg = result.good[None]
-    dr = grid.d_dr(gg)[0]
-    ang = (grid.d_dtheta(gg)[0]) / grid.r[:, None]
-    gmag = np.sqrt(dr**2 + ang**2)
-    eg = np.abs(result.good) * (1.0 + (1.0 / grid.r)[:, None]) + gmag
+    eg = (np.abs(result.good) * (1.0 + (1.0 / grid.r)[:, None])
+          + grid.grad_magnitude(result.good))
     eg_ratio = float(eg.max()) / alpha
 
     # int (combined intensity)^p, the same at every level
@@ -457,7 +456,7 @@ def verify(result: CZResult) -> dict:
 
     eB_ratio = float(cover.measure.sum()) * alpha**params.p / denom if denom > 0 else 0.0
     ratio_max, mean_const = _neighbor_constants(
-        grid.r[cover.k], grid.theta[cover.j], cover.radius, cover.mean, alpha)
+        sheet, cover.k, cover.j, cover.radius, cover.mean, alpha)
 
     return {
         "alpha": alpha,

@@ -96,22 +96,15 @@ class RadialSplit:
 
 
 def gradient(f: Field) -> np.ndarray:
-    """|grad f| from central finite differences in (r, theta), one-sided at
-    edges: second order for smooth samples, inf where a square overflows a
-    double.  Cached on the field as one read-only (halves, nr, nt) array."""
+    """|grad f| by the grid's one rule, `PolarGrid.grad_magnitude` (central
+    differences in (r, theta), one-sided at edges, inf where a square
+    overflows).  Cached on the field as one read-only (halves, nr, nt) array."""
     g = f.grid
     if g.nr < 3 or g.nt < 3:
         raise ValueError("gradient needs at least 3 nodes per direction")
 
     def build():
-        out = g.d_dr(f.values)
-        with np.errstate(over="ignore"):
-            out *= out
-            ang = g.d_dtheta(f.values)
-            ang /= g.r[None, :, None]
-            ang *= ang
-            out += ang
-        np.sqrt(out, out=out)
+        out = g.grad_magnitude(f.values)
         out.flags.writeable = False
         return out
     return f.cached("gradient", build)

@@ -230,3 +230,15 @@ class PolarGrid:
         out[..., 0] = (-3 * vals[..., 0] + 4 * vals[..., 1] - vals[..., 2]) / (2 * dt)
         out[..., -1] = (3 * vals[..., -1] - 4 * vals[..., -2] + vals[..., -3]) / (2 * dt)
         return out
+
+    def grad_magnitude(self, vals: np.ndarray) -> np.ndarray:
+        """|grad| of (..., nr, nt) samples, the one rule: d_dr and d_dtheta / r,
+        each squared, summed, square root; inf where a square overflows."""
+        out = self.d_dr(vals)
+        with np.errstate(over="ignore"):
+            out *= out
+            ang = self.d_dtheta(vals)
+            ang /= self.r[:, None]
+            ang *= ang
+            out += ang
+        return np.sqrt(out, out=out)

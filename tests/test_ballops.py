@@ -241,11 +241,20 @@ class TestWindows:
             assert np.all(mask >= (dist < rho * (1 - 1e-12)))
             assert np.all(mask <= (dist < rho * (1 + 1e-12)))
 
-    def test_node_distances(self, tiny):
+    def test_node_distances(self, tiny, dom2):
         grid, sheet, dist = tiny
         ks, js = np.divmod(np.arange(grid.nr * grid.nt), grid.nt)
         got = sheet.node_distances(ks[:, None], js[:, None], ks, js)
         np.testing.assert_allclose(got, dist, rtol=1e-12, atol=1e-12 * grid.r_max)
+        # the cosine table gives the per-pair law of cosines bit for bit
+        for grid in [grid] + [PolarGrid.cone(dom2, nr=20, nt=nt, r_max=40.0,
+                                             r_min=4e-2) for nt in (3, 4, 5, 97)]:
+            ks, js = np.divmod(np.arange(grid.nr * grid.nt), grid.nt)
+            R, rr = grid.r[ks, None], grid.r[ks]
+            dth = np.abs(grid.theta[js] - grid.theta[js, None])
+            want = np.sqrt(np.maximum(R * R + rr * rr - 2.0 * R * rr * np.cos(dth), 0.0))
+            got = SheetBalls(grid).node_distances(ks[:, None], js[:, None], ks, js)
+            assert np.array_equal(got, want)
 
 
 class TestMaximal:

@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from conelab import czd, extension
 from conelab.cli import main
-from conelab.config import (BOUNDS, MAX_CELLS, MAX_DECADES, MAX_POINTS, MAX_R,
+from conelab.config import (BOUNDS, MAX_CELLS, MAX_DECADES, MAX_NT, MAX_POINTS, MAX_R,
                             ConfigError, RunConfig, load_config)
 from conelab.geometry import ConeDomain
 from conelab.grids import PolarGrid
@@ -126,7 +126,8 @@ class TestConfig:
         assert len(err) == 1 and next(iter(data)) in err[0]
         assert not out.exists()
 
-    @pytest.mark.parametrize("shape", [(100000, 100000), (MAX_CELLS // 3 + 1, 3)])
+    @pytest.mark.parametrize("shape", [(MAX_CELLS // 1000 + 1, 1000),
+                                       (MAX_CELLS // 3 + 1, 3)])
     def test_grid_above_the_cap_exits_2(self, tmp_path, capsys, shape):
         p = tmp_path / "c.json"
         p.write_text(json.dumps({"nr": shape[0], "nt": shape[1]}))
@@ -216,6 +217,17 @@ class TestConfig:
         cfg = RunConfig(r_max=MAX_R, alpha_decades=MAX_DECADES,
                         alpha_points=MAX_POINTS, t_points=MAX_POINTS)
         assert cfg.grid().radial_weight[-1] < math.inf
+
+    def test_wide_grid_past_the_nt_ceiling_exits_2(self, tmp_path, capsys):
+        # 1,000,000 cells, at the cap, but an nt x nt cosine table of 74.5 GiB
+        p = tmp_path / "c.json"
+        p.write_text(json.dumps({"nr": 10, "nt": 100000}))
+        out = tmp_path / "o"
+        assert main(["--config", str(p), "--out", str(out), "cz"]) == 2
+        assert capsys.readouterr().err.strip().splitlines() == [
+            f"configuration error: nt must lie in [3, {MAX_NT}], the columns "
+            "whose cosine table fits 128 MiB, got 100000"]
+        assert not out.exists()
 
     def test_grid_at_the_cap_is_admitted(self):
         assert RunConfig(nr=MAX_CELLS // 1000, nt=1000).nr * 1000 == MAX_CELLS

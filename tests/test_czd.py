@@ -405,7 +405,7 @@ def _patch_constants_per_ball(res):
     meas, n = grid.cell_measure, len(res.balls)
     pball, pring, plo, phi = SheetBalls(grid).ball_windows(cover.k, cover.j,
                                                            cover.radius)
-    ball_measure = czd._ball_sums(meas, pball, pring, plo, phi, n)
+    [ball_measure] = czd._ball_sums((meas,), pball, pring, plo, phi, n)
     eb_ratio = chi_grad = 0.0
     cells, rows = (np.searchsorted(a, np.arange(n + 1)) for a in (cover.ball, pball))
     for i in range(n):
@@ -542,6 +542,24 @@ class TestSparsePatch:
                 assert np.abs(res.bad - bad).max() <= 1e-12 * scale
 
 
+class TestGradMagnitude:
+    def test_one_rule_bit_for_bit(self):
+        # sqrt(d_dr**2 + (d_dtheta / r)**2) written out, and the field's
+        # cached gradient, on every sheet of the cz suite and on a good part
+        # of each member at SMALL
+        grid = RunConfig(nr=220, nt=48, r_min=4e-8).grid()
+        for f in suite_cz(grid):
+            amax = float(maximal_function(f, "plus").max())
+            good = decompose(f, CZParams(alpha=amax * 0.1)).good
+            assert grid.grad_magnitude(f.values).tobytes() == samples(
+                f, "gradient").tobytes()
+            for v in (*f.values, good):
+                dr = grid.d_dr(v[None])[0]
+                ang = grid.d_dtheta(v[None])[0] / grid.r[:, None]
+                want = np.sqrt(dr**2 + ang**2)
+                assert grid.grad_magnitude(v).tobytes() == want.tobytes()
+
+
 class TestManyBallCover:
     @pytest.mark.parametrize("t", [1e-3, 1e-1, 1e3])
     def test_greedy_equals_per_ball(self, grid_small, t):
@@ -601,7 +619,7 @@ def _neighbor_args(res, alpha):
     c, grid = res.balls, res.grid
     balls = [dict(k=k, j=j, radius=r, mean=m)
              for k, j, r, m in zip(c.k, c.j, c.radius, c.mean)]
-    return (grid.r[c.k], grid.theta[c.j], c.radius, c.mean, alpha), balls
+    return (SheetBalls(grid), c.k, c.j, c.radius, c.mean, alpha), balls
 
 
 class TestNeighborConstants:

@@ -13,15 +13,15 @@ every pair's row of power-of-two sliding maxima, built by doubling from
 shifted slices; both accumulate per center with unbuffered ufunc.at in pair
 order, so the sums are added in the same order as a loop over rings would add
 them.  `distance_to_cells` is the exact distance transform.  Every distance
-between nodes reads the one (nt, nt) table of angle cosines, `col_cosines`,
-through the law of cosines.  Every operation takes one (nr, nt) half-cone
-sheet of a planar (n=2) grid, where the decomposition machinery runs.
+between nodes reads the grid's one (nt, nt) table of angle cosines,
+`PolarGrid.col_cosines`, through the law of cosines.  Every operation takes
+one (nr, nt) half-cone sheet of a planar (n=2) grid, where the decomposition
+machinery runs.
 """
 
 from __future__ import annotations
 
 import math
-from functools import cached_property
 
 import numpy as np
 
@@ -94,15 +94,10 @@ class SheetBalls:
 
     def node_distances(self, k, j, ring, col) -> np.ndarray:
         """Elementwise distance from node (k, j) to node (ring, col), the one
-        node-distance rule: the law of cosines on `col_cosines`."""
+        node-distance rule: the law of cosines on the grid's `col_cosines`."""
         R, rr = self.r[k], self.r[ring]
-        c = self.col_cosines[col, j]
+        c = self.grid.col_cosines[col, j]
         return np.sqrt(np.maximum(R * R + rr * rr - 2.0 * R * rr * c, 0.0))
-
-    @cached_property
-    def col_cosines(self) -> np.ndarray:
-        """(nt, nt) table: cos |theta_a - theta_b| at row a, column b."""
-        return np.cos(np.abs(self.theta[:, None] - self.theta))
 
     # -- bulk operations ----------------------------------------------------
 
@@ -248,7 +243,7 @@ def _nearest_cosines(sheet: SheetBalls, mask: np.ndarray) -> np.ndarray:
     right = np.minimum.accumulate(np.where(mask, cols, nt)[:, ::-1], axis=1)[:, ::-1]
     best = np.full(mask.shape, -np.inf)
     for side, ok in ((left, left >= 0), (right, right < nt)):
-        c = sheet.col_cosines[cols, np.clip(side, 0, nt - 1)]
+        c = sheet.grid.col_cosines[cols, np.clip(side, 0, nt - 1)]
         np.maximum(best, np.where(ok, c, -np.inf), out=best)
     return best
 

@@ -22,13 +22,13 @@ class ConfigError(ValueError):
 
 
 # Largest grid, nr * nt cells.  verify-all, the command that holds the most
-# per cell, peaked at 1,021.8 MiB resident and took 135 s at 2400x416 (998,400
-# cells, 2-core host), about 1.05 KiB per cell; README gives its launcher and
+# per cell, peaked at 970.2 MiB resident and took 145 s at 2400x416 (998,400
+# cells, 2-core host), about 1.0 KiB per cell; README gives its launcher and
 # the peaks at 600x96 and 1200x192.
 MAX_CELLS = 1_000_000
 
-# Largest nt: the ball and decomposition code holds one nt x nt table of
-# angle cosines per sheet (`SheetBalls.col_cosines`), 128 MiB at the ceiling,
+# Largest nt: the ball and decomposition code reads one nt x nt table of
+# angle cosines per grid (`PolarGrid.col_cosines`), 128 MiB at the ceiling,
 # plus a temporary of the same size while it is built.
 MAX_NT = 4096
 

@@ -8,12 +8,16 @@ g = f - sum b_i.  A verifier measures the constants of the advertised
 estimates; the set-theoretic properties (disjointness, coverage, overline
 balls meeting the complement) hold exactly by construction.
 
-The Whitney constant c1 is fixed at 3, since the greedy needs c1 >= 3: a
-candidate center is skipped iff its underline ball would overlap an accepted
-one, and every skipped cell lies within 2 underline radii of its blocker,
-which is exactly where the partition bump is still positive.  For c1 < 3 the
-bump support (1+c1)/2 is smaller than the blocking reach 2 and a partition
-of unity of this form cannot be guaranteed.
+One rule, the blocking reach, makes the cover both disjoint and a partition.
+A ball of plain radius c1 s_i (s_i its underline radius) blocks every node
+of its window B(x_i, reach s_i), reach = 2 * 2c1 / (2c1 - 1), and a candidate
+center is skipped iff an accepted ball blocks it.  Since d is 1-Lipschitz, a
+node whose underline ball meets B(x_i, s_i) lies within reach s_i of x_i, so
+the underline balls are disjoint.  The partition bump is 1 on the underline
+ball and positive out to the plain radius c1 s_i, so it is positive on the
+whole blocking window: every node of U, accepted or blocked, gets a positive
+bump sum, and every bad part lies in its plain ball.  That needs c1 >= reach,
+i.e. c1 >= 5/2; c1 is fixed at 3 (reach 2.4).
 
 Half-cone sheets that are equal share their work, decided by content: a
 half whose combined intensity equals an earlier half's (np.array_equal)
@@ -75,22 +79,18 @@ class CZParams:
     def c2(self) -> float:
         return 4.0 * self.c1
 
-    @property
-    def support_dilate(self) -> float:
-        """Bump support radius in underline-radius units."""
-        return 0.5 * (1.0 + self.c1)
-
     def bump(self, s):
-        """Partition bump: 1 on [0,1], 0 beyond (1+c1)/2, in underline units."""
-        return plateau(s, 1.0, self.support_dilate)
+        """Partition bump: 1 on [0, 1], 0 beyond c1 (the plain ball), in
+        underline units."""
+        return plateau(s, 1.0, self.c1)
 
 
 @dataclass(eq=False)
 class WhitneyCover:
     """Whitney balls in selection order (center node k, j; plain radius d(x_i, F)/2;
     type-1 flag; measure of and mean of f over the plain ball), then the
-    partition-support cells grouped by ball, ring and column (owning ball,
-    node ring/col, chi and b)."""
+    partition-support cells, the plain ball's, grouped by ball, ring and
+    column (owning ball, node ring/col, chi and b)."""
 
     k: np.ndarray
     j: np.ndarray
@@ -181,54 +181,30 @@ def maximal_table(f: Field, half: str):
     return f.cached(("maximal_table", half), build)
 
 
-def _marks(sheet: SheetBalls, k, j, s, s_cells, owner, ring, col, w):
-    """Per window cell (ring[i], col[i]) of candidate owner[i] (cover
-    half-width w[i] on that ring): whether accepting the candidate marks it,
-    i.e. the cell lies in its cover window or closer to its center than
-    s_cells + s."""
-    keep = np.abs(col - j[owner]) <= w
-    test = np.flatnonzero(~keep)
-    o, ring, col = owner[test], ring[test], col[test]
-    keep[test] = (sheet.node_distances(k[o], j[o], ring, col)
-                  < s_cells[ring * sheet.nt + col] + s[o])
-    return keep
-
-
-def _marked_cells(sheet: SheetBalls, k, j, s, s_cells, ball, ring, lo, hi, w):
-    """Flat indices of the cells that accepting the candidates marks, from
-    their window rows (ball, ring, lo..hi) and cover half-widths w."""
-    row, col = expand_ranges(lo, hi)
-    ring = ring[row]
-    keep = _marks(sheet, k, j, s, s_cells, ball[row], ring, col, w[row])
-    return ring[keep] * sheet.nt + col[keep]
-
-
 def _greedy_centers(sheet: SheetBalls, U: np.ndarray, d: np.ndarray,
                     params: CZParams):
     """Greedy Vitali selection over the nodes of U by decreasing distance d
-    (ties by ring, then column): a node is accepted unless an accepted ball
-    has marked it.  Accepting marks the ball's cover window and the nodes of
-    its blocking window whose own underline ball would overlap it; marks are
-    never cleared.  The candidates are walked in chunks of about
-    _CHUNK_CELLS window cells.  The window rows of a chunk are built for the
-    candidates still unmarked when it starts; within the chunk, only the
-    marks that one candidate would set on a later one are tested, the
-    acceptances follow in order from these, and the rows are expanded to
-    cells, and marked, for the accepted candidates only.  Returns the
-    accepted centers (k, j) in selection order."""
+    (ties by ring, then column): a node is accepted unless it lies in the
+    blocking window, the rows of B(x_i, reach s_i), of an accepted ball;
+    accepting marks every cell of that window, and marks are never cleared.
+    The candidates are walked in chunks of about _CHUNK_CELLS window cells.
+    The window rows of a chunk are built for the candidates still unmarked
+    when it starts; within the chunk, each candidate's rows list the later
+    candidates they hold, the acceptances follow in order from these lists,
+    and the rows are expanded to cells, and marked, for the accepted
+    candidates only.  Returns the accepted centers (k, j) in selection
+    order."""
     nt = sheet.nt
     ks, js = np.nonzero(U)
     # nonzero lists ring-major, so a stable sort breaks ties by ring, column
     order = np.argsort(-d[ks, js], kind="stable")
     ks, js = ks[order], js[order]
     cells = ks * nt + js
-    s = 0.5 * d[ks, js] / params.c1
-    s_cells = (d / (2.0 * params.c1)).ravel()
-    cover = 0.95 * params.support_dilate
     reach = 2.0 * (2.0 * params.c1 / (2.0 * params.c1 - 1.0))
+    rho = reach * (0.5 * d[ks, js] / params.c1)
     # window cells, at most: rows times the widest row, whose half-angle is
     # asin(rho / R) for rho < R
-    R, rho = sheet.r[ks], reach * s
+    R = sheet.r[ks]
     lo, hi = sheet.ring_span(R, rho)
     half = np.arcsin(np.minimum(rho / R, 1.0)) / sheet.dt
     cost = np.maximum(hi - lo + 1, 1) * np.minimum(2.0 * half + 3.0, nt)
@@ -245,27 +221,19 @@ def _greedy_centers(sheet: SheetBalls, U: np.ndarray, d: np.ndarray,
             ahead, pos = ahead[:take], ahead[take]
         if not len(ahead):
             continue
-        # window rows of radius reach*s, and per row the half-width of the
-        # cover window (radius cover*s) on its ring, -1 off the cover's rings
-        k, j, sc = ks[ahead], js[ahead], s[ahead]
-        ball, ring, wlo, whi = sheet.ball_windows(k, j, reach * sc)
-        clo, chi = sheet.ring_span(R[ahead], cover * sc)
-        w = np.where((clo[ball] <= ring) & (ring <= chi[ball]),
-                     sheet.half_widths(R[ahead][ball], cover * sc[ball], ring), -1)
-        # edges: the later candidates of the chunk inside each row that the
-        # row's candidate would mark, grouped by that candidate
+        ball, ring, wlo, whi = sheet.ball_windows(ks[ahead], js[ahead], rho[ahead])
+        # edges: the later candidates of the chunk inside each row, grouped
+        # by the row's candidate
         by_cell = np.argsort(cells[ahead])
         at = cells[ahead][by_cell]
         row, hit = expand_ranges(np.searchsorted(at, ring * nt + wlo, side="left"),
                                  np.searchsorted(at, ring * nt + whi, side="right") - 1)
         hit = by_cell[hit]
-        later = hit > ball[row]
-        row, hit = row[later], hit[later]
         src = ball[row]
-        edge = _marks(sheet, k, j, sc, s_cells, src, k[hit], j[hit], w[row])
-        src, hit = src[edge], hit[edge]
+        later = hit > src
+        src, hit = src[later], hit[later]
         # acceptances in order: a candidate is blocked iff an accepted earlier
-        # one marks it
+        # one's rows hold it
         blocked = np.zeros(len(ahead), dtype=bool)
         bounds = np.flatnonzero(np.diff(src, prepend=-1, append=len(ahead)))
         for i, b0, b1 in zip(src[bounds[:-1]].tolist(), bounds[:-1].tolist(),
@@ -274,8 +242,8 @@ def _greedy_centers(sheet: SheetBalls, U: np.ndarray, d: np.ndarray,
                 blocked[hit[b0:b1]] = True
         chosen.extend(ahead[~blocked].tolist())
         acc = ~blocked[ball]
-        marked[_marked_cells(sheet, k, j, sc, s_cells, ball[acc], ring[acc],
-                             wlo[acc], whi[acc], w[acc])] = True
+        row, col = expand_ranges(wlo[acc], whi[acc])
+        marked[ring[acc][row] * nt + col] = True
     return ks[chosen], js[chosen]
 
 
@@ -296,17 +264,18 @@ def decompose(f: Field, params: CZParams, half: str = "plus") -> CZResult:
     radius = 0.5 * d[bk, bj]
     s = radius / params.c1
 
-    # partition of unity on U: bump weights on the support cells, summed in ball order
-    wball, wring, wlo, whi = sheet.ball_windows(bk, bj, params.support_dilate * s)
-    row, col = expand_ranges(wlo, whi)
-    ball, ring = wball[row], wring[row]
+    # partition of unity on U: bump weights on the plain balls' cells, summed
+    # in ball order
+    plain = sheet.ball_windows(bk, bj, radius)
+    row, col = expand_ranges(*plain[2:])
+    ball, ring = plain[0][row], plain[1][row]
     psi = params.bump(sheet.node_distances(bk[ball], bj[ball], ring, col) / s[ball])
     cell = ring * grid.nt + col
     chi = psi / np.bincount(cell, psi, U.size)[cell]
 
     type1 = 4.0 * radius <= np.maximum(grid.r[bk] - radius, 0.0)
     measure, mass = _ball_sums((grid.cell_measure, vals * grid.cell_measure),
-                               *sheet.ball_windows(bk, bj, radius), len(bk))
+                               *plain, len(bk))
     mean = mass / measure
     b = (vals[ring, col] - np.where(type1, mean, 0.0)[ball]) * chi
     bad = np.bincount(cell, b, U.size).reshape(U.shape)

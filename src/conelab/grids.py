@@ -164,6 +164,12 @@ class PolarGrid:
         raise ValueError("no full-plane grids in 3D")
 
     @cached_property
+    def col_cosines(self) -> np.ndarray:
+        """(nt, nt) table: cos |theta_a - theta_b| at row a, column b, built
+        once per grid for every node distance of the ball code."""
+        return np.cos(np.abs(self.theta[:, None] - self.theta))
+
+    @cached_property
     def cell_measure(self) -> np.ndarray:
         """(nr, nt) Lebesgue measure of each cell (per sheet)."""
         return np.outer(self.radial_weight, self.angular_weight)

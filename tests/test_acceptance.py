@@ -190,6 +190,14 @@ def test_checks_drop_their_fields_on_return(check_id):
     assert held <= field_bytes, f"{held / field_bytes:.1f} fields"
 
 
+def test_cz_prop41_passes_at_220x48():
+    # at the default r_min; its eg_variation read 7.19 while the partition
+    # bump stopped at 2 underline radii inside a blocking reach of 2.4
+    ctx = acceptance.AcceptanceContext(RunConfig(nr=220, nt=48))
+    res = acceptance.CHECKS["cz-prop41"](ctx)
+    assert res.passed, res.measured
+
+
 @pytest.mark.parametrize("config", [{"r_min": 1e-3},
                                     {"nr": 100, "r_min": 40 * 0.9**99},
                                     {"nr": 220, "nt": 48, "r_min": 4e-8}])

@@ -1,5 +1,6 @@
 
 import dataclasses
+import inspect
 
 import numpy as np
 import pytest
@@ -297,30 +298,23 @@ def _decompose_per_ball(f, params, half="plus"):
     vals = f.sheet(half)
     U = maximal_function(f, half) > params.alpha
     d = distance_to_cells(sheet, ~U, U)
-    s_arr = d / (2.0 * params.c1)
     ks, js = np.nonzero(U)
     order = np.lexsort((js, ks, -d[ks, js]))
-    covered = np.zeros(U.shape, dtype=bool)
     blocked = np.zeros(U.shape, dtype=bool)
-    cov = 0.95 * params.support_dilate
     block_reach = 2.0 * (2.0 * params.c1 / (2.0 * params.c1 - 1.0))
     balls = []
     for idx in order:
         k, j = int(ks[idx]), int(js[idx])
-        if covered[k, j] or blocked[k, j]:
+        if blocked[k, j]:
             continue
         r_i = 0.5 * float(d[k, j])
         s_i = r_i / params.c1
         balls.append(dict(k=k, j=j, radius=r_i, s=s_i, rows=[], chi=[], b=[]))
-        for ring, lo, hi in sheet.ball_rows(k, j, cov * s_i):
-            covered[ring, lo:hi + 1] = True
         for ring, lo, hi in sheet.ball_rows(k, j, block_reach * s_i):
-            dd = _row_distances(sheet, k, j, ring, lo, hi)
-            blocked[ring, lo:hi + 1] |= dd < s_arr[ring, lo:hi + 1] + s_i
+            blocked[ring, lo:hi + 1] = True
     den = np.zeros(U.shape)
     for ball in balls:
-        for ring, lo, hi in sheet.ball_rows(ball["k"], ball["j"],
-                                            params.support_dilate * ball["s"]):
+        for ring, lo, hi in sheet.ball_rows(ball["k"], ball["j"], ball["radius"]):
             psi = params.bump(_row_distances(sheet, ball["k"], ball["j"],
                                              ring, lo, hi) / ball["s"])
             ball["rows"].append((ring, lo, hi))
@@ -589,19 +583,21 @@ class TestManyBallCover:
         assert np.array_equal(res.chi_sum, chi_sum)
 
     def test_windows_expanded_for_chosen_balls_only(self, grid_small, monkeypatch):
-        f = make_test_field("angular_bump", grid_small)
-        alpha = max(czd.maximal_table(f, h).f_star(1e-3) for h in grid_small.halves)
-        expanded = []
-        marked_cells = czd._marked_cells
-
-        def counted(sheet, k, j, s, s_cells, ball, *rows):
-            expanded.append(len(np.unique(ball)))
-            return marked_cells(sheet, k, j, s, s_cells, ball, *rows)
-
-        monkeypatch.setattr(czd, "_marked_cells", counted)
-        res = decompose(f, CZParams(alpha=float(alpha)), "plus")
-        assert len(res.balls) > 1000
-        assert sum(expanded) == len(res.balls)
+        # three candidates one column apart on one ring, by decreasing d: the
+        # first's window (1.5 columns) holds the second but not the third,
+        # and the second's (1.485 columns) holds the third.  The second is
+        # blocked, so it marks nothing and the third is accepted, also when
+        # a lookahead of 2 puts the third in a later chunk than the others.
+        k = grid_small.nr // 2
+        col = 2.0 * grid_small.r[k] * np.sin(0.5 * grid_small.dtheta)
+        U = np.zeros((grid_small.nr, grid_small.nt), dtype=bool)
+        d = np.zeros(U.shape)
+        U[k, 20:23] = True
+        d[k, 20:23] = np.array([1.0, 0.99, 0.98]) * 1.5 * col / 0.4  # reach s = 0.4 d
+        for lookahead in (2, czd._LOOKAHEAD):
+            monkeypatch.setattr(czd, "_LOOKAHEAD", lookahead)
+            got = czd._greedy_centers(SheetBalls(grid_small), U, d, CZParams(alpha=1.0))
+            assert [a.tolist() for a in got] == [[k, k], [20, 22]], lookahead
 
     @pytest.mark.parametrize("t", [1e-3, 1e-1])
     def test_patch_pass_equals_per_ball(self, grid_small, t):
@@ -632,11 +628,19 @@ class TestNeighborConstants:
             assert czd._neighbor_constants(*args, block=block) == dense
 
     def test_many_balls_match_dense(self, grid_default):
-        # the 9,873-ball cover of k_upper_via_cz(angular_bump, 0.01)
+        # the 7,155-ball cover of k_upper_via_cz(angular_bump, 0.01), whose
+        # 316,696 radial candidate pairs fill more than one default block
         f = make_test_field("angular_bump", grid_default)
         alpha = float(max(czd.maximal_table(f, h).f_star(0.01)
                           for h in grid_default.halves))
-        args, balls = _neighbor_args(decompose(f, CZParams(alpha=alpha)), alpha)
-        assert len(balls) > 9000
+        res = decompose(f, CZParams(alpha=alpha))
+        args, balls = _neighbor_args(res, alpha)
+        c = res.balls
+        order = np.argsort(c.k, kind="stable")
+        rc, reach = grid_default.r[c.k[order]], 2.0 * c.radius[order] * (1.0 + 1e-9)
+        pairs = int(np.sum(np.searchsorted(rc, rc + reach, side="right")
+                           - np.searchsorted(rc, rc - reach, side="left")))
+        block = inspect.signature(czd._neighbor_constants).parameters["block"].default
+        assert pairs > block
         dense = _dense_neighbor_constants(balls, grid_default, alpha)
         assert czd._neighbor_constants(*args) == dense

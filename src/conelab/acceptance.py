@@ -75,7 +75,7 @@ class AcceptanceContext:
 
     @cached_property
     def full2(self) -> PolarGrid:
-        return PolarGrid.fullplane_matching(self.grid2)
+        return PolarGrid.fullplane(self.grid2)
 
     @cached_property
     def grid2_fine(self) -> PolarGrid:
@@ -86,7 +86,7 @@ class AcceptanceContext:
 
     @cached_property
     def full2_fine(self) -> PolarGrid:
-        return PolarGrid.fullplane_matching(self.grid2_fine)
+        return PolarGrid.fullplane(self.grid2_fine)
 
     @cached_property
     def gridq(self) -> PolarGrid:
@@ -95,7 +95,7 @@ class AcceptanceContext:
 
     @cached_property
     def fullq(self) -> PolarGrid:
-        return PolarGrid.fullplane_matching(self.gridq)
+        return PolarGrid.fullplane(self.gridq)
 
     def kfunc_suite(self):
         return suite_cz(self.grid2)
@@ -417,13 +417,13 @@ def check_density(ctx: AcceptanceContext) -> CheckResult:
     f = make_test_field("lipschitz_compact", g)
 
     eps_list = [0.2, 0.1, 0.05, 0.025, 0.0125]
-    errs = _sobolev_errors(density.convergence_table(f, 1.0, "plain", eps_list))
+    errs = _sobolev_errors(density.convergence_table(f, 1.0, eps_list))
     res.put("p1_error_slope", density.fit_decay_slope(eps_list, errs),
             ("+/-", 1.0, 0.15))
 
     # errors are norms, so a ratio >= 0.8 also says the last one is nonzero
     plateau_errs = [r["grad_err"] for r in density.convergence_table(
-        f, 2.0, "plain", [1e-2, 1e-3, 1e-4, 1e-5])]
+        f, 2.0, [1e-2, 1e-3, 1e-4, 1e-5])]
     res.put("p2_plateau_ratio", plateau_errs[-1] / plateau_errs[0], (">=", 0.8))
 
     scaled = [k * density.corrector_times_cutoff_norm(f, 1e-6, k, 2.0)
@@ -433,7 +433,7 @@ def check_density(ctx: AcceptanceContext) -> CheckResult:
 
     eps_sweep = [1e-2, 1e-4, 1e-6, 1e-8, 1e-10]
     corrected = _sobolev_errors(density.convergence_table(
-        f, 2.0, "corrected", eps_sweep, [8.0]))
+        f, 2.0, eps_sweep, [8.0]))
     decreasing = all(b < a for a, b in zip(corrected, corrected[1:]))
     eta_norms = [density.eta_gradient_norm(g, eps, 8.0, 2.0) for eps in eps_sweep]
     eta_slope = float(np.polyfit(np.log([abs(math.log(e)) for e in eps_sweep]),
@@ -461,10 +461,8 @@ def check_codim_obstruction(ctx: AcceptanceContext) -> CheckResult:
     f = make_test_field("jump", g)
     norm_f = extension.wp_norm(f, 4.0)
     dists = _sobolev_errors(
-        density.convergence_table(f, 4.0, "plain",
-                                  [0.25, 0.1, 0.05, 0.01, 1e-3, 1e-4])
-        + density.convergence_table(f, 4.0, "corrected",
-                                    [0.1, 0.01, 1e-3, 1e-4], [2.0, 8.0]))
+        density.convergence_table(f, 4.0, [0.25, 0.1, 0.05, 0.01, 1e-3, 1e-4])
+        + density.convergence_table(f, 4.0, [0.1, 0.01, 1e-3, 1e-4], [2.0, 8.0]))
     res.put("min_distance_ratio", min(dists) / norm_f, (">=", 0.1),
             ("+/-", JUMP_OBSTRUCTION_RATIO, 0.05 * JUMP_OBSTRUCTION_RATIO))
     res.put("frozen_regression_value", JUMP_OBSTRUCTION_RATIO)

@@ -203,7 +203,7 @@ def cmd_kfunc(cfg: RunConfig, args) -> int:
 def cmd_extend(cfg: RunConfig, args) -> int:
     grid = cfg.grid()
     _require_depth(grid, f"p >= {grid.n}", gate=max(cfg.p_list) >= grid.n)
-    full = PolarGrid.fullplane_matching(grid)
+    full = PolarGrid.fullplane(grid)
     rows = []
     for row in extension.extension_rows(
             suite_extension_members(grid, cfg.p_list),
@@ -223,7 +223,7 @@ def cmd_extend(cfg: RunConfig, args) -> int:
 
 def cmd_restrict(cfg: RunConfig, args) -> int:
     grid = cfg.grid()
-    full = PolarGrid.fullplane_matching(grid)
+    full = PolarGrid.fullplane(grid)
     rows = [extension.restriction_antiradial_ratio(F, grid)
             for F in suite_fullplane(full)]
     write_csv(os.path.join(cfg.out_dir, "restriction.csv"), rows,
@@ -235,7 +235,7 @@ def cmd_pierre(cfg: RunConfig, args) -> int:
     dom = ConeDomain(2, math.pi / 4, "quadrant")
     grid = PolarGrid.cone(dom, nr=cfg.nr, nt=cfg.nt, r_max=min(cfg.r_max, 4.0),
                           r_min=1e-7 * min(cfg.r_max, 4.0))
-    full = PolarGrid.fullplane_matching(grid)
+    full = PolarGrid.fullplane(grid)
     rows = []
     for row in extension.extension_rows(
             suite_extension_members(grid, cfg.p_list, QUADRANT_MEMBERS),
@@ -254,8 +254,7 @@ def cmd_density(cfg: RunConfig, args) -> int:
     f = _test_field(args, grid)
     mode = args.mode
     rows = density.convergence_table(
-        f, p, mode, cfg.eps_list,
-        cfg.k_list if mode == "corrected" else None)
+        f, p, cfg.eps_list, cfg.k_list if mode == "corrected" else None)
     write_csv(os.path.join(cfg.out_dir, f"density_{f.name}_{mode}.csv"), rows,
               ["eps", "k", "l_p_err", "grad_err", "trend"]
               if mode == "corrected" else ["eps", "l_p_err", "grad_err", "trend"])

@@ -19,11 +19,12 @@ whole blocking window: every node of U, accepted or blocked, gets a positive
 bump sum, and every bad part lies in its plain ball.  That needs c1 >= reach,
 i.e. c1 >= 5/2; c1 is fixed at 3 (reach 2.4).
 
-Half-cone sheets that are equal share their work, decided by content: a
-half whose combined intensity equals an earlier half's (np.array_equal)
-takes that half's maximal function and table, and `k_upper_via_cz` takes
-the plus half's decomposition for the minus half when the two also share
-their values.  A field whose halves differ pays one intensity comparison.
+Half-cone sheets that are equal share their work through one rule,
+`twin_half`: a half whose combined intensity equals an earlier half's
+(np.array_equal) takes that half's maximal function and table, and
+`k_upper_via_cz` takes the plus half's decomposition for a minus half that is
+its twin and shares its values.  A field whose halves differ pays one
+intensity comparison.
 """
 
 from __future__ import annotations
@@ -131,20 +132,6 @@ class CZResult:
                         c.radius.tolist(), np.where(c.type1, 1, 2).tolist()))
 
 
-def _ball_sums(values: tuple, ball, ring, lo, hi, n: int) -> list:
-    """Per ball 0..n-1, the sum of each values array over the ball's rows
-    (ring, lo..hi): rows are summed first, 256 at a time to bound the expanded
-    cells that all arrays share, then added per ball in row order."""
-    sums = np.empty((len(values), len(ring)))
-    for i in range(0, len(ring), 256):
-        blk = slice(i, i + 256)
-        row, col = expand_ranges(lo[blk], hi[blk])
-        cells = ring[blk][row], col
-        for out, v in zip(sums, values):
-            out[blk] = np.bincount(row, v[cells], len(out[blk]))
-    return [np.bincount(ball, s, n) for s in sums]
-
-
 def combined_intensity(f: Field, half: str) -> np.ndarray:
     """|f| + |f|/r + |grad f| on one sheet, added in `WEIGHTS` order, built
     from that sheet's samples alone."""
@@ -155,30 +142,37 @@ def combined_intensity(f: Field, half: str) -> np.ndarray:
     return total
 
 
+def twin_half(f: Field, half: str) -> str:
+    """The first half, in `grid.halves` order, whose combined intensity equals
+    this half's (np.array_equal): the half itself unless an earlier one is its
+    twin.  Cached per half; the intensities are built only when an earlier
+    half exists."""
+    def build():
+        earlier = f.grid.halves[:f.grid.half_index(half)]
+        if earlier:
+            intensity = combined_intensity(f, half)
+            for h in earlier:
+                if np.array_equal(intensity, combined_intensity(f, h)):
+                    return h
+        return half
+    return f.cached(("twin_half", half), build)
+
+
 def maximal_function(f: Field, half: str = "plus") -> np.ndarray:
     """Discrete uncentered maximal function of the combined intensity on one
-    sheet, cached per half (dyadic radii, grid-node centers, single-cell floor).
-    A half whose intensity equals an earlier half's (in `grid.halves` order)
-    returns that half's array, the same object, without building a sheet."""
-    def build():
-        intensity = combined_intensity(f, half)
-        for earlier in f.grid.halves[:f.grid.half_index(half)]:
-            if np.array_equal(intensity, combined_intensity(f, earlier)):
-                return maximal_function(f, earlier)
-        return SheetBalls(f.grid).maximal(intensity)
-    return f.cached(("maximal", half), build)
+    sheet (dyadic radii, grid-node centers, single-cell floor), cached under
+    the half's twin, so twin halves share one array."""
+    twin = twin_half(f, half)
+    return f.cached(("maximal", twin), lambda: SheetBalls(f.grid).maximal(
+        combined_intensity(f, twin)))
 
 
 def maximal_table(f: Field, half: str):
-    """Rearrangement table of one half's maximal function; halves that share
-    the maximal array share the table."""
-    def build():
-        M = maximal_function(f, half)
-        for earlier in f.grid.halves[:f.grid.half_index(half)]:
-            if maximal_function(f, earlier) is M:
-                return maximal_table(f, earlier)
-        return rearrange_samples(M, f.grid.cell_measure)
-    return f.cached(("maximal_table", half), build)
+    """Rearrangement table of one half's maximal function, cached under the
+    half's twin, so twin halves share one table."""
+    twin = twin_half(f, half)
+    return f.cached(("maximal_table", twin), lambda: rearrange_samples(
+        maximal_function(f, twin), f.grid.cell_measure))
 
 
 def _greedy_centers(sheet: SheetBalls, U: np.ndarray, d: np.ndarray,
@@ -264,19 +258,24 @@ def decompose(f: Field, params: CZParams, half: str = "plus") -> CZResult:
     radius = 0.5 * d[bk, bj]
     s = radius / params.c1
 
-    # partition of unity on U: bump weights on the plain balls' cells, summed
-    # in ball order
     plain = sheet.ball_windows(bk, bj, radius)
     row, col = expand_ranges(*plain[2:])
     ball, ring = plain[0][row], plain[1][row]
+
+    # each ball's measure and mean over these cells: each row summed, then
+    # the rows added per ball in row order
+    def per_ball(w):
+        return np.bincount(plain[0], np.bincount(row, w, len(plain[0])), len(bk))
+
+    measure = per_ball(grid.cell_measure[ring, col])
+    mean = per_ball(vals[ring, col] * grid.cell_measure[ring, col]) / measure
+
+    # partition of unity on U: bump weights on the plain balls' cells, summed
+    # in ball order
     psi = params.bump(sheet.node_distances(bk[ball], bj[ball], ring, col) / s[ball])
     cell = ring * grid.nt + col
     chi = psi / np.bincount(cell, psi, U.size)[cell]
-
     type1 = 4.0 * radius <= np.maximum(grid.r[bk] - radius, 0.0)
-    measure, mass = _ball_sums((grid.cell_measure, vals * grid.cell_measure),
-                               *plain, len(bk))
-    mean = mass / measure
     b = (vals[ring, col] - np.where(type1, mean, 0.0)[ball]) * chi
     bad = np.bincount(cell, b, U.size).reshape(U.shape)
     chi_sum = np.bincount(cell, chi, U.size).reshape(U.shape)
@@ -508,7 +507,7 @@ def k_upper_via_cz(f: Field, t: float) -> dict:
                 "b_norm": 0.0, "g_norm": g_norm, "n_balls": 0}
     params = CZParams(alpha=alpha)
     res_p = decompose(f, params, "plus")
-    if (maximal_function(f, "minus") is maximal_function(f, "plus")
+    if (twin_half(f, "minus") == "plus"
             and np.array_equal(f.sheet("minus"), f.sheet("plus"))):
         res_m = replace(res_p, half="minus")
     else:

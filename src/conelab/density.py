@@ -101,21 +101,15 @@ def approximation_errors(f: Field, approx: Field, p: float) -> tuple[float, floa
     return lp_norm(diff, p), lp_norm(diff, p, "gradient")
 
 
-def convergence_table(f: Field, p: float, mode: str, eps_list,
-                      k_list=None) -> list[dict]:
-    """Rows (eps[, k], l_p_err, grad_err, trend) for the chosen approximant
-    family; trend flags whether each error column is still decreasing."""
-    if mode not in ("plain", "corrected"):
-        raise ValueError("mode must be 'plain' or 'corrected'")
-    ks = list(k_list) if k_list is not None else [None]
-    if mode == "corrected" and k_list is None:
-        raise ValueError("corrected mode needs k values")
+def convergence_table(f: Field, p: float, eps_list, k_list=None) -> list[dict]:
+    """Rows (eps[, k], l_p_err, grad_err, trend): the plain cutoff without
+    k_list, else the corrector at each k; trend flags whether each error
+    column is still decreasing."""
     rows = []
-    for k in ks:
+    for k in (k_list if k_list is not None else [None]):
         prev = None
         for eps in eps_list:
-            a = (log_corrector(f, eps, k) if mode == "corrected"
-                 else vertex_cutoff(f, eps))
+            a = vertex_cutoff(f, eps) if k is None else log_corrector(f, eps, k)
             lp_err, grad_err = approximation_errors(f, a, p)
             trend = "start" if prev is None else (
                 "decreasing" if grad_err < prev * (1.0 - 1e-9) else "plateau")

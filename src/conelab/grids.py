@@ -1,8 +1,9 @@
 """Polar grids on cones and on the full plane.
 
 Radial nodes follow a geometric progression r_k = r_max * q^k so the vertex
-singularity is resolved down to r_min; angular nodes are uniform cell centers
-over each half-cone's angular range.  Cell measures integrate the Jacobian
+singularity is resolved down to r_min, and a full-plane grid takes its cone
+grid's radial arrays themselves; angular nodes are uniform cell centers over
+each half-cone's angular range.  Cell measures integrate the Jacobian
 exactly over each cell, so the total grid measure matches the analytic
 truncated-cone measure to machine precision, and cap (sphere-restricted)
 integrals reuse the same angular weights as volume integrals.
@@ -54,25 +55,21 @@ class PolarGrid:
 
     # -- construction -----------------------------------------------------
 
-    @staticmethod
-    def _radial(nr: int, r_max: float, r_min, q):
-        if nr < 3:
-            raise ValueError("need at least 3 radial nodes")
-        if q is None:
-            if r_min is None:
-                r_min = 1e-12 * r_max
-            q = (r_min / r_max) ** (1.0 / (nr - 1))
-        r = r_max * q ** np.arange(nr - 1, -1, -1.0)
-        edges = np.empty(nr + 1)
-        edges[0] = r[0]
-        edges[-1] = r[-1]
-        edges[1:-1] = np.sqrt(r[:-1] * r[1:])
-        return r, edges
-
     @classmethod
     def cone(cls, domain: ConeDomain, nr: int = 600, nt: int = 96,
-             r_max: float = 40.0, r_min: float | None = None, q: float | None = None):
-        r, r_edges = cls._radial(nr, r_max, r_min, q)
+             r_max: float = 40.0, r_min: float | None = None):
+        """The one radial rule: nr radii geometric from r_min (default
+        1e-12 r_max) to r_max, cell edges at the geometric midpoints."""
+        if nr < 3:
+            raise ValueError("need at least 3 radial nodes")
+        if r_min is None:
+            r_min = 1e-12 * r_max
+        q = (r_min / r_max) ** (1.0 / (nr - 1))
+        r = r_max * q ** np.arange(nr - 1, -1, -1.0)
+        r_edges = np.empty(nr + 1)
+        r_edges[0] = r[0]
+        r_edges[-1] = r[-1]
+        r_edges[1:-1] = np.sqrt(r[:-1] * r[1:])
         if nt < 3:
             raise ValueError("need at least 3 angular nodes")
         if domain.n == 2:
@@ -84,24 +81,18 @@ class PolarGrid:
         return cls(domain, "cone", r, r_edges, t, t_edges, ("plus", "minus"))
 
     @classmethod
-    def fullplane(cls, domain: ConeDomain, nr: int = 600, nt: int = 384,
-                  r_max: float = 40.0, r_min: float | None = None, q: float | None = None):
-        if domain.n != 2:
+    def fullplane(cls, grid: "PolarGrid"):
+        """Full-plane grid over a planar cone grid: the cone's own (read-only)
+        radial arrays, and about the cone's angular spacing over [-pi, pi),
+        so its cells align with the cone sheets wherever the spacings are
+        commensurable."""
+        if grid.n != 2:
             raise ValueError("full-plane grids are two-dimensional")
-        r, r_edges = cls._radial(nr, r_max, r_min, q)
+        nt = max(8, int(round(2.0 * math.pi / grid.dtheta)))
         t_edges = np.linspace(-math.pi, math.pi, nt + 1)
         t = 0.5 * (t_edges[:-1] + t_edges[1:])
-        return cls(domain, "fullplane", r, r_edges, t, t_edges, ("full",))
-
-    @classmethod
-    def fullplane_matching(cls, grid: "PolarGrid"):
-        """Full-plane grid sharing radial nodes whose angular cells align with
-        the cone sheets wherever the spacings are commensurable."""
-        dt = grid.theta_edges[1] - grid.theta_edges[0]
-        nt = max(8, int(round(2.0 * math.pi / dt)))
-        full = cls.fullplane(grid.domain, nr=len(grid.r), nt=nt,
-                             r_max=float(grid.r[-1]), q=grid.q)
-        return full
+        return cls(grid.domain, "fullplane", grid.r, grid.r_edges, t, t_edges,
+                   ("full",))
 
     # -- basic quantities --------------------------------------------------
 

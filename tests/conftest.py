@@ -35,7 +35,7 @@ def grid3_small(dom3):
 
 @pytest.fixture(scope="session")
 def full_small(grid_small):
-    return PolarGrid.fullplane_matching(grid_small)
+    return PolarGrid.fullplane(grid_small)
 
 
 @pytest.fixture(scope="session")

@@ -276,7 +276,7 @@ class TestMaximal:
     def test_empty_balls_average_to_minus_inf(self):
         # r_min 4e-77: from rho ~ 1e-15 on, a ball around an outer ring holds
         # no node, not even its center (rho is below half an ulp of r)
-        grid = PolarGrid.cone(ConeDomain(2), nr=40, nt=3, q=0.01)
+        grid = PolarGrid.cone(ConeDomain(2), nr=40, nt=3, r_min=40.0 * 0.01**39)
         sheet = SheetBalls(grid)
         shape = (grid.nr, grid.nt)
         for x in (np.random.default_rng(8).uniform(0.1, 5.0, shape),

@@ -75,10 +75,10 @@ class TestConfig:
 
     def test_q_migration_keeps_the_radii(self):
         # README: a {"q": q} config becomes {"r_min": r_max * q**(nr - 1)}
-        old = PolarGrid.cone(ConeDomain(2), nr=100, r_max=40.0, q=0.9)
+        old = 40.0 * 0.9 ** np.arange(99, -1, -1.0)
         new = RunConfig(nr=100, r_min=40.0 * 0.9 ** (100 - 1)).grid()
-        assert np.array_equal(new.r, old.r)
-        assert np.array_equal(new.r_edges, old.r_edges)
+        assert np.array_equal(new.r, old)
+        assert np.array_equal(new.r_edges[1:-1], np.sqrt(old[:-1] * old[1:]))
 
     def test_invalid_omega_rejected(self, tmp_path):
         p = tmp_path / "c.json"

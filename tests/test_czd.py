@@ -270,6 +270,29 @@ class TestHalfTwins:
             for res, h in zip(pair, grid_small.halves):
                 _assert_same_result(res, decompose(f, res.params, h))
 
+    @pytest.mark.parametrize("entry", [maximal_function, maximal_table])
+    def test_a_twin_half_does_not_reenter(self, grid_small, monkeypatch, entry):
+        # the minus half of angular_bump is the plus half's twin: it reads the
+        # plus half's entries without a nested maximal_function call
+        f = make_test_field("angular_bump", grid_small)
+        depth, deepest = [0], [0]
+
+        def nested(*args):
+            depth[0] += 1
+            deepest[0] = max(deepest[0], depth[0])
+            try:
+                return maximal_function(*args)
+            finally:
+                depth[0] -= 1
+
+        monkeypatch.setattr(czd, "maximal_function", nested)
+        # called through the module, so that the outer call counts too
+        got = getattr(czd, entry.__name__)(f, "minus")
+        assert deepest[0] == 1
+        monkeypatch.undo()
+        assert got is entry(f, "plus")
+        assert maximal_table(f, "minus") is maximal_table(f, "plus")
+
 
 def _assert_same_result(res, want):
     assert res.field is want.field and res.half == want.half
@@ -399,7 +422,6 @@ def _patch_constants_per_ball(res):
     meas, n = grid.cell_measure, len(res.balls)
     pball, pring, plo, phi = SheetBalls(grid).ball_windows(cover.k, cover.j,
                                                            cover.radius)
-    [ball_measure] = czd._ball_sums((meas,), pball, pring, plo, phi, n)
     eb_ratio = chi_grad = 0.0
     cells, rows = (np.searchsorted(a, np.arange(n + 1)) for a in (cover.ball, pball))
     for i in range(n):
@@ -414,7 +436,7 @@ def _patch_constants_per_ball(res):
         plain = (plo[p0:p0 + nk, None] <= cols) & (cols <= phi[p0:p0 + nk, None])
         contrib = babs * (1.0 + 1.0 / grid.r[rlo:rlo + nk, None]) + bmag
         num = float((contrib * meas[rlo:rlo + nk, jlo:jlo + nj])[plain].sum())
-        eb_ratio = max(eb_ratio, num / float(ball_measure[i]) / alpha)
+        eb_ratio = max(eb_ratio, num / float(cover.measure[i]) / alpha)
     return eb_ratio, chi_grad
 
 

@@ -98,27 +98,28 @@ class TestCorrector:
 class TestTables:
     def test_supported_away_from_vertex(self, grid_small):
         f = vertex_cutoff(make_test_field("lipschitz_compact", grid_small), 0.2)
-        rows = convergence_table(f, 1.0, "plain", [0.02, 0.01])
+        rows = convergence_table(f, 1.0, [0.02, 0.01])
         for row in rows:
             assert row["l_p_err"] == 0.0 and row["grad_err"] == 0.0
 
     def test_monotone_trend_flags(self, grid_small):
         f = make_test_field("lipschitz_compact", grid_small)
-        rows = convergence_table(f, 1.0, "plain", [0.2, 0.1, 0.05])
+        rows = convergence_table(f, 1.0, [0.2, 0.1, 0.05])
         assert [r["trend"] for r in rows] == ["start", "decreasing", "decreasing"]
 
     def test_corrected_mode_needs_k(self, grid_small):
+        # the k values are what selects the corrector, so a corrected table
+        # without them cannot be asked for; its rows carry their k
         f = make_test_field("lipschitz_compact", grid_small)
-        with pytest.raises(ValueError):
-            convergence_table(f, 2.0, "corrected", [0.01])
-        rows = convergence_table(f, 2.0, "corrected", [1e-3, 1e-4], [4.0])
-        assert all("k" in r for r in rows)
+        rows = convergence_table(f, 2.0, [1e-3, 1e-4], [4.0])
+        assert [r["k"] for r in rows] == [4.0, 4.0]
+        assert all("k" not in r for r in convergence_table(f, 2.0, [1e-3, 1e-4]))
 
     def test_approximant_dispatch(self, grid_small):
         # plain rows read the vertex cutoff, corrected rows the log corrector
         f = make_test_field("lipschitz_compact", grid_small)
-        (plain,) = convergence_table(f, 2.0, "plain", [0.01])
-        (corrected,) = convergence_table(f, 2.0, "corrected", [0.01], [4.0])
+        (plain,) = convergence_table(f, 2.0, [0.01])
+        (corrected,) = convergence_table(f, 2.0, [0.01], [4.0])
         for row, a in ((plain, vertex_cutoff(f, 0.01)),
                        (corrected, log_corrector(f, 0.01, 4.0))):
             assert (row["l_p_err"], row["grad_err"]) == approximation_errors(f, a, 2.0)

@@ -26,7 +26,7 @@ def cone_grid(dom2):
 
 @pytest.fixture(scope="module")
 def full_grid(cone_grid):
-    return PolarGrid.fullplane_matching(cone_grid)
+    return PolarGrid.fullplane(cone_grid)
 
 
 @pytest.fixture(scope="module")
@@ -37,7 +37,7 @@ def quad_grid():
 
 @pytest.fixture(scope="module")
 def quad_full(quad_grid):
-    return PolarGrid.fullplane_matching(quad_grid)
+    return PolarGrid.fullplane(quad_grid)
 
 
 class TestRestrict:

@@ -378,12 +378,15 @@ def load_field(path: str) -> Field:
     n, nr = int(head["n"]), int(head["K"])
     jtot, q, rmax = int(head["J"]), float(head["q"]), float(head["rmax"])
     omega, variant = float(head["omega"]), head["variant"]
+    r_min = rmax * q ** (nr - 1)
     if variant == "fullspace":
+        # the cone grid whose full-plane grid has jtot angular cells
         dom = ConeDomain(n, omega, "double")
-        grid = PolarGrid.fullplane(dom, nr=nr, nt=jtot, r_max=rmax, q=q)
+        grid = PolarGrid.fullplane(PolarGrid.cone(
+            dom, nr=nr, nt=round(jtot * omega / math.pi), r_max=rmax, r_min=r_min))
     else:
         dom = ConeDomain(n, omega, variant)
-        grid = PolarGrid.cone(dom, nr=nr, nt=jtot // 2, r_max=rmax, q=q)
+        grid = PolarGrid.cone(dom, nr=nr, nt=jtot // 2, r_max=rmax, r_min=r_min)
     vals = np.empty(grid.shape)
     order = sorted(range(grid.nhalves),
                    key=lambda i: grid.global_theta(grid.halves[i])[0])
@@ -481,7 +484,7 @@ class TestFieldCache:
 
     def test_repeat_calls_return_the_stored_object(self, dom2):
         grid = PolarGrid.cone(dom2, nr=40, nt=12, r_max=40.0, r_min=4e-8)
-        full = PolarGrid.fullplane_matching(grid)
+        full = PolarGrid.fullplane(grid)
         f = make_test_field("angular_bump", grid)
         ops = [lambda: gradient(f), lambda: rearrange(f),
                lambda: rearrange(f, "inv_r"), lambda: rearrange(f, "gradient"),
@@ -493,7 +496,7 @@ class TestFieldCache:
             assert op() is op()
         # one extension per full grid: a second grid does not evict the first
         Ef = extend(f, 1.0, full)
-        other = extend(f, 1.0, PolarGrid.fullplane_matching(grid))
+        other = extend(f, 1.0, PolarGrid.fullplane(grid))
         assert other is not Ef and extend(f, 1.5, full) is Ef
         # the round-trip difference is kept per Ef and serves every exponent
         rt = roundtrip_error(f, Ef, 1.0)
@@ -506,11 +509,11 @@ class TestFieldCache:
     def test_pierre_extension_per_full_grid(self):
         grid = PolarGrid.cone(ConeDomain(2, math.pi / 4, "quadrant"), nr=40,
                               nt=12, r_max=4.0, r_min=4e-6)
-        full = PolarGrid.fullplane_matching(grid)
+        full = PolarGrid.fullplane(grid)
         f = make_test_field("angular_bump", grid)
         Ef = extend_pierre_2d(f, full)
         assert extend_pierre_2d(f, full) is Ef
-        other = extend_pierre_2d(f, PolarGrid.fullplane_matching(grid))
+        other = extend_pierre_2d(f, PolarGrid.fullplane(grid))
         assert other is not Ef and extend_pierre_2d(f, full) is Ef
 
     def test_derived_fields_start_empty(self, grid_small):
@@ -577,7 +580,7 @@ class TestFromFunction:
 
     @pytest.mark.parametrize("cone_name", ["grid_small", "quad_small"])
     def test_fullplane_suite(self, request, monkeypatch, cone_name):
-        full = PolarGrid.fullplane_matching(request.getfixturevalue(cone_name))
+        full = PolarGrid.fullplane(request.getfixturevalue(cone_name))
         self.assert_meshgrid_equal(monkeypatch, lambda: list(suite_fullplane(full)))
 
     @pytest.mark.parametrize("grid_name", ["grid_small", "quad_small"])

@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+from conelab.acceptance import AcceptanceContext
+from conelab.config import RunConfig
 from conelab.grids import PolarGrid
 
 
@@ -47,6 +49,18 @@ def test_fullplane_covers_circle(full_small):
     assert full_small.total_measure() == pytest.approx(exact, rel=1e-12)
 
 
+@pytest.mark.parametrize("cfg", [RunConfig(), RunConfig(nr=220, nt=48, r_min=4e-8)])
+def test_fullplane_shares_the_cone_radii(cfg):
+    # restrict and extend read a full-plane ring as the cone's ring of the
+    # same index, so the full grid holds the cone's radial arrays themselves
+    ctx = AcceptanceContext(cfg)
+    for cone, full in ((ctx.grid2, ctx.full2), (ctx.grid2_fine, ctx.full2_fine),
+                       (ctx.gridq, ctx.fullq)):
+        assert full.r is cone.r and full.r_edges is cone.r_edges
+        assert PolarGrid.fullplane(cone).r is cone.r
+        assert not full.r.flags.writeable and not full.r_edges.flags.writeable
+
+
 def test_fullplane_alignment_with_cone(grid_small, full_small):
     # standard half-angle: cone node angles appear exactly in the full grid
     cone_angles = grid_small.global_theta("plus")
@@ -75,6 +89,6 @@ def test_too_coarse_grid_rejected(dom2):
         PolarGrid.cone(dom2, nr=100, nt=2)
 
 
-def test_fullplane_needs_2d(dom3):
+def test_fullplane_needs_2d(grid3_small):
     with pytest.raises(ValueError):
-        PolarGrid.fullplane(dom3)
+        PolarGrid.fullplane(grid3_small)

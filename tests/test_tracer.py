@@ -23,7 +23,7 @@ def tracing(monkeypatch):
 def _traced_names():
     return (fields.lp_norm, czd.decompose, czd.maximal_function,
             ballops.SheetBalls.__dict__["ball_rows"],
-            grids.PolarGrid.__dict__["cone"])
+            grids.PolarGrid.__dict__["cone"], grids.PolarGrid.__dict__["fullplane"])
 
 
 def test_tracer_installs_and_closes(tracing):

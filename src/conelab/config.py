@@ -22,8 +22,8 @@ class ConfigError(ValueError):
 
 
 # Largest grid, nr * nt cells.  verify-all, the command that holds the most
-# per cell, peaked at 970.2 MiB resident and took 145 s at 2400x416 (998,400
-# cells, 2-core host), about 1.0 KiB per cell; README gives its launcher and
+# per cell, peaked at 716.4 MiB resident and took 156 s at 2400x416 (998,400
+# cells, 2-core host), about 0.75 KiB per cell; README gives its launcher and
 # the peaks at 600x96 and 1200x192.
 MAX_CELLS = 1_000_000
 
@@ -137,7 +137,7 @@ class RunConfig:
         if self.nr * self.nt > MAX_CELLS:
             raise ConfigError(f"grid nr = {self.nr}, nt = {self.nt} has {self.nr * self.nt} "
                               f"cells, above the cap of {MAX_CELLS} (verify-all holds "
-                              "about 1.1 KiB per cell)")
+                              "about 0.75 KiB per cell)")
         if self.r_min is not None and not self.r_min < self.r_max:
             raise ConfigError(f"r_min must lie below r_max = {self.r_max:g}, "
                               f"got {self.r_min}")

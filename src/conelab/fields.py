@@ -22,6 +22,10 @@ GATE_DECADES = 4      # the integrability gate averages growth over these
 HARDY_SLACK = 1.05    # quadrature slack on the sharp Hardy constant p/(n-p)
 WEIGHTS = ("none", "inv_r", "gradient")   # the sample families of `samples`
 
+# Cells per call of Field.from_function's fn: bounds the coordinate
+# temporaries of large sheets; a 600x96 sheet is one call.
+_FN_BLOCK = 1 << 16
+
 
 @dataclass(frozen=True, eq=False)
 class Field:
@@ -41,13 +45,18 @@ class Field:
 
     @classmethod
     def from_function(cls, grid: PolarGrid, fn, name: str = ""):
-        """Build a field from fn(r, theta, half), called once per sheet on
-        broadcastable (nr, 1) radii and (1, nt) angles; each sheet's result
-        is broadcast into its slot of one (halves, nr, nt) array."""
-        r, t = grid.r[:, None], grid.theta[None, :]
+        """Build a field from fn(r, theta, half), elementwise in (r, theta),
+        called per sheet on broadcastable (rings, 1) radii and (1, nt)
+        angles over the fewest blocks of whole rings, of even size, that
+        hold at most _FN_BLOCK cells; each result is broadcast into its slot
+        of one (halves, nr, nt) array."""
+        blocks = math.ceil(grid.nr / max(1, _FN_BLOCK // grid.nt))
+        rows = math.ceil(grid.nr / blocks)
+        t = grid.theta[None, :]
         vals = np.empty(grid.shape)
         for i, h in enumerate(grid.halves):
-            vals[i] = fn(r, t, h)
+            for k0 in range(0, grid.nr, rows):
+                vals[i, k0:k0 + rows] = fn(grid.r[k0:k0 + rows, None], t, h)
         return cls(grid, vals, name=name)
 
     def with_values(self, values: np.ndarray, name: str | None = None) -> "Field":
@@ -127,13 +136,23 @@ def samples(f: Field, weight: str = "none") -> np.ndarray:
 
 def lp_norm(f: Field, p: float, weight: str = "none") -> float:
     """Quadrature L^p norm of samples(f, weight) over the whole domain;
-    sample sup for p = inf."""
+    sample sup for p = inf.  Fresh |f| and |f|/r samples are raised to the
+    p-th power in place, with power_sum_root's bits."""
     vals = samples(f, weight)
     if p == INF:
         return float(vals.max())
     if p < 1:
         raise ValueError("exponent must be in [1, inf]")
-    return power_sum_root(vals, f.grid.cell_measure[None, :, :], p)
+    w = f.grid.cell_measure[None, :, :]
+    if weight == "gradient":    # the cached read-only family
+        return power_sum_root(vals, w, p)
+    with np.errstate(over="ignore"):
+        vals **= p
+        vals *= w
+        total = np.sum(vals)
+    if np.isinf(total):     # a term overflowed: power_sum_root's fallback
+        return power_sum_root(samples(f, weight), w, p)
+    return float(total ** (1.0 / p))
 
 
 def power_sum_root(vals: np.ndarray, w: np.ndarray, p: float) -> float:
@@ -384,7 +403,8 @@ def save_field(f: Field, path: str) -> None:
               f"K={g.nr}",
               f"J={g.nt * g.nhalves}",
               f"q={g.q!r}",
-              f"rmax={g.r_max!r}"]
+              f"rmax={g.r_max!r}",
+              f"r_min={g.r_min!r}"]
 
     def rings():
         yield "".join(line + "\n" for line in header)

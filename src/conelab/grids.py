@@ -202,15 +202,19 @@ class PolarGrid:
         return a_int, b_int, lo, hi
 
     def d_dr(self, vals: np.ndarray) -> np.ndarray:
-        """Radial derivative along axis -2 of (..., nr, nt) samples."""
+        """Radial derivative along axis -2 of (..., nr, nt) samples.  The
+        backward differences are scaled in place in the differences' own
+        buffer, once the forward terms and both ends have read them."""
         a_int, b_int, lo, hi = self._radial_stencil
         d = np.diff(vals, axis=-2)
         out = np.empty_like(vals)
         inner = out[..., 1:-1, :]
         np.multiply(a_int[:, None], d[..., 1:, :], out=inner)
-        inner += b_int[:, None] * d[..., :-1, :]
         out[..., 0, :] = lo[0] * d[..., 0, :] + lo[1] * d[..., 1, :]
         out[..., -1, :] = hi[0] * d[..., -1, :] + hi[1] * d[..., -2, :]
+        back = d[..., :-1, :]
+        back *= b_int[:, None]
+        inner += back
         return out
 
     def d_dtheta(self, vals: np.ndarray) -> np.ndarray:

@@ -7,6 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
+from conelab import fields
+from conelab.acceptance import AcceptanceContext
 from conelab.czd import hardy_sobolev_norm, maximal_function, maximal_table
 from conelab.extension import (extend, extend_pierre_2d, restrict,
                                roundtrip_error, source_norm, wp_norm)
@@ -15,7 +17,8 @@ from conelab.fieldlib import (QUADRANT_MEMBERS, make_test_field, suite_fullplane
 from conelab.fields import (WEIGHTS, Field, cap_mean, gradient, hardy_quotient,
                             integrability_gate, lp_norm,
                             partial_norm_power_table, poincare_ball_ratio,
-                            poincare_rows, radial_split, samples, save_field)
+                            poincare_rows, power_sum_root, radial_split, samples,
+                            save_field)
 from conelab.geometry import ConeDomain
 from conelab.grids import PolarGrid
 from conelab.profiles import plateau
@@ -149,6 +152,24 @@ class TestNorms:
         for weight in ("none", "inv_r"):
             assert lp_norm(big, 4.0, weight=weight) == pytest.approx(
                 1e100 * lp_norm(one, 4.0, weight=weight), rel=1e-12)
+
+    @pytest.mark.parametrize("weight", WEIGHTS)
+    def test_in_place_powers_bit_for_bit(self, grid_small, weight):
+        # the fresh families are raised in place, the cached gradient is not;
+        # constant 1e150 takes the overflow fallback from p = 7/3 up
+        for name, params in (("angular_bump", {}), ("logcounter", {"beta": 0.5}),
+                             ("radial_power", {"a": 0.5}), ("constant", {"c": 1e150})):
+            f = make_test_field(name, grid_small, **params)
+            values = f.values.copy()
+            grad = samples(f, "gradient")
+            grad_bytes = grad.tobytes()
+            for p in (1.0, 1.5, 2.0, 7.0 / 3.0, 3.0, INF):
+                v = samples(f, weight)
+                want = (float(v.max()) if p == INF else power_sum_root(
+                    v, grid_small.cell_measure[None, :, :], p))
+                assert lp_norm(f, p, weight).hex() == want.hex(), (name, p)
+            assert f.values.tobytes() == values.tobytes()
+            assert samples(f, "gradient") is grad and grad.tobytes() == grad_bytes
 
     def test_invalid_spec(self, grid_small):
         f = make_test_field("radial_exp", grid_small)
@@ -376,9 +397,8 @@ def load_field(path: str) -> Field:
         else:
             break
     n, nr = int(head["n"]), int(head["K"])
-    jtot, q, rmax = int(head["J"]), float(head["q"]), float(head["rmax"])
+    jtot, rmax, r_min = int(head["J"]), float(head["rmax"]), float(head["r_min"])
     omega, variant = float(head["omega"]), head["variant"]
-    r_min = rmax * q ** (nr - 1)
     if variant == "fullspace":
         # the cone grid whose full-plane grid has jtot angular cells
         dom = ConeDomain(n, omega, "double")
@@ -458,8 +478,20 @@ class TestFieldPlumbing:
         g = load_field(str(path))
         assert g.grid.shape == f.grid.shape
         assert np.allclose(g.values, f.values, rtol=0, atol=0)
-        head = path.read_text().splitlines()[:7]
+        head = path.read_text().splitlines()[:8]
         assert head[0] == "n=2" and head[3] == "K=20" and head[4] == "J=16"
+        assert head[7] == f"r_min={grid.r_min!r}"
+
+    @pytest.mark.parametrize("variant", ["cone", "fullplane"])
+    def test_dump_keeps_the_radii(self, grid_small, full_small, tmp_path, variant):
+        # the header's r_min rebuilds the dumped radii exactly; q and rmax
+        # alone drifted by up to 5.3e-14 relative on this grid
+        grid = grid_small if variant == "cone" else full_small
+        path = tmp_path / "field.txt"
+        save_field(make_test_field("angular_bump", grid), str(path))
+        g = load_field(str(path)).grid
+        assert g.kind == grid.kind and g.nt == grid.nt
+        assert np.array_equal(g.r, grid.r) and np.array_equal(g.r_edges, grid.r_edges)
 
     @given(a=st.floats(-3, 3), b=st.floats(-3, 3))
     @settings(max_examples=30, deadline=None)
@@ -593,3 +625,39 @@ class TestFromFunction:
 
         self.assert_meshgrid_equal(monkeypatch, lambda: [
             Field.from_function(grid, xplusy, name="linear_sum")])
+
+    @staticmethod
+    def assert_blocks_equal(monkeypatch, grid, build, block):
+        """build() with fn called over ring blocks of at most `block` cells,
+        against one call per sheet."""
+        assert grid.nr * grid.nt > block    # the sheet spans several blocks
+        with monkeypatch.context() as m:
+            m.setattr(fields, "_FN_BLOCK", block)
+            new = build()
+        with monkeypatch.context() as m:
+            m.setattr(fields, "_FN_BLOCK", grid.nr * grid.nt)
+            old = build()
+        assert [a.name for a in new] == [b.name for b in old]
+        for a, b in zip(new, old):
+            assert a.values.tobytes() == b.values.tobytes(), a.name
+
+    @pytest.mark.parametrize("grid_name", ["grid_small", "grid3_small",
+                                           "full_small", "quad_small"])
+    def test_ring_blocks_bit_for_bit(self, request, monkeypatch, grid_name):
+        # at most 7 rings a block (5 cells more fit no ring), so 7-ring
+        # blocks and a short last one
+        grid = request.getfixturevalue(grid_name)
+
+        def build():
+            out = [make_test_field(name, grid, **params) for name, params in self.NAMED]
+            if grid.kind == "fullplane":
+                out += suite_fullplane(grid)
+            return out
+
+        self.assert_blocks_equal(monkeypatch, grid, build, 7 * grid.nt + 5)
+
+    def test_fullplane_suite_blocks_at_the_defaults(self, monkeypatch):
+        # full2_fine's 900x576 sheet takes 8 blocks of fields._FN_BLOCK
+        full = AcceptanceContext().full2_fine
+        self.assert_blocks_equal(monkeypatch, full, lambda: list(suite_fullplane(full)),
+                                 fields._FN_BLOCK)

@@ -75,6 +75,24 @@ def test_radial_derivative_exact_for_linear(grid_small):
     assert np.abs(d - 1.0).max() <= 1e-9
 
 
+@pytest.mark.parametrize("grid_name", ["grid_small", "full_small"])
+def test_radial_derivative_in_place_bit_for_bit(request, grid_name):
+    # against the stencil with a third field-sized temporary for the
+    # backward terms
+    g = request.getfixturevalue(grid_name)
+    r, t = g.r[:, None], g.theta[None, :]
+    vals = np.stack([np.exp(-r) * np.cos(3 * t + i) for i in range(g.nhalves)])
+    a_int, b_int, lo, hi = g._radial_stencil
+    d = np.diff(vals, axis=-2)
+    want = np.empty_like(vals)
+    inner = want[..., 1:-1, :]
+    np.multiply(a_int[:, None], d[..., 1:, :], out=inner)
+    inner += b_int[:, None] * d[..., :-1, :]
+    want[..., 0, :] = lo[0] * d[..., 0, :] + lo[1] * d[..., 1, :]
+    want[..., -1, :] = hi[0] * d[..., -1, :] + hi[1] * d[..., -2, :]
+    assert g.d_dr(vals).tobytes() == want.tobytes()
+
+
 def test_angular_derivative_periodic_wrap(full_small):
     vals = np.sin(full_small.theta)[None, None, :] * np.ones(
         (1, full_small.nr, 1))
